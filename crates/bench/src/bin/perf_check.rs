@@ -28,12 +28,15 @@
 //!   hook is supposed to be free when nobody listens — and its
 //!   `attached_vs_unobserved_ratio` (a live `Profiler` timing every
 //!   phase and histogramming every probe) must reach 0.70;
-//! * `fit_scaling` — one absolute same-run floor: the fresh
-//!   snapshot's `chunked_vs_scalar_scan_ratio` (the 8-lane chunked
-//!   First Fit gap sweep against its per-slot scalar reference on a
-//!   full-depth `B = 100` scan, measured back-to-back) must reach
-//!   1.0 — the vectorized kernel must never lose to the loop it
-//!   replaced;
+//! * `fit_scaling` — `series[target_bins=10000].auto_events_per_sec`
+//!   (the `Backend::Auto` First Fit replay with ~8,000 bins open, so
+//!   the tick engine's `FitTree` mode: per-event index upkeep creeping
+//!   back into that path shows here), plus one absolute same-run
+//!   floor: the fresh snapshot's `chunked_vs_scalar_scan_ratio` (the
+//!   8-lane chunked First Fit gap sweep against its per-slot scalar
+//!   reference on a full-depth `B = 100` scan, measured back-to-back)
+//!   must reach 1.0 — the vectorized kernel must never lose to the
+//!   loop it replaced;
 //! * `server` — `server_events_per_sec` (aggregate wire-protocol
 //!   placement throughput across the loadgen's client threads and
 //!   tenants; the recorded p50/p99 placement latencies ride along
@@ -107,13 +110,15 @@ const OPT_SOLVER_SPEEDUP_FLOOR: f64 = 10.0;
 /// pass's throughput, measured back to back in the same run.
 const SERVER_TRACED_FLOOR: f64 = 0.90;
 
-/// Baseline-relative throughput metrics gated per experiment.
+/// Baseline-relative throughput metrics gated per experiment, named
+/// as [`metric`] paths.
 fn gated_metrics(experiment: &str) -> &'static [&'static str] {
     match experiment {
         "engine_throughput" => &["events_per_sec", "compiled_events_per_sec"],
         "stream" => &["stream_events_per_sec"],
         "server" => &["server_events_per_sec"],
         "opt_solver" => &["intervals_per_sec"],
+        "fit_scaling" => &["series[target_bins=10000].auto_events_per_sec"],
         "obs_overhead" | "profile" => &[],
         _ => &[],
     }
@@ -161,8 +166,23 @@ fn load(path: &str) -> Result<Snapshot, String> {
     })
 }
 
-fn metric(metrics: &Value, name: &str) -> Option<f64> {
-    metrics.get(name).and_then(Value::as_f64)
+/// Looks up a numeric metric: a top-level `name`, or
+/// `array[field=value].name` for the row of a series whose `field`
+/// equals `value`.
+fn metric(metrics: &Value, path: &str) -> Option<f64> {
+    let Some((array, rest)) = path.split_once('[') else {
+        return metrics.get(path).and_then(Value::as_f64);
+    };
+    let (selector, name) = rest.split_once("].")?;
+    let (field, value) = selector.split_once('=')?;
+    let value: f64 = value.parse().ok()?;
+    metrics
+        .get(array)?
+        .as_array()?
+        .iter()
+        .find(|row| row.get(field).and_then(Value::as_f64) == Some(value))?
+        .get(name)
+        .and_then(Value::as_f64)
 }
 
 /// Gates one baseline/fresh pair. Returns `(gated, failed)`: how many
@@ -312,4 +332,67 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fit_scaling(tree_eps: f64, scan_ratio: f64) -> Snapshot {
+        let row = |bins: i128, eps: f64| {
+            Value::Object(vec![
+                ("target_bins".into(), Value::Int(bins)),
+                ("auto_events_per_sec".into(), Value::Float(eps)),
+            ])
+        };
+        Snapshot {
+            experiment: "fit_scaling".into(),
+            metrics: Value::Object(vec![
+                (
+                    "chunked_vs_scalar_scan_ratio".into(),
+                    Value::Float(scan_ratio),
+                ),
+                (
+                    "series".into(),
+                    Value::Array(vec![row(100, 9e6), row(10_000, tree_eps)]),
+                ),
+            ]),
+        }
+    }
+
+    #[test]
+    fn series_paths_select_the_matching_row() {
+        let snap = fit_scaling(3e6, 2.0);
+        let path = "series[target_bins=10000].auto_events_per_sec";
+        assert_eq!(metric(&snap.metrics, path), Some(3e6));
+        assert_eq!(
+            metric(&snap.metrics, "series[target_bins=100].auto_events_per_sec"),
+            Some(9e6)
+        );
+        assert_eq!(
+            metric(&snap.metrics, "series[target_bins=7].auto_events_per_sec"),
+            None
+        );
+        assert_eq!(
+            metric(&snap.metrics, "chunked_vs_scalar_scan_ratio"),
+            Some(2.0)
+        );
+    }
+
+    #[test]
+    fn tree_mode_throughput_is_gated_against_the_baseline() {
+        let base = fit_scaling(3e6, 2.0);
+        assert_eq!(
+            check_pair(&base, &fit_scaling(2.2e6, 2.0), 0.70),
+            (2, false)
+        );
+        assert_eq!(check_pair(&base, &fit_scaling(2.0e6, 2.0), 0.70), (2, true));
+        // A fresh snapshot without the B=10000 row fails outright.
+        let mut fresh = fit_scaling(3e6, 2.0);
+        fresh.metrics = Value::Object(vec![(
+            "chunked_vs_scalar_scan_ratio".into(),
+            Value::Float(2.0),
+        )]);
+        assert!(check_pair(&base, &fresh, 0.70).1);
+    }
 }

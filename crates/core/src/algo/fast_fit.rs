@@ -83,8 +83,10 @@ impl TreeRule for RoomiestFeasible {
     }
 }
 
-/// Generic tree-backed Any-Fit algorithm over a [`TreeRule`].
-#[derive(Debug, Clone, Default)]
+/// Generic tree-backed Any-Fit algorithm over a [`TreeRule`]. Its
+/// index is built for the rule's policy, so only Best Fit keeps the
+/// tree's `(gap, id)` ordered set.
+#[derive(Debug, Clone)]
 pub struct TreeFit<R: TreeRule> {
     tree: FitTree,
     /// Size of the arrival whose placement decision is in flight
@@ -100,7 +102,7 @@ impl<R: TreeRule> TreeFit<R> {
     /// Creates the algorithm with an empty index.
     pub fn new() -> TreeFit<R> {
         TreeFit {
-            tree: FitTree::new(),
+            tree: FitTree::for_policy(R::TICK),
             pending: None,
             last_depth: 0,
             _rule: PhantomData,
@@ -110,6 +112,12 @@ impl<R: TreeRule> TreeFit<R> {
     /// Read access to the underlying index (diagnostics/tests).
     pub fn tree(&self) -> &FitTree {
         &self.tree
+    }
+}
+
+impl<R: TreeRule> Default for TreeFit<R> {
+    fn default() -> TreeFit<R> {
+        TreeFit::new()
     }
 }
 

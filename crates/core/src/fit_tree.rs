@@ -17,14 +17,25 @@
 //!   (a tournament tree alone cannot answer "minimum gap ≥ s" in one
 //!   descent).
 //!
+//! Only a tree built for Best Fit keeps that ordered set
+//! ([`FitTree::new`], or [`FitTree::for_policy`] with
+//! [`TickPolicy::BestFit`]). A tree built for First or Worst Fit
+//! skips it, so each of its updates is one leaf write plus one
+//! pull-up, with no B-tree remove/insert per event. Both users (the
+//! tick engine's tree mode and the `*Fast` algorithms) build the tree
+//! from the policy they already run, so the policy alone decides
+//! which index exists.
+//!
 //! Leaves are indexed by [`BinId`] directly — bin ids are assigned in
 //! opening order and never reused, so leaf order *is* opening order
 //! and "leftmost" *is* "earliest opened". Closed bins leave a
 //! tombstone leaf holding a sentinel gap that no query can match. The
-//! leaf array doubles geometrically as ids grow, so a run that opens
-//! `N` bins in total pays `O(log N)` per query and amortized `O(1)`
-//! growth per opening; `N` is bounded by the number of items, and the
-//! tree is `clear`ed between runs.
+//! leaf array doubles geometrically as ids grow, so a tree that has
+//! seen `N` bins opened pays `O(log N)` per query and amortized `O(1)`
+//! growth per opening. A batch run bounds `N` by its item count and
+//! [`clear`](FitTree::clear)s the tree between runs; a streaming
+//! session never clears it, so there the leaves grow with every bin
+//! the session has ever opened, closed ones included.
 //!
 //! The tree is generic over its gap key through [`GapKey`]. The
 //! default, [`Rational`], keeps feasibility decisions bit-identical
@@ -35,6 +46,7 @@
 //! compare.
 
 use crate::bin::BinId;
+use crate::tick::TickPolicy;
 use dbp_numeric::Rational;
 use std::collections::BTreeSet;
 use std::ops::Sub;
@@ -59,45 +71,68 @@ impl GapKey for u64 {
     const CLOSED: u64 = 0;
 }
 
-/// Tournament (max-)tree over bin residual gaps, plus an ordered
-/// `(gap, id)` set for Best-Fit queries. See the module docs.
-#[derive(Debug, Clone, Default)]
+/// Tournament (max-)tree over bin residual gaps, plus — in a tree
+/// built for Best Fit — an ordered `(gap, id)` set for Best-Fit
+/// queries. See the module docs.
+#[derive(Debug, Clone)]
 pub struct FitTree<V: GapKey = Rational> {
     /// Number of leaves (a power of two, or 0 before first use).
     cap: usize,
     /// 1-based flat tree: `tree[1]` is the root, leaves occupy
     /// `tree[cap..2·cap]`; `tree[i]` is the max gap in the subtree.
     tree: Vec<V>,
+    /// Number of live (non-tombstoned) leaves.
+    live: usize,
     /// Live bins ordered by `(gap, id)`: Best Fit is the first entry
-    /// at or above `(s, BinId(0))`.
-    by_gap: BTreeSet<(V, BinId)>,
+    /// at or above `(s, BinId(0))`. `None` in a tree built for First
+    /// or Worst Fit, which never asks.
+    by_gap: Option<BTreeSet<(V, BinId)>>,
+}
+
+impl<V: GapKey> Default for FitTree<V> {
+    fn default() -> FitTree<V> {
+        FitTree::new()
+    }
 }
 
 impl<V: GapKey> FitTree<V> {
-    /// Creates an empty index.
+    /// Creates an empty index that answers all three queries (the
+    /// Best-Fit ordered set included).
     pub fn new() -> FitTree<V> {
+        FitTree::for_policy(TickPolicy::BestFit)
+    }
+
+    /// Creates an empty index for one selection rule: the `(gap, id)`
+    /// ordered set is kept only for [`TickPolicy::BestFit`], so First
+    /// and Worst Fit updates skip it.
+    pub fn for_policy(policy: TickPolicy) -> FitTree<V> {
         FitTree {
             cap: 0,
             tree: Vec::new(),
-            by_gap: BTreeSet::new(),
+            live: 0,
+            by_gap: (policy == TickPolicy::BestFit).then(BTreeSet::new),
         }
     }
 
-    /// Removes every bin (start of a new run).
+    /// Removes every bin (start of a new run); the tree keeps the
+    /// policy it was built for.
     pub fn clear(&mut self) {
         self.cap = 0;
         self.tree.clear();
-        self.by_gap.clear();
+        self.live = 0;
+        if let Some(set) = &mut self.by_gap {
+            set.clear();
+        }
     }
 
     /// Number of live (open) bins in the index.
     pub fn len(&self) -> usize {
-        self.by_gap.len()
+        self.live
     }
 
     /// `true` iff no bin is live.
     pub fn is_empty(&self) -> bool {
-        self.by_gap.is_empty()
+        self.live == 0
     }
 
     /// The residual gap of a live bin (`None` if closed or unknown).
@@ -157,7 +192,10 @@ impl<V: GapKey> FitTree<V> {
         );
         self.tree[self.cap + i] = gap;
         self.pull_up(i);
-        self.by_gap.insert((gap, id));
+        self.live += 1;
+        if let Some(set) = &mut self.by_gap {
+            set.insert((gap, id));
+        }
     }
 
     /// Shrinks a live bin's gap by `size` (an item was placed).
@@ -169,7 +207,7 @@ impl<V: GapKey> FitTree<V> {
         V: Sub<Output = V>,
     {
         let old = self.gap(id).expect("place() into a bin not in FitTree");
-        self.set_gap(id, old - size);
+        self.replace(id, old, old - size);
     }
 
     /// Sets a live bin's gap to an absolute value (an item departed
@@ -178,13 +216,20 @@ impl<V: GapKey> FitTree<V> {
     /// # Panics
     /// Panics if `id` is not live.
     pub fn set_gap(&mut self, id: BinId, gap: V) {
-        let i = id.index();
         let old = self.gap(id).expect("set_gap() on a bin not in FitTree");
+        self.replace(id, old, gap);
+    }
+
+    /// Moves live bin `id` from gap `old` to `gap`.
+    fn replace(&mut self, id: BinId, old: V, gap: V) {
         if old == gap {
             return;
         }
-        self.by_gap.remove(&(old, id));
-        self.by_gap.insert((gap, id));
+        if let Some(set) = &mut self.by_gap {
+            set.remove(&(old, id));
+            set.insert((gap, id));
+        }
+        let i = id.index();
         self.tree[self.cap + i] = gap;
         self.pull_up(i);
     }
@@ -196,9 +241,12 @@ impl<V: GapKey> FitTree<V> {
     pub fn close(&mut self, id: BinId) {
         let i = id.index();
         let old = self.gap(id).expect("close() of a bin not in FitTree");
-        self.by_gap.remove(&(old, id));
+        if let Some(set) = &mut self.by_gap {
+            set.remove(&(old, id));
+        }
         self.tree[self.cap + i] = V::CLOSED;
         self.pull_up(i);
+        self.live -= 1;
     }
 
     /// First Fit: the earliest-opened live bin with `gap ≥ size`.
@@ -230,8 +278,14 @@ impl<V: GapKey> FitTree<V> {
 
     /// Best Fit: the highest-level (smallest-gap) live bin with
     /// `gap ≥ size`; ties broken toward the earliest-opened bin.
+    ///
+    /// # Panics
+    /// Panics if the tree was built for First or Worst Fit, which
+    /// keeps no `(gap, id)` set to answer from.
     pub fn best_fit(&self, size: V) -> Option<BinId> {
         self.by_gap
+            .as_ref()
+            .expect("best_fit() on a FitTree built without its Best-Fit set")
             .range((size, BinId(u32::MIN))..)
             .next()
             .map(|&(_, id)| id)
@@ -385,47 +439,71 @@ mod tests {
         t.open(BinId(0), rat(1, 2));
     }
 
+    #[test]
+    #[should_panic(expected = "without its Best-Fit set")]
+    fn best_fit_needs_the_ordered_set() {
+        let mut t = FitTree::for_policy(TickPolicy::FirstFit);
+        t.open(BinId(0), rat(1, 2));
+        t.best_fit(rat(1, 4));
+    }
+
     /// The `u64` instantiation (shifted keys, tombstone `0`) answers
-    /// exactly like the `Rational` tree over the same scaled gaps.
+    /// exactly like the `Rational` tree over the same scaled gaps, and
+    /// a `u64` tree built without the Best-Fit set answers First and
+    /// Worst Fit exactly like the full one.
     #[test]
     fn integer_keys_mirror_rational_keys() {
         const SCALE: i128 = 20;
         let gaps: [(u32, i128); 4] = [(0, 2), (1, 10), (2, 8), (3, 10)];
         let mut rt: FitTree<Rational> = FitTree::new();
         let mut it: FitTree<u64> = FitTree::new();
+        let mut lean: FitTree<u64> = FitTree::for_policy(TickPolicy::FirstFit);
         for &(id, g) in &gaps {
             rt.open(BinId(id), rat(g, SCALE));
             it.open(BinId(id), g as u64 + 1);
+            lean.open(BinId(id), g as u64 + 1);
         }
-        for s in 1..=SCALE {
-            let size = rat(s, SCALE);
-            assert_eq!(rt.first_fit(size), it.first_fit(s as u64 + 1));
-            assert_eq!(rt.best_fit(size), it.best_fit(s as u64 + 1));
-            assert_eq!(rt.worst_fit(size), it.worst_fit(s as u64 + 1));
-        }
+        let agree = |rt: &FitTree<Rational>, it: &FitTree<u64>, lean: &FitTree<u64>| {
+            for s in 1..=SCALE {
+                let (size, key) = (rat(s, SCALE), s as u64 + 1);
+                assert_eq!(rt.first_fit(size), it.first_fit(key));
+                assert_eq!(rt.best_fit(size), it.best_fit(key));
+                assert_eq!(rt.worst_fit(size), it.worst_fit(key));
+                assert_eq!(lean.first_fit(key), it.first_fit(key));
+                assert_eq!(lean.worst_fit(key), it.worst_fit(key));
+            }
+            assert_eq!(lean.len(), it.len());
+        };
+        agree(&rt, &it, &lean);
         // Churn: place, depart, close — shifted keys stay aligned.
         rt.place(BinId(1), rat(4, SCALE));
         it.place(BinId(1), 4);
+        lean.place(BinId(1), 4);
         assert_eq!(rt.gap(BinId(1)), Some(rat(6, SCALE)));
         assert_eq!(it.gap(BinId(1)), Some(7));
+        assert_eq!(lean.gap(BinId(1)), Some(7));
         rt.set_gap(BinId(0), rat(5, SCALE));
         it.set_gap(BinId(0), 6);
+        lean.set_gap(BinId(0), 6);
         rt.close(BinId(3));
         it.close(BinId(3));
-        for s in 1..=SCALE {
-            let size = rat(s, SCALE);
-            assert_eq!(rt.first_fit(size), it.first_fit(s as u64 + 1));
-            assert_eq!(rt.best_fit(size), it.best_fit(s as u64 + 1));
-            assert_eq!(rt.worst_fit(size), it.worst_fit(s as u64 + 1));
-        }
+        lean.close(BinId(3));
+        agree(&rt, &it, &lean);
         assert_eq!(it.len(), 3);
     }
 
     /// Cross-check every query against a brute-force scan on a
-    /// deterministic pseudo-random churn sequence.
+    /// deterministic pseudo-random churn sequence, in a tree built for
+    /// each policy: all of them answer First and Worst Fit and count
+    /// live bins, and the Best-Fit tree answers Best Fit too.
     #[test]
     fn matches_linear_scan_under_churn() {
-        let mut t = FitTree::new();
+        let policies = [
+            TickPolicy::FirstFit,
+            TickPolicy::BestFit,
+            TickPolicy::WorstFit,
+        ];
+        let mut trees = policies.map(FitTree::for_policy);
         let mut live: Vec<(BinId, Rational)> = Vec::new();
         let mut next = 0u32;
         let mut state = 0x9E37u64;
@@ -439,20 +517,20 @@ mod tests {
             match rng() % 3 {
                 0 => {
                     let gap = rat(rng() % 100, 100).abs();
-                    t.open(BinId(next), gap);
+                    trees.iter_mut().for_each(|t| t.open(BinId(next), gap));
                     live.push((BinId(next), gap));
                     next += 1;
                 }
                 1 if !live.is_empty() => {
                     let k = (rng().unsigned_abs() as usize) % live.len();
                     let (id, _) = live.remove(k);
-                    t.close(id);
+                    trees.iter_mut().for_each(|t| t.close(id));
                 }
                 _ if !live.is_empty() => {
                     let k = (rng().unsigned_abs() as usize) % live.len();
                     let gap = rat(rng() % 100, 100).abs();
                     live[k].1 = gap;
-                    t.set_gap(live[k].0, gap);
+                    trees.iter_mut().for_each(|t| t.set_gap(live[k].0, gap));
                 }
                 _ => {}
             }
@@ -472,10 +550,27 @@ mod tests {
                 .filter(|(_, g)| *g >= s)
                 .max_by(|a, b| (a.1, std::cmp::Reverse(a.0)).cmp(&(b.1, std::cmp::Reverse(b.0))))
                 .map(|&(id, _)| id);
-            assert_eq!(t.first_fit(s), ff, "first_fit diverged at step {step}");
-            assert_eq!(t.best_fit(s), bf, "best_fit diverged at step {step}");
-            assert_eq!(t.worst_fit(s), wf, "worst_fit diverged at step {step}");
-            assert_eq!(t.len(), live.len());
+            for (t, policy) in trees.iter().zip(policies) {
+                let name = policy.name();
+                assert_eq!(
+                    t.first_fit(s),
+                    ff,
+                    "{name} tree: first_fit diverged at step {step}"
+                );
+                assert_eq!(
+                    t.worst_fit(s),
+                    wf,
+                    "{name} tree: worst_fit diverged at step {step}"
+                );
+                assert_eq!(
+                    t.len(),
+                    live.len(),
+                    "{name} tree: len diverged at step {step}"
+                );
+                if policy == TickPolicy::BestFit {
+                    assert_eq!(t.best_fit(s), bf, "best_fit diverged at step {step}");
+                }
+            }
         }
     }
 }

@@ -509,7 +509,7 @@ const DENSE_ID_LIMIT: usize = 1 << 20;
 /// How a [`TickEngine`] answers placement queries. Starts [`Linear`]
 /// and switches permanently to [`Tree`] the first time the open-bin
 /// count exceeds the scan crossover — gaps and slots are carried by
-/// the linear arrays, so the [`FitTree`] and its id→slot map are
+/// the linear arrays, so the [`FitTree`] and its id→slot table are
 /// rebuilt deterministically at the switch. Both modes implement the
 /// exact same selection and tie-break rules, so the mode is invisible
 /// in outcomes.
@@ -573,11 +573,14 @@ pub struct TickEngine {
     active_count: usize,
     assignments: Vec<(ItemId, BinId)>,
     scan: ScanMode,
-    /// Placement index; empty until `scan` switches to `Tree`.
+    /// Placement index; empty until `scan` switches to `Tree`. Built
+    /// for `policy`, so only Best Fit maintains its ordered set.
     tree: FitTree<u64>,
-    /// Bin id → store slot; maintained only in tree mode (linear mode
-    /// carries slots in its own arrays).
-    tree_slots: HashMap<u32, u32, BuildIdHasher>,
+    /// Bin id → store slot, indexed directly by id ([`VACANT`] once
+    /// the bin closes); maintained only in tree mode (linear mode
+    /// carries slots in its own arrays). Like the tree's leaves it
+    /// grows with the bins ever opened, at 4 bytes per bin.
+    tree_slots: Vec<u32>,
     /// Open-bin count above which the scan promotes to the tree
     /// ([`SCAN_CROSSOVER`] unless a test overrides it).
     crossover: usize,
@@ -642,8 +645,8 @@ impl TickEngine {
             active_count: 0,
             assignments: Vec::new(),
             scan: ScanMode::Linear(LinearScan::default()),
-            tree: FitTree::new(),
-            tree_slots: HashMap::default(),
+            tree: FitTree::for_policy(policy),
+            tree_slots: Vec::new(),
             crossover: SCAN_CROSSOVER,
             now: None,
             max_open: 0,
@@ -843,7 +846,7 @@ impl TickEngine {
     }
 
     /// One-way switch from the linear sweep to the [`FitTree`]: the
-    /// index and the id→slot map are rebuilt from the linear arrays
+    /// index and the id→slot table are rebuilt from the linear arrays
     /// (which fully determine them), and every later query descends
     /// the tree.
     fn promote_to_tree(&mut self) {
@@ -852,9 +855,10 @@ impl TickEngine {
         };
         self.tree.clear();
         self.tree_slots.clear();
+        self.tree_slots.resize(self.next_bin as usize, VACANT);
         for ((&id, &slot), &gap) in lin.ids.iter().zip(&lin.slots).zip(&lin.gaps) {
             self.tree.open(BinId(id), gap + 1);
-            self.tree_slots.insert(id, slot);
+            self.tree_slots[id as usize] = slot;
         }
     }
 
@@ -955,10 +959,8 @@ impl TickEngine {
                     probe.count(ProbeCounter::TreeDepth, depth as u64);
                 }
                 hit.map(|bin_id| {
-                    let slot = *self
-                        .tree_slots
-                        .get(&bin_id.0)
-                        .expect("tree hit resolves to a live slot");
+                    let slot = self.tree_slots[bin_id.index()];
+                    debug_assert_ne!(slot, VACANT, "tree hit resolves to a live slot");
                     (bin_id.0, slot, usize::MAX)
                 })
             }
@@ -1009,7 +1011,11 @@ impl TickEngine {
                     }
                     ScanMode::Tree => {
                         self.tree.open(BinId(id), self.capacity - size + 1);
-                        self.tree_slots.insert(id, slot);
+                        let i = id as usize;
+                        if i >= self.tree_slots.len() {
+                            self.tree_slots.resize(i + 1, VACANT);
+                        }
+                        self.tree_slots[i] = slot;
                         false
                     }
                 };
@@ -1131,7 +1137,7 @@ impl TickEngine {
             ScanMode::Tree => {
                 if closed_now {
                     self.tree.close(BinId(entry.bin));
-                    self.tree_slots.remove(&entry.bin);
+                    self.tree_slots[entry.bin as usize] = VACANT;
                 } else {
                     self.tree
                         .set_gap(BinId(entry.bin), self.capacity - self.store.levels[s] + 1);

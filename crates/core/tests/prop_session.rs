@@ -9,7 +9,7 @@
 
 use dbp_core::prelude::*;
 use dbp_core::session::{Session, SessionSnapshot};
-use dbp_core::{event_schedule, PackingAlgorithm};
+use dbp_core::{event_schedule, CompiledInstance, PackingAlgorithm, TickPolicy, SCAN_CROSSOVER};
 use dbp_numeric::rat;
 use dbp_simcore::EventClass;
 use proptest::prelude::*;
@@ -328,4 +328,118 @@ fn equal_time_burst_streams_like_batch() {
         Session::builder(FirstFit::new()).build()
     });
     assert_eq!(streamed, batch);
+}
+
+// ---------------------------------------------------------------
+// Tree mode: past `SCAN_CROSSOVER` open bins the tick engine promotes
+// from its linear sweep to the `FitTree`. The proptest instances above
+// stay far below that, so this deterministic flash crowd covers the
+// promoted path the daemon's batch streams run on.
+// ---------------------------------------------------------------
+
+/// The linear reference for each tick policy, which is also the
+/// algorithm a tick-backed session runs it through.
+fn linear_algo(policy: TickPolicy) -> Box<dyn PackingAlgorithm> {
+    match policy {
+        TickPolicy::FirstFit => Box::new(FirstFit::new()),
+        TickPolicy::BestFit => Box::new(BestFit::new()),
+        TickPolicy::WorstFit => Box::new(WorstFit::new()),
+    }
+}
+
+/// Waves of 1,000 simultaneous arrivals one time unit apart, sizes in
+/// 64ths up to 5/8, lifetimes of 1 to 2¾ units: consecutive waves
+/// overlap, so the open-bin count peaks well above `SCAN_CROSSOVER`
+/// and bins keep closing and refilling after the promotion.
+fn flash_crowd() -> Instance {
+    let mut state = 0x5EEDu64;
+    let mut next = move |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % m) as i128
+    };
+    let mut specs = Vec::new();
+    for wave in 0..5 {
+        for _ in 0..1000 {
+            let size = rat(1 + next(40), 64);
+            let arrival = rat(wave, 1);
+            specs.push((size, arrival, arrival + rat(4 + next(8), 4)));
+        }
+    }
+    Instance::new(specs).expect("flash crowd is well formed")
+}
+
+/// A strict tick session on the flash crowd's grid: an event off the
+/// grid would be an error, never a silent switch to the exact engine.
+fn tree_mode_session(policy: TickPolicy) -> Session<'static> {
+    Session::builder(linear_algo(policy))
+        .backend(Backend::Tick)
+        .grid(TickGrid::new(4, 64))
+        .build()
+        .expect("tick session builds")
+}
+
+#[test]
+fn tree_mode_sessions_match_batch_and_exact_references() {
+    let inst = flash_crowd();
+    let events = events_of(&inst);
+    let compiled = CompiledInstance::compile(&inst).expect("flash crowd compiles");
+    for policy in [
+        TickPolicy::FirstFit,
+        TickPolicy::BestFit,
+        TickPolicy::WorstFit,
+    ] {
+        let name = policy.name();
+        let batch = compiled.run(policy).unwrap();
+        let exact = Runner::new(&inst)
+            .backend(Backend::Exact)
+            .run(linear_algo(policy).as_mut())
+            .unwrap();
+        assert_eq!(batch, exact, "{name}: compiled replay vs exact reference");
+        assert!(
+            batch.max_open_bins() > SCAN_CROSSOVER,
+            "{name}: peak {} never reaches tree mode",
+            batch.max_open_bins()
+        );
+
+        let mut per_event = tree_mode_session(policy);
+        for ev in &events {
+            per_event.apply(ev).unwrap();
+        }
+        assert!(per_event.tick_active(), "{name}: left the tick engine");
+        assert_eq!(
+            per_event.finish().unwrap(),
+            exact,
+            "{name}: per-event apply"
+        );
+
+        let mut ingested = tree_mode_session(policy);
+        ingested.ingest(&events).unwrap();
+        assert_eq!(ingested.finish().unwrap(), exact, "{name}: single ingest");
+
+        // Cut once the session has promoted, with bins still open.
+        let mut first = tree_mode_session(policy);
+        let mut cut = 0;
+        while first.metrics().peak_open_bins <= SCAN_CROSSOVER {
+            first.apply(&events[cut]).unwrap();
+            cut += 1;
+        }
+        cut += 500;
+        first.ingest(&events[cut - 500..cut]).unwrap();
+        let checkpoint = first.snapshot().unwrap();
+        let mut resumed = Session::resume(&checkpoint).unwrap();
+        assert!(resumed.tick_active(), "{name}: resumed off the tick engine");
+        assert_eq!(
+            resumed.metrics(),
+            first.metrics(),
+            "{name}: resume at {cut}"
+        );
+        resumed.ingest(&events[cut..]).unwrap();
+        assert_eq!(
+            resumed.finish().unwrap(),
+            exact,
+            "{name}: snapshot→resume at {cut}"
+        );
+    }
 }

@@ -12,6 +12,14 @@
 //! journal through the identical session machinery, which makes the
 //! resumed tenant bit-identical to one that never stopped — the
 //! property the crash-recovery integration test pins down.
+//!
+//! A crash in the middle of an append can leave the file ending in a
+//! partial line (the buffered writer may issue several writes per
+//! flush). That line was never acknowledged, so recovery drops it,
+//! reports its length as [`RecoveredJournal::torn_bytes`], and
+//! [`Journal::reopen`] cuts it off before appending again. A malformed
+//! line followed by more lines is corruption, not a torn append, and
+//! stays an error.
 
 use dbp_proto::{event_to_line, parse_event_line, Backend, Event, TickGrid, WIRE_VERSION};
 use serde::{Deserialize, Serialize, Value};
@@ -125,10 +133,15 @@ impl Journal {
         Ok(journal)
     }
 
-    /// Reopens an existing journal for appending (after recovery).
-    pub fn reopen(dir: &Path, tenant: &str) -> io::Result<Journal> {
-        let path = journal_path(dir, tenant);
+    /// Reopens a recovered journal for appending. A torn final line
+    /// is cut off first, so the next append starts on a line boundary
+    /// instead of gluing onto the fragment.
+    pub fn reopen(dir: &Path, recovered: &RecoveredJournal) -> io::Result<Journal> {
+        let path = journal_path(dir, &recovered.header.tenant);
         let file = OpenOptions::new().append(true).open(&path)?;
+        if recovered.torn_bytes > 0 {
+            file.set_len(recovered.complete_len)?;
+        }
         Ok(Journal {
             path,
             writer: BufWriter::new(file),
@@ -161,29 +174,56 @@ pub struct RecoveredJournal {
     pub header: JournalHeader,
     /// Events in acceptance order.
     pub events: Vec<Event>,
+    /// Length of the final line dropped because it had no `\n` (a
+    /// crash tore the append that wrote it); 0 for a clean journal.
+    pub torn_bytes: u64,
+    /// Bytes of complete lines, header included: where the next
+    /// append must start.
+    complete_len: u64,
 }
 
-/// Reads one journal file back.
+/// Reads one journal file back. Only newline-terminated lines count:
+/// a final line without its `\n` is a torn append, dropped and
+/// reported in [`RecoveredJournal::torn_bytes`].
 pub fn read_journal(path: &Path) -> io::Result<RecoveredJournal> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut lines = BufReader::new(File::open(path)?).lines();
-    let header_line = lines
-        .next()
-        .ok_or_else(|| bad(format!("{}: empty journal", path.display())))??;
-    let header_value = serde_json::parse(&header_line)
-        .map_err(|e| bad(format!("{}: bad journal header: {e}", path.display())))?;
-    let header = JournalHeader::from_value(&header_value)
-        .map_err(|e| bad(format!("{}: bad journal header: {e}", path.display())))?;
+    let mut reader = BufReader::new(File::open(path)?);
+    let mut line = Vec::new();
+    let mut complete_len = 0u64;
+    let mut header = None;
     let mut events = Vec::new();
-    for line in lines {
-        let line = line?;
-        match parse_event_line(&line) {
+    let torn_bytes = loop {
+        line.clear();
+        let n = reader.read_until(b'\n', &mut line)? as u64;
+        if line.last() != Some(&b'\n') {
+            break n; // 0 at a clean end of file
+        }
+        complete_len += n;
+        let text = std::str::from_utf8(&line)
+            .map_err(|e| bad(format!("{}: bad journal line: {e}", path.display())))?;
+        if header.is_none() {
+            let value = serde_json::parse(text)
+                .map_err(|e| bad(format!("{}: bad journal header: {e}", path.display())))?;
+            header = Some(
+                JournalHeader::from_value(&value)
+                    .map_err(|e| bad(format!("{}: bad journal header: {e}", path.display())))?,
+            );
+            continue;
+        }
+        match parse_event_line(text) {
             Some(Ok(event)) => events.push(event),
             Some(Err(e)) => return Err(bad(format!("{}: bad journal line: {e}", path.display()))),
             None => {}
         }
-    }
-    Ok(RecoveredJournal { header, events })
+    };
+    let header =
+        header.ok_or_else(|| bad(format!("{}: no complete journal header", path.display())))?;
+    Ok(RecoveredJournal {
+        header,
+        events,
+        torn_bytes,
+        complete_len,
+    })
 }
 
 /// Every journal found under `dir`, in deterministic (path-sorted)
@@ -237,16 +277,88 @@ mod tests {
         journal.append(&events[..1]).unwrap();
         // Reopen mid-life, as recovery does, and keep appending.
         drop(journal);
-        let mut journal = Journal::reopen(&dir, "acme").unwrap();
+        let path = journal_path(&dir, "acme");
+        let mut journal = Journal::reopen(&dir, &read_journal(&path).unwrap()).unwrap();
         journal.append(&events[1..]).unwrap();
 
         let recovered = scan_journals(&dir).unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].header, header());
         assert_eq!(recovered[0].events, events);
+        assert_eq!(recovered[0].torn_bytes, 0);
 
         journal.remove().unwrap();
         assert!(scan_journals(&dir).unwrap().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn arrivals(ids: std::ops::Range<u32>) -> Vec<Event> {
+        ids.map(|i| Event::Arrive {
+            id: ItemId(i),
+            size: rat(1, 4),
+            time: rat(i as i128, 1),
+        })
+        .collect()
+    }
+
+    fn append_raw(path: &Path, bytes: &[u8]) {
+        let mut file = OpenOptions::new().append(true).open(path).unwrap();
+        file.write_all(bytes).unwrap();
+    }
+
+    /// A crash mid-append leaves a partial last line: recovery keeps
+    /// exactly the complete prefix, and appends after the reopen land
+    /// on a fresh line rather than gluing onto the fragment.
+    #[test]
+    fn torn_tail_is_dropped_and_cut_before_appending() {
+        let dir = std::env::temp_dir().join(format!("dbp-journal-torn-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (prefix, more) = (arrivals(0..5), arrivals(5..8));
+        let mut journal = Journal::create(&dir, &header()).unwrap();
+        journal.append(&prefix).unwrap();
+        drop(journal);
+        let path = journal_path(&dir, "acme");
+        let line = event_to_line(&more[0]);
+        let half = &line.as_bytes()[..line.len() / 2];
+        append_raw(&path, half);
+
+        let recovered = read_journal(&path).unwrap();
+        assert_eq!(recovered.header, header());
+        assert_eq!(recovered.events, prefix);
+        assert_eq!(recovered.torn_bytes, half.len() as u64);
+
+        let mut journal = Journal::reopen(&dir, &recovered).unwrap();
+        journal.append(&more).unwrap();
+        drop(journal);
+        let recovered = read_journal(&path).unwrap();
+        assert_eq!(recovered.events, [prefix, more].concat());
+        assert_eq!(recovered.torn_bytes, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Only the *final* line may be torn: a malformed line with more
+    /// lines after it is corruption and still refuses recovery, and so
+    /// does a journal without one complete header line.
+    #[test]
+    fn malformed_middle_line_and_torn_header_stay_errors() {
+        let dir = std::env::temp_dir().join(format!("dbp-journal-bad-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut journal = Journal::create(&dir, &header()).unwrap();
+        journal.append(&arrivals(0..2)).unwrap();
+        drop(journal);
+        let path = journal_path(&dir, "acme");
+        append_raw(&path, b"{\"arrive\": garbage\n");
+        append_raw(&path, (event_to_line(&arrivals(2..3)[0]) + "\n").as_bytes());
+        let err = read_journal(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad journal line"), "{err}");
+
+        fs::write(&path, b"{\"v\":1,\"journal\":{").unwrap();
+        let err = read_journal(&path).unwrap_err();
+        assert!(
+            err.to_string().contains("no complete journal header"),
+            "{err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -149,7 +149,7 @@ impl Tenant {
     /// Rebuilds a tenant from its recovered journal by replaying every
     /// accepted event through the identical session machinery —
     /// bit-identical to a tenant that never stopped. The journal is
-    /// reopened for appending.
+    /// reopened for appending, with any torn final line cut off.
     pub fn recover(
         recovered: RecoveredJournal,
         quotas: Quotas,
@@ -180,8 +180,7 @@ impl Tenant {
                 ))
             })?;
         }
-        tenant.journal =
-            Some(Journal::reopen(journal_dir, &header.tenant).map_err(ServerError::Io)?);
+        tenant.journal = Some(Journal::reopen(journal_dir, &recovered).map_err(ServerError::Io)?);
         Ok(tenant)
     }
 

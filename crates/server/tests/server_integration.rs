@@ -185,6 +185,62 @@ fn crash_recovery_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crash that tears the journal's last line must not keep the
+/// daemon from starting: the tenant resumes from the acknowledged
+/// prefix, and later appends extend it cleanly.
+#[test]
+fn torn_journal_tail_resumes_the_acknowledged_prefix() {
+    let dir = test_dir("torn");
+    let config = || ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let connect = |server: &DbpServer| {
+        Client::builder("firstfit")
+            .tenant("acme")
+            .grid(TickGrid::new(1, 32))
+            .connect(server.local_addr())
+            .unwrap()
+    };
+    let events = wave_stream(6, 4);
+    let (head, tail) = events.split_at(events.len() / 2);
+
+    let server = DbpServer::start(config()).unwrap();
+    let mut client = connect(&server);
+    client.ingest(head).unwrap();
+    server.stop();
+    drop(client);
+    // Half of the next event's line reached the file, never acked.
+    let path = dbp_server::journal::journal_path(&dir, "acme");
+    let line = dbp_proto::event_to_line(&tail[0]);
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    file.write_all(&line.as_bytes()[..line.len() / 2]).unwrap();
+    drop(file);
+
+    let server = DbpServer::start(config()).unwrap();
+    let mut client = connect(&server);
+    assert_eq!(client.resumed_events(), head.len() as u64);
+    client.ingest(&tail[..1]).unwrap();
+    server.stop();
+    drop(client);
+
+    // The second restart reads the prefix plus the event appended
+    // after the cut, so the finished outcome is the uncut run's.
+    let server = DbpServer::start(config()).unwrap();
+    let mut client = connect(&server);
+    assert_eq!(client.resumed_events(), head.len() as u64 + 1);
+    client.ingest(&tail[1..]).unwrap();
+    assert_eq!(
+        client.finish().unwrap(),
+        vec![session_outcome("firstfit", &events)]
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn quota_refusals_are_typed_and_leave_state_untouched() {
     let server = DbpServer::start(ServerConfig {
