@@ -40,7 +40,11 @@
 //! * `server` — `server_events_per_sec` (aggregate wire-protocol
 //!   placement throughput across the loadgen's client threads and
 //!   tenants; the recorded p50/p99 placement latencies ride along
-//!   uncompared — latency floors are machine noise on shared CI),
+//!   uncompared — latency floors are machine noise on shared CI) and
+//!   `journal_replay_events_per_sec` (a durable restart: one tenant's
+//!   journal read back with `read_journal` and rebuilt with
+//!   `Tenant::recover`; journal lines decoded through the generic
+//!   `Value` codec instead of the strict fast parser show here),
 //!   plus an **absolute** same-run floor: the fresh snapshot's
 //!   `traced_vs_untraced_ratio` (loadgen's traced pass — per-frame
 //!   request ids, echo verification, request-span recording — against
@@ -116,7 +120,7 @@ fn gated_metrics(experiment: &str) -> &'static [&'static str] {
     match experiment {
         "engine_throughput" => &["events_per_sec", "compiled_events_per_sec"],
         "stream" => &["stream_events_per_sec"],
-        "server" => &["server_events_per_sec"],
+        "server" => &["server_events_per_sec", "journal_replay_events_per_sec"],
         "opt_solver" => &["intervals_per_sec"],
         "fit_scaling" => &["series[target_bins=10000].auto_events_per_sec"],
         "obs_overhead" | "profile" => &[],
@@ -377,6 +381,32 @@ mod tests {
             metric(&snap.metrics, "chunked_vs_scalar_scan_ratio"),
             Some(2.0)
         );
+    }
+
+    fn server(events_per_sec: f64, replay_events_per_sec: f64) -> Snapshot {
+        Snapshot {
+            experiment: "server".into(),
+            metrics: Value::Object(vec![
+                ("server_events_per_sec".into(), Value::Float(events_per_sec)),
+                (
+                    "journal_replay_events_per_sec".into(),
+                    Value::Float(replay_events_per_sec),
+                ),
+                ("traced_vs_untraced_ratio".into(), Value::Float(0.95)),
+            ]),
+        }
+    }
+
+    #[test]
+    fn journal_replay_rate_is_gated_against_the_baseline() {
+        let base = server(2.5e6, 4e6);
+        assert_eq!(check_pair(&base, &server(2.5e6, 3e6), 0.70), (3, false));
+        // Replay back on the generic line codec: several-fold slower.
+        assert_eq!(check_pair(&base, &server(2.5e6, 1e6), 0.70), (3, true));
+        // Baselines recorded before the metric existed skip it.
+        let mut old = server(2.5e6, 0.0);
+        old.metrics = Value::Object(vec![("server_events_per_sec".into(), Value::Float(2.5e6))]);
+        assert_eq!(check_pair(&old, &server(2.5e6, 1e6), 0.70), (2, false));
     }
 
     #[test]

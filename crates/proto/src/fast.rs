@@ -10,12 +10,21 @@
 //! those bytes.
 //!
 //! Any deviation from canonical form — whitespace, reordered keys,
-//! leading zeros, an unnormalized rational — makes the fast parser
-//! return `None`, and the caller falls back to the generic `Value`
-//! path. The wire *format* is therefore unchanged: this module is an
+//! leading zeros, a non-positive denominator, an integer that
+//! overflows — makes the fast parser return `None`, and the caller
+//! falls back to the generic `Value` path. An unnormalized rational
+//! such as `{"num":2,"den":4}` (or a `-0`) is *not* a deviation: both
+//! parsers accept it and reduce it through `Rational::new` to the same
+//! value. The wire *format* is therefore unchanged: this module is an
 //! optimization, not a dialect. Byte-equality of the two encoders and
-//! agreement of the two parsers are enforced by the unit tests below
-//! and by the property tests in `tests/prop_wire.rs`.
+//! agreement of the two parsers — on canonical frames and on mutated,
+//! hostile bytes — are enforced by the unit tests below and by the
+//! property tests in `tests/prop_wire.rs`.
+//!
+//! The same strict parser is the first reader of stream and journal
+//! lines: [`crate::parse_event_line`] tries it before the generic path,
+//! so journal recovery and `mindbp stream` input decode canonical lines
+//! without building a `Value` tree.
 
 use crate::frame::{Request, Response};
 use crate::{BinId, Event, ItemId};
@@ -69,7 +78,7 @@ pub fn write_bin_response_traced(buf: &mut Vec<u8>, bin: BinId, trace: Option<u6
     buf.extend_from_slice(b"{\"v\":1,");
     push_trace(buf, trace);
     buf.extend_from_slice(b"\"bin\":");
-    push_i128(buf, bin.0 as i128);
+    push_u64(buf, u64::from(bin.0));
     buf.push(b'}');
 }
 
@@ -87,7 +96,7 @@ pub fn write_bins_response_traced(buf: &mut Vec<u8>, bins: &[BinId], trace: Opti
         if i > 0 {
             buf.push(b',');
         }
-        push_i128(buf, bin.0 as i128);
+        push_u64(buf, u64::from(bin.0));
     }
     buf.extend_from_slice(b"]}");
 }
@@ -97,7 +106,7 @@ pub fn write_bins_response_traced(buf: &mut Vec<u8>, bins: &[BinId], trace: Opti
 fn push_trace(buf: &mut Vec<u8>, trace: Option<u64>) {
     if let Some(id) = trace {
         buf.extend_from_slice(b"\"trace\":");
-        push_i128(buf, id as i128);
+        push_u64(buf, id);
         buf.push(b',');
     }
 }
@@ -109,7 +118,7 @@ fn push_tagged_event(buf: &mut Vec<u8>, ev: &Event) {
     match ev {
         Event::Arrive { id, size, time } => {
             buf.extend_from_slice(b"\"arrive\":{\"id\":");
-            push_i128(buf, id.0 as i128);
+            push_u64(buf, u64::from(id.0));
             buf.extend_from_slice(b",\"size\":");
             push_rational(buf, *size);
             buf.extend_from_slice(b",\"time\":");
@@ -118,7 +127,7 @@ fn push_tagged_event(buf: &mut Vec<u8>, ev: &Event) {
         }
         Event::Depart { id, time } => {
             buf.extend_from_slice(b"\"depart\":{\"id\":");
-            push_i128(buf, id.0 as i128);
+            push_u64(buf, u64::from(id.0));
             buf.extend_from_slice(b",\"time\":");
             push_rational(buf, *time);
             buf.push(b'}');
@@ -135,22 +144,43 @@ fn push_rational(buf: &mut Vec<u8>, r: Rational) {
 }
 
 fn push_i128(buf: &mut Vec<u8>, n: i128) {
-    if n == 0 {
-        buf.push(b'0');
-        return;
+    if n < 0 {
+        buf.push(b'-');
     }
+    // Magnitude in unsigned space so `i128::MIN` doesn't overflow.
+    let m = n.unsigned_abs();
+    match u64::try_from(m) {
+        Ok(small) => push_u64(buf, small),
+        Err(_) => push_u128(buf, m),
+    }
+}
+
+// Every id, bin, trace and grid-sized rational leg fits here: one
+// hardware divide-by-constant per digit instead of a 128-bit one.
+#[inline]
+fn push_u64(buf: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[i..]);
+}
+
+// Magnitudes of 2⁶⁴ and above (up to 39 digits).
+#[cold]
+fn push_u128(buf: &mut Vec<u8>, mut m: u128) {
     let mut digits = [0u8; 40];
     let mut i = digits.len();
-    let negative = n < 0;
-    // Magnitude in unsigned space so `i128::MIN` doesn't overflow.
-    let mut m = n.unsigned_abs();
     while m > 0 {
         i -= 1;
         digits[i] = b'0' + (m % 10) as u8;
         m /= 10;
-    }
-    if negative {
-        buf.push(b'-');
     }
     buf.extend_from_slice(&digits[i..]);
 }
@@ -166,8 +196,7 @@ pub fn parse_request_traced(payload: &[u8]) -> Option<(Request, Option<u64>)> {
     let mut c = Cursor::new(payload);
     c.lit(b"{\"v\":1,")?;
     let trace = parse_trace(&mut c)?;
-    if c.starts_with(b"\"batch\":[") {
-        c.lit(b"\"batch\":[")?;
+    if c.lit(b"\"batch\":[").is_some() {
         let mut events = Vec::new();
         if !c.eat(b']') {
             loop {
@@ -231,19 +260,19 @@ pub fn parse_response_traced(payload: &[u8]) -> Option<(Response, Option<u64>)> 
 // other placement is non-canonical and defers to the generic parser.
 // Outer `None` = malformed trace prefix, inner `None` = untraced.
 #[allow(clippy::option_option)]
+#[inline(always)]
 fn parse_trace(c: &mut Cursor<'_>) -> Option<Option<u64>> {
-    if !c.starts_with(b"\"trace\":") {
+    if c.lit(b"\"trace\":").is_none() {
         return Some(None);
     }
-    c.lit(b"\"trace\":")?;
     let id = c.int_u64()?;
     c.lit(b",")?;
     Some(Some(id))
 }
 
+#[inline(always)]
 fn parse_tagged_event(c: &mut Cursor<'_>) -> Option<Event> {
-    if c.starts_with(b"\"arrive\"") {
-        c.lit(b"\"arrive\":{\"id\":")?;
+    if c.lit(b"\"arrive\":{\"id\":").is_some() {
         let id = ItemId(c.int_u32()?);
         c.lit(b",\"size\":")?;
         let size = parse_rational(c)?;
@@ -261,6 +290,7 @@ fn parse_tagged_event(c: &mut Cursor<'_>) -> Option<Event> {
     }
 }
 
+#[inline(always)]
 fn parse_rational(c: &mut Cursor<'_>) -> Option<Rational> {
     c.lit(b"{\"num\":")?;
     let num = c.int_i128()?;
@@ -275,6 +305,9 @@ fn parse_rational(c: &mut Cursor<'_>) -> Option<Rational> {
     Some(Rational::new(num, den))
 }
 
+// The primitives are `#[inline(always)]` so that, inside the descent,
+// each literal check is a fixed-width compare rather than a `memcmp`
+// call and each integer is read in a single pass.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -285,25 +318,19 @@ impl<'a> Cursor<'a> {
         Cursor { bytes, pos: 0 }
     }
 
-    fn rest(&self) -> &'a [u8] {
-        &self.bytes[self.pos..]
-    }
-
-    fn starts_with(&self, s: &[u8]) -> bool {
-        self.rest().starts_with(s)
-    }
-
+    #[inline(always)]
     fn lit(&mut self, s: &[u8]) -> Option<()> {
-        if self.starts_with(s) {
-            self.pos += s.len();
-            Some(())
-        } else {
-            None
+        let end = self.pos + s.len();
+        if self.bytes.get(self.pos..end)? != s {
+            return None;
         }
+        self.pos = end;
+        Some(())
     }
 
+    #[inline(always)]
     fn eat(&mut self, b: u8) -> bool {
-        if self.rest().first() == Some(&b) {
+        if self.bytes.get(self.pos) == Some(&b) {
             self.pos += 1;
             true
         } else {
@@ -315,43 +342,62 @@ impl<'a> Cursor<'a> {
         (self.pos == self.bytes.len()).then_some(())
     }
 
-    // Canonical decimal: optional `-`, no leading zeros, no overflow.
-    fn int_i128(&mut self) -> Option<i128> {
-        let negative = self.eat(b'-');
-        let digits = self.digits()?;
-        let mut n: i128 = 0;
-        for &d in digits {
-            n = n.checked_mul(10)?.checked_add((d - b'0') as i128)?;
-        }
-        Some(if negative { n.checked_neg()? } else { n })
-    }
-
-    fn int_u32(&mut self) -> Option<u32> {
-        let digits = self.digits()?;
-        let mut n: u32 = 0;
-        for &d in digits {
-            n = n.checked_mul(10)?.checked_add((d - b'0') as u32)?;
-        }
-        Some(n)
-    }
-
-    fn int_u64(&mut self) -> Option<u64> {
-        let digits = self.digits()?;
-        let mut n: u64 = 0;
-        for &d in digits {
-            n = n.checked_mul(10)?.checked_add((d - b'0') as u64)?;
-        }
-        Some(n)
-    }
-
-    fn digits(&mut self) -> Option<&'a [u8]> {
-        let rest = self.rest();
-        let len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
-        if len == 0 || (len > 1 && rest[0] == b'0') {
+    // Consumes one decimal digit and returns its value; `None` (and
+    // nothing consumed) on any other byte or at the end.
+    #[inline(always)]
+    fn digit(&mut self) -> Option<u8> {
+        let d = self.bytes.get(self.pos)?.wrapping_sub(b'0');
+        if d > 9 {
             return None;
         }
-        self.pos += len;
-        Some(&rest[..len])
+        self.pos += 1;
+        Some(d)
+    }
+
+    // Canonical decimal digits — at least one, no leading zeros — with
+    // up to the first 18 accumulated in a `u64`: 18 digits stay below
+    // 10¹⁸ < 2⁶³, so no overflow check is needed. A longer run stops
+    // on its 19th digit for the caller's checked continuation.
+    #[inline(always)]
+    fn digits(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut n = u64::from(self.digit()?);
+        while self.pos - start < 18 {
+            match self.digit() {
+                Some(d) => n = n * 10 + u64::from(d),
+                None => break,
+            }
+        }
+        if self.bytes[start] == b'0' && self.pos - start > 1 {
+            return None;
+        }
+        Some(n)
+    }
+
+    // Canonical decimal: optional `-`, no leading zeros, no overflow.
+    #[inline(always)]
+    fn int_i128(&mut self) -> Option<i128> {
+        let negative = self.eat(b'-');
+        let mut n = i128::from(self.digits()?);
+        while let Some(d) = self.digit() {
+            n = n.checked_mul(10)?.checked_add(i128::from(d))?;
+        }
+        // `0 <= n <= i128::MAX`, so negating cannot overflow.
+        Some(if negative { -n } else { n })
+    }
+
+    #[inline(always)]
+    fn int_u32(&mut self) -> Option<u32> {
+        u32::try_from(self.int_u64()?).ok()
+    }
+
+    #[inline(always)]
+    fn int_u64(&mut self) -> Option<u64> {
+        let mut n = self.digits()?;
+        while let Some(d) = self.digit() {
+            n = n.checked_mul(10)?.checked_add(u64::from(d))?;
+        }
+        Some(n)
     }
 }
 
@@ -450,8 +496,8 @@ mod tests {
     fn non_canonical_bytes_defer_to_the_generic_parser() {
         for payload in [
             // Whitespace, reordered keys, leading zeros, cold frames,
-            // unnormalized or non-positive denominators: all legal JSON
-            // that the strict matcher refuses.
+            // non-positive denominators: all legal JSON that the strict
+            // matcher refuses.
             r#"{"v":1, "finish":{}}"#,
             r#"{"v":1,"hello":{"tenant":"t","algo":"firstfit"}}"#,
             r#"{"v":1,"arrive":{"id":01,"size":{"num":1,"den":2},"time":{"num":0,"den":1}}}"#,
@@ -532,6 +578,86 @@ mod tests {
             assert_eq!(parse_request_traced(payload.as_bytes()), None, "{payload}");
             assert_eq!(parse_response_traced(payload.as_bytes()), None, "{payload}");
         }
+    }
+
+    fn generic_parse(payload: &str) -> Request {
+        use serde::Deserialize;
+        Request::from_value(&serde_json::parse(payload).unwrap()).unwrap()
+    }
+
+    /// Not a deviation from canonical form: both parsers reduce an
+    /// unnormalized rational through `Rational::new`, and read `-0` as
+    /// zero.
+    #[test]
+    fn unnormalized_rationals_and_negative_zero_agree_with_generic() {
+        let payload =
+            r#"{"v":1,"arrive":{"id":3,"size":{"num":2,"den":4},"time":{"num":-0,"den":1}}}"#;
+        let expected = Request::Event(Event::Arrive {
+            id: ItemId(3),
+            size: rat(1, 2),
+            time: rat(0, 1),
+        });
+        assert_eq!(parse_request(payload.as_bytes()), Some(expected.clone()));
+        assert_eq!(generic_parse(payload), expected);
+        for payload in [
+            r#"{"v":1,"depart":{"id":3,"time":{"num":-6,"den":4}}}"#,
+            r#"{"v":1,"depart":{"id":0,"time":{"num":-0,"den":9}}}"#,
+            r#"{"v":1,"batch":[{"depart":{"id":1,"time":{"num":10,"den":10}}}]}"#,
+        ] {
+            let fast = parse_request(payload.as_bytes());
+            assert_eq!(fast, Some(generic_parse(payload)), "{payload}");
+        }
+    }
+
+    /// The parser reads 18 digits in `u64` and continues checked; the
+    /// writer switches to 128-bit digits at 2⁶⁴. Both edges, and the
+    /// overflow edges of each integer field, against the generic codec.
+    #[test]
+    fn integer_width_boundaries_agree_with_generic() {
+        let depart = |id: &str, num: &str, den: &str| {
+            format!(r#"{{"v":1,"depart":{{"id":{id},"time":{{"num":{num},"den":{den}}}}}}}"#)
+        };
+        let accepted = [
+            depart("4294967295", "999999999999999999", "1"),
+            depart("0", "1000000000000000000", "1"),
+            depart("0", "-9223372036854775808", "18446744073709551615"),
+            depart("0", "18446744073709551616", "18446744073709551617"),
+            depart("0", &i128::MAX.to_string(), &i128::MAX.to_string()),
+            depart("0", &(-i128::MAX).to_string(), "3"),
+        ];
+        for payload in &accepted {
+            let request = generic_parse(payload);
+            assert_eq!(parse_request(payload.as_bytes()), Some(request.clone()));
+            let Request::Event(ev) = request else {
+                panic!("{payload} is not an event frame")
+            };
+            let mut buf = Vec::new();
+            write_event_request(&mut buf, &ev);
+            assert_eq!(
+                String::from_utf8(buf).unwrap(),
+                generic(&Request::Event(ev)),
+                "{payload}"
+            );
+        }
+        // Past each field's range the fast parser defers; the generic
+        // parser then owns the answer (an error, or `i128::MIN`).
+        for payload in [
+            depart("4294967296", "0", "1"),
+            depart("0", "170141183460469231731687303715884105728", "1"),
+            depart("0", &i128::MIN.to_string(), "1"),
+            depart("0", "1", "0000000000000000001"),
+        ] {
+            assert_eq!(parse_request(payload.as_bytes()), None, "{payload}");
+        }
+        let traced = |trace: &str| format!(r#"{{"v":1,"trace":{trace},"bin":0}}"#);
+        assert_eq!(
+            parse_response_traced(traced("18446744073709551615").as_bytes()),
+            Some((Response::Bin(BinId(0)), Some(u64::MAX)))
+        );
+        assert_eq!(
+            parse_response_traced(traced("18446744073709551616").as_bytes()),
+            None
+        );
     }
 
     #[test]

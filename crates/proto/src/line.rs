@@ -5,7 +5,7 @@
 //! identically. Blank lines and `#` comments are stream chrome, not
 //! events.
 
-use crate::{Event, SessionSnapshot, WIRE_VERSION};
+use crate::{Event, Request, SessionSnapshot, WIRE_VERSION};
 use serde::{Deserialize, Serialize, Value};
 
 /// Checks a parsed object's `"v"` entry (if any) and returns the
@@ -47,8 +47,8 @@ pub(crate) fn tag_version(payload: Value) -> Value {
 /// Renders one stream event as a versioned JSONL line (no trailing
 /// newline): `{"v":1,"arrive":{...}}` / `{"v":1,"depart":{...}}`.
 ///
-/// Uses the [`crate::fast`] canonical writer (this sits on the journal
-/// hot path); the bytes are identical to the generic encoder's.
+/// Uses the [`crate::fast`] canonical writer, as journal appends do;
+/// the bytes are identical to the generic encoder's.
 pub fn event_to_line(event: &Event) -> String {
     let mut buf = Vec::with_capacity(96);
     crate::fast::write_event_request(&mut buf, event);
@@ -61,10 +61,22 @@ pub fn event_to_line(event: &Event) -> String {
 /// malformed JSON, an unsupported `"v"`, or a payload that is not an
 /// arrive/depart event. Both versioned and legacy untagged lines are
 /// accepted.
+///
+/// A canonical line — the bytes [`event_to_line`] writes, as journals
+/// and captured streams hold — is decoded by the strict
+/// [`crate::fast`] parser without building a `Value` tree. Every other
+/// line (legacy untagged, extra whitespace inside, traced, batch, or
+/// malformed) takes the generic path, which decides its result exactly
+/// as before.
 pub fn parse_event_line(line: &str) -> Option<Result<Event, String>> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return None;
+    }
+    if let Some((Request::Event(event), None)) =
+        crate::fast::parse_request_traced(trimmed.as_bytes())
+    {
+        return Some(Ok(event));
     }
     let parsed = match serde_json::parse(trimmed) {
         Ok(v) => v,

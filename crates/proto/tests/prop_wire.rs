@@ -62,6 +62,67 @@ fn event_strategy() -> impl Strategy<Value = Event> {
     prop_oneof![arrive, depart]
 }
 
+/// Integers at and past the edges of the codec's 64-bit kernels:
+/// around 10¹⁸ (where the parser's 18-digit `u64` run ends), 2⁶³ (the
+/// `i64` edge) and 2⁶⁴ (where the writer switches to 128-bit digits),
+/// and up to `i128::MAX`, in both signs.
+fn wide_int_strategy() -> impl Strategy<Value = i128> {
+    let near = |x: i128| (x - 64)..=(x + 64);
+    let magnitude = prop_oneof![
+        near(10i128.pow(18)),
+        near(1 << 63),
+        near(1 << 64),
+        (i128::MAX - 128)..=i128::MAX,
+        0i128..=i128::MAX,
+    ];
+    (bool_strategy(), magnitude).prop_map(|(negative, m)| if negative { -m } else { m })
+}
+
+/// Rationals with at least one wide leg; the denominator is made
+/// positive, and `rat` reduces the pair as the codec must.
+fn wide_rational_strategy() -> impl Strategy<Value = dbp_numeric::Rational> {
+    let den = || wide_int_strategy().prop_map(|d| d.abs().max(1));
+    prop_oneof![
+        (wide_int_strategy(), den()),
+        (wide_int_strategy(), 1i128..=9973),
+        (-1_000_000i128..=1_000_000, den()),
+    ]
+    .prop_map(|(n, d)| rat(n, d))
+}
+
+/// Item ids at the top of the `u32` range.
+fn wide_id_strategy() -> impl Strategy<Value = u32> {
+    (u32::MAX - 64)..=u32::MAX
+}
+
+fn wide_event_strategy() -> impl Strategy<Value = Event> {
+    let arrive = (
+        wide_id_strategy(),
+        wide_rational_strategy(),
+        wide_rational_strategy(),
+    )
+        .prop_map(|(id, size, time)| Event::Arrive {
+            id: ItemId(id),
+            size,
+            time,
+        });
+    let depart =
+        (wide_id_strategy(), wide_rational_strategy()).prop_map(|(id, time)| Event::Depart {
+            id: ItemId(id),
+            time,
+        });
+    prop_oneof![arrive, depart]
+}
+
+/// Grid-sized and wide events, half and half.
+fn any_event_strategy() -> impl Strategy<Value = Event> {
+    prop_oneof![event_strategy(), wide_event_strategy()]
+}
+
+fn bin_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..=u32::MAX, wide_id_strategy()]
+}
+
 fn hello_strategy() -> impl Strategy<Value = Hello> {
     (
         (
@@ -105,8 +166,8 @@ fn hello_strategy() -> impl Strategy<Value = Hello> {
 fn request_strategy() -> impl Strategy<Value = Request> {
     prop_oneof![
         hello_strategy().prop_map(Request::Hello),
-        event_strategy().prop_map(Request::Event),
-        prop::collection::vec(event_strategy(), 0..12).prop_map(Request::Batch),
+        any_event_strategy().prop_map(Request::Event),
+        prop::collection::vec(any_event_strategy(), 0..12).prop_map(Request::Batch),
         Just(Request::Snapshot),
         Just(Request::Metrics),
         Just(Request::Finish),
@@ -119,7 +180,7 @@ proptest! {
 
     /// Stream lines round-trip bit-identically, versioned and legacy.
     #[test]
-    fn event_lines_round_trip(ev in event_strategy()) {
+    fn event_lines_round_trip(ev in any_event_strategy()) {
         let line = event_to_line(&ev);
         prop_assert_eq!(parse_event_line(&line).unwrap().unwrap(), ev);
 
@@ -141,9 +202,9 @@ proptest! {
     /// path is an optimization, never a dialect.
     #[test]
     fn fast_codec_agrees_with_generic(
-        ev in event_strategy(),
-        batch in prop::collection::vec(event_strategy(), 0..12),
-        bins in prop::collection::vec(0u32..=u32::MAX, 0..16),
+        ev in any_event_strategy(),
+        batch in prop::collection::vec(any_event_strategy(), 0..12),
+        bins in prop::collection::vec(bin_strategy(), 0..16),
     ) {
         use dbp_core::BinId;
         use dbp_proto::fast;
@@ -343,4 +404,213 @@ fn wire_checkpoint_resume_is_bit_identical() {
     let mut resumed = Session::resume(&snapshot).unwrap();
     tail(&mut resumed);
     assert_eq!(resumed.finish().unwrap(), expected);
+}
+
+// Hostile bytes: the strict fast parser is the first reader of every
+// placement frame and of every journal line, so on *any* input it must
+// either defer (`None`) or agree exactly with the generic codec.
+
+/// A canonical byte string the daemon or the journal reader meets:
+/// event and batch requests (traced and untraced), `bin`/`bins`
+/// responses, and journal lines.
+fn canonical_bytes_strategy() -> BoxedStrategy<Vec<u8>> {
+    use dbp_core::BinId;
+    use dbp_proto::fast;
+
+    let trace = || prop_oneof![Just(None), (0u64..=u64::MAX).prop_map(Some)];
+    let bins = || prop::collection::vec(bin_strategy().prop_map(BinId), 0..4);
+    prop_oneof![
+        (any_event_strategy(), trace()).prop_map(|(ev, trace)| {
+            let mut buf = Vec::new();
+            fast::write_event_request_traced(&mut buf, &ev, trace);
+            buf
+        }),
+        (prop::collection::vec(any_event_strategy(), 0..4), trace()).prop_map(|(events, trace)| {
+            let mut buf = Vec::new();
+            fast::write_batch_request_traced(&mut buf, &events, trace);
+            buf
+        }),
+        (bin_strategy(), trace()).prop_map(|(bin, trace)| {
+            let mut buf = Vec::new();
+            fast::write_bin_response_traced(&mut buf, BinId(bin), trace);
+            buf
+        }),
+        (bins(), trace()).prop_map(|(bins, trace)| {
+            let mut buf = Vec::new();
+            fast::write_bins_response_traced(&mut buf, &bins, trace);
+            buf
+        }),
+        (any_event_strategy(), bool_strategy()).prop_map(|(ev, newline)| {
+            let mut line = event_to_line(&ev);
+            if newline {
+                line.push('\n');
+            }
+            line.into_bytes()
+        }),
+    ]
+    .boxed()
+}
+
+/// One byte-level edit; positions are reduced modulo the current
+/// length when applied.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Flip {
+        at: usize,
+        bit: u8,
+    },
+    Insert {
+        at: usize,
+        byte: u8,
+    },
+    Delete {
+        at: usize,
+    },
+    Truncate {
+        at: usize,
+    },
+    /// Keep the prefix before `at`, then continue with the other
+    /// frame's bytes from `from` on.
+    Splice {
+        at: usize,
+        from: usize,
+    },
+}
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    // Two in three inserted bytes are JSON structure, digits or key
+    // letters, so mutants stay close enough to canonical for the fast
+    // parser to accept some of them; the rest are arbitrary bytes.
+    const ALPHABET: &[u8] = b"0123456789-{}[]\",: \nvbatrcesiz";
+    let byte = prop_oneof![
+        (0..ALPHABET.len()).prop_map(|i| ALPHABET[i]),
+        (0..ALPHABET.len()).prop_map(|i| ALPHABET[i]),
+        0u8..=255,
+    ];
+    let at = || 0usize..4096;
+    prop_oneof![
+        (at(), 0u8..8).prop_map(|(at, bit)| Mutation::Flip { at, bit }),
+        (at(), byte).prop_map(|(at, byte)| Mutation::Insert { at, byte }),
+        at().prop_map(|at| Mutation::Delete { at }),
+        at().prop_map(|at| Mutation::Truncate { at }),
+        (at(), at()).prop_map(|(at, from)| Mutation::Splice { at, from }),
+    ]
+}
+
+fn mutate(mut bytes: Vec<u8>, other: &[u8], mutations: &[Mutation]) -> Vec<u8> {
+    for m in mutations {
+        let len = bytes.len();
+        match *m {
+            Mutation::Flip { at, bit } if len > 0 => bytes[at % len] ^= 1 << bit,
+            Mutation::Insert { at, byte } => bytes.insert(at % (len + 1), byte),
+            Mutation::Delete { at } if len > 0 => {
+                bytes.remove(at % len);
+            }
+            Mutation::Truncate { at } => bytes.truncate(at % (len + 1)),
+            Mutation::Splice { at, from } => {
+                bytes.truncate(at % (len + 1));
+                bytes.extend_from_slice(&other[from % (other.len() + 1)..]);
+            }
+            _ => {}
+        }
+    }
+    bytes
+}
+
+/// The stream-line reader with the generic codec only: what
+/// `parse_event_line` returned before the strict parser read lines
+/// first (`Some(None)` = a typed error).
+fn generic_event_line(line: &str) -> Option<Option<Event>> {
+    let trimmed = line.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') {
+        return None;
+    }
+    let Ok(value) = serde_json::parse(trimmed) else {
+        return Some(None);
+    };
+    let Some(entries) = value.as_object() else {
+        return Some(None);
+    };
+    let mut payload = Vec::new();
+    for (key, val) in entries {
+        if key != "v" {
+            payload.push((key.clone(), val.clone()));
+        } else if val.as_int() != Some(1) {
+            return Some(None);
+        }
+    }
+    Some(Event::from_value(&serde::Value::Object(payload)).ok())
+}
+
+/// Checks both fast parsers and the line reader on `bytes` against
+/// the generic codec. Returns how many fast parses accepted.
+fn check_against_generic(bytes: &[u8]) -> Result<usize, String> {
+    use dbp_proto::fast;
+
+    let text = std::str::from_utf8(bytes).ok();
+    let generic = || {
+        let text = text.ok_or("fast parser accepted non-UTF-8 bytes")?;
+        serde_json::parse(text).map_err(|e| format!("generic parser refused: {e}"))
+    };
+    let mut accepted = 0;
+    if let Some(fast) = fast::parse_request_traced(bytes) {
+        accepted += 1;
+        let value = generic()?;
+        match Request::from_traced_value(&value) {
+            Ok(ref back) if *back == fast => {}
+            other => return Err(format!("request: fast {fast:?}, generic {other:?}")),
+        }
+    }
+    if let Some(fast) = fast::parse_response_traced(bytes) {
+        accepted += 1;
+        let value = generic()?;
+        match Response::from_traced_value(&value) {
+            Ok(ref back) if *back == fast => {}
+            other => return Err(format!("response: fast {fast:?}, generic {other:?}")),
+        }
+    }
+    if let Some(text) = text {
+        let line = parse_event_line(text).map(Result::ok);
+        let oracle = generic_event_line(text);
+        if line != oracle {
+            return Err(format!("line: fast-first {line:?}, generic {oracle:?}"));
+        }
+    }
+    Ok(accepted)
+}
+
+/// 1–3 flips, inserts, deletes, truncations or cross-frame splices of
+/// canonical frames and journal lines: whenever a fast parser accepts
+/// a mutant, the generic codec yields the same value and trace id, and
+/// the fast-first line reader never panics and never answers
+/// differently from the generic-only one.
+#[test]
+fn hostile_bytes_never_split_the_fast_and_generic_parsers() {
+    use proptest::test_runner::TestRng;
+
+    let cases = ProptestConfig::with_cases(8192).effective_cases();
+    let mut rng = TestRng::for_test("prop_wire::hostile_bytes");
+    let frames = canonical_bytes_strategy();
+    let mutations = prop::collection::vec(mutation_strategy(), 1..=3);
+    let mut accepted = 0;
+    for case in 0..cases {
+        let frame = frames.generate(&mut rng);
+        let other = frames.generate(&mut rng);
+        let ops = mutations.generate(&mut rng);
+        let mutant = mutate(frame.clone(), &other, &ops);
+        match check_against_generic(&mutant) {
+            Ok(n) => accepted += n,
+            Err(e) => panic!(
+                "case {case}: {e}\n  frame  {}\n  ops    {ops:?}\n  mutant {}",
+                String::from_utf8_lossy(&frame),
+                String::from_utf8_lossy(&mutant)
+            ),
+        }
+    }
+    // Not vacuous: a share of the mutants are still canonical (a digit
+    // flipped to another digit, a splice at a shared boundary, ...).
+    assert!(
+        accepted * 100 >= cases as usize,
+        "only {accepted} of {cases} mutants reached a fast parser"
+    );
 }

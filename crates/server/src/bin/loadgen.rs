@@ -15,7 +15,11 @@
 //! * server-side request latency and per-phase shares for the traced
 //!   pass, read straight off the in-process server's merged
 //!   exposition registry (`tenant_<name>_request_latency_us`,
-//!   `tenant_<name>_request_<phase>_ns`).
+//!   `tenant_<name>_request_<phase>_ns`);
+//! * the durable-restart rate (`journal_replay_events_per_sec`): one
+//!   tenant's stream journaled with `Journal::create` and one
+//!   `append` per batch, then read back and rebuilt the way a restart
+//!   does it (`read_journal` + `Tenant::recover`), best of five.
 //!
 //! The workload is the serving analogue of the bench suite's wave
 //! pattern: at each integer step, the items that arrived two steps ago
@@ -25,9 +29,11 @@
 
 use dbp_numeric::rat;
 use dbp_obs::Histogram;
-use dbp_proto::{Event, ItemId, TickGrid};
+use dbp_proto::{Backend, Event, ItemId, TickGrid};
+use dbp_server::journal::{journal_path, read_journal, Journal, JournalHeader};
 use dbp_server::span::PHASE_NAMES;
-use dbp_server::{Client, DbpServer, ServerConfig};
+use dbp_server::tenant::Tenant;
+use dbp_server::{Client, DbpServer, Quotas, ServerConfig};
 use std::io::Write;
 use std::time::Instant;
 
@@ -176,6 +182,42 @@ fn run_pass(args: &Args, addr: &str, prefix: &str, traced: bool) -> (u64, f64, H
     (total, wall, latencies)
 }
 
+/// Journals one tenant's wave stream (one `append` per batch, as a
+/// durable tenant writes it) into a temporary directory, then times the
+/// restart path — `read_journal` plus `Tenant::recover` — best of
+/// five (the first repetitions also pay for growing the heap). Returns
+/// replayed events per second.
+fn journal_replay_rate(args: &Args) -> f64 {
+    let dir = std::env::temp_dir().join(format!("dbp-loadgen-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let header = JournalHeader {
+        tenant: "replay".to_string(),
+        algo: "FirstFit".to_string(),
+        backend: Backend::Auto,
+        grid: Some(TickGrid::new(1, 128)),
+        shards: 1,
+        telemetry: false,
+    };
+    let batches = wave_batches(args.events_per_tenant, args.batch);
+    let events: usize = batches.iter().map(Vec::len).sum();
+    let mut journal = Journal::create(&dir, &header).expect("create journal");
+    for batch in &batches {
+        journal.append(batch).expect("append to journal");
+    }
+    drop(journal);
+    let path = journal_path(&dir, &header.tenant);
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let started = Instant::now();
+        let recovered = read_journal(&path).expect("read journal");
+        let tenant = Tenant::recover(recovered, Quotas::unlimited(), &dir).expect("recover");
+        best = best.min(started.elapsed().as_secs_f64());
+        assert_eq!(tenant.accepted(), events as u64, "replay lost events");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temporary journal");
+    events as f64 / best
+}
+
 fn quantile_or_zero(h: &Histogram, q: f64) -> f64 {
     h.quantile(q).unwrap_or(0.0)
 }
@@ -264,6 +306,13 @@ fn main() {
         eprintln!("loadgen: external server (--addr); skipping server-side registry readout");
     }
 
+    let journal_replay_events_per_sec = journal_replay_rate(&args);
+    eprintln!(
+        "loadgen: journal replay (read_journal + Tenant::recover) of {} events -> \
+         {journal_replay_events_per_sec:.0} events/sec",
+        args.events_per_tenant
+    );
+
     if let Some(out) = &args.out {
         if let Some(dir) = std::path::Path::new(out).parent() {
             std::fs::create_dir_all(dir).expect("create output directory");
@@ -279,7 +328,8 @@ fn main() {
              \"p99_client_latency_us\": {:.2},\n    \"p50_server_latency_us\": {:.2},\n    \
              \"p99_server_latency_us\": {:.2},\n    \"phase_share_decode\": {:.4},\n    \
              \"phase_share_quota\": {:.4},\n    \"phase_share_apply\": {:.4},\n    \
-             \"phase_share_journal\": {:.4},\n    \"phase_share_encode\": {:.4}\n  }}\n}}\n",
+             \"phase_share_journal\": {:.4},\n    \"phase_share_encode\": {:.4},\n    \
+             \"journal_replay_events_per_sec\": {:.0}\n  }}\n}}\n",
             args.threads,
             args.tenants,
             args.events_per_tenant,
@@ -301,6 +351,7 @@ fn main() {
             phase_ns[2] as f64 / spent as f64,
             phase_ns[3] as f64 / spent as f64,
             phase_ns[4] as f64 / spent as f64,
+            journal_replay_events_per_sec,
         );
         let mut file = std::fs::File::create(out).expect("create output file");
         file.write_all(json.as_bytes()).expect("write snapshot");

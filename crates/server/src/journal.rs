@@ -14,17 +14,23 @@
 //! property the crash-recovery integration test pins down.
 //!
 //! A crash in the middle of an append can leave the file ending in a
-//! partial line (the buffered writer may issue several writes per
-//! flush). That line was never acknowledged, so recovery drops it,
+//! partial line (one append may take several `write` calls). That
+//! line was never acknowledged, so recovery drops it,
 //! reports its length as [`RecoveredJournal::torn_bytes`], and
 //! [`Journal::reopen`] cuts it off before appending again. A malformed
 //! line followed by more lines is corruption, not a torn append, and
 //! stays an error.
+//!
+//! Both directions run on the canonical fast codec: appends encode a
+//! whole batch with [`dbp_proto::fast`] into one reused buffer and
+//! hand it to the file in one `write_all`, and recovery decodes each
+//! line with [`parse_event_line`], which reads canonical lines with the
+//! strict parser and anything else through the generic one.
 
-use dbp_proto::{event_to_line, parse_event_line, Backend, Event, TickGrid, WIRE_VERSION};
+use dbp_proto::{fast, parse_event_line, Backend, Event, TickGrid, WIRE_VERSION};
 use serde::{Deserialize, Serialize, Value};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 /// The session shape recorded in a journal header (everything a
@@ -91,7 +97,9 @@ impl Deserialize for JournalHeader {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    writer: BufWriter<File>,
+    file: File,
+    /// Encoding buffer reused across appends: one batch's lines.
+    buf: Vec<u8>,
 }
 
 /// The journal file for `tenant` under `dir`. Tenant keys are
@@ -121,16 +129,15 @@ impl Journal {
             .write(true)
             .truncate(true)
             .open(&path)?;
-        let mut journal = Journal {
-            path,
-            writer: BufWriter::new(file),
-        };
-        let line =
+        let mut line =
             serde_json::to_string(&header.to_value()).expect("journal headers always serialize");
-        journal.writer.write_all(line.as_bytes())?;
-        journal.writer.write_all(b"\n")?;
-        journal.writer.flush()?;
-        Ok(journal)
+        line.push('\n');
+        (&file).write_all(line.as_bytes())?;
+        Ok(Journal {
+            path,
+            file,
+            buf: Vec::new(),
+        })
     }
 
     /// Reopens a recovered journal for appending. A torn final line
@@ -144,18 +151,20 @@ impl Journal {
         }
         Ok(Journal {
             path,
-            writer: BufWriter::new(file),
+            file,
+            buf: Vec::new(),
         })
     }
 
-    /// Appends accepted events and flushes — must complete before the
-    /// events are acknowledged on the wire.
+    /// Appends accepted events, flushed to the OS in one `write_all` —
+    /// must complete before the events are acknowledged on the wire.
     pub fn append(&mut self, events: &[Event]) -> io::Result<()> {
+        self.buf.clear();
         for event in events {
-            self.writer.write_all(event_to_line(event).as_bytes())?;
-            self.writer.write_all(b"\n")?;
+            fast::write_event_request(&mut self.buf, event);
+            self.buf.push(b'\n');
         }
-        self.writer.flush()
+        self.file.write_all(&self.buf)
     }
 
     /// Removes the journal file (after a successful finish — the
@@ -246,6 +255,7 @@ mod tests {
     use super::*;
     use dbp_core::ItemId;
     use dbp_numeric::rat;
+    use dbp_proto::event_to_line;
 
     fn header() -> JournalHeader {
         JournalHeader {
@@ -359,6 +369,92 @@ mod tests {
             err.to_string().contains("no complete journal header"),
             "{err}"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The generic codec's reading of one line — the oracle for lines
+    /// the strict parser hands back to it.
+    fn generic_event(line: &str) -> Event {
+        use dbp_proto::Request;
+        match Request::from_value(&serde_json::parse(line.trim()).unwrap()).unwrap() {
+            Request::Event(event) => event,
+            other => panic!("not an event line: {other:?}"),
+        }
+    }
+
+    /// Lines written by other tools stay readable: recovery decodes
+    /// canonical lines on the fast path and the rest through the
+    /// generic parser, and both read exactly what the generic parser
+    /// alone would.
+    #[test]
+    fn non_canonical_lines_recover_like_the_generic_parser() {
+        let dir = std::env::temp_dir().join(format!("dbp-journal-mixed-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut journal = Journal::create(&dir, &header()).unwrap();
+        journal.append(&arrivals(0..2)).unwrap();
+        drop(journal);
+        let path = journal_path(&dir, "acme");
+        let foreign = [
+            // Legacy untagged.
+            serde_json::to_string(&arrivals(2..3)[0].to_value()).unwrap(),
+            // Surrounding whitespace around a canonical line.
+            format!("  {}\t", event_to_line(&arrivals(3..4)[0])),
+            // Whitespace inside the object.
+            r#"{"v":1, "depart": {"id": 2, "time": {"num": 9, "den": 2}}}"#.to_string(),
+            // Unnormalized rationals.
+            r#"{"v":1,"arrive":{"id":4,"size":{"num":2,"den":8},"time":{"num":10,"den":2}}}"#
+                .to_string(),
+        ];
+        for line in &foreign {
+            append_raw(&path, format!("{line}\n").as_bytes());
+        }
+        let mut journal = Journal::reopen(&dir, &read_journal(&path).unwrap()).unwrap();
+        journal.append(&arrivals(5..7)).unwrap();
+        drop(journal);
+
+        let expected: Vec<Event> = arrivals(0..2)
+            .into_iter()
+            .chain(foreign.iter().map(|line| generic_event(line)))
+            .chain(arrivals(5..7))
+            .collect();
+        let recovered = read_journal(&path).unwrap();
+        assert_eq!(recovered.events, expected);
+        assert_eq!(
+            recovered.events[5],
+            Event::Arrive {
+                id: ItemId(4),
+                size: rat(1, 4),
+                time: rat(5, 1),
+            }
+        );
+        assert_eq!(recovered.torn_bytes, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A canonical-looking line that is damaged in the middle of the
+    /// journal — a truncated `"den":` value, or half a line with its
+    /// newline — is refused by both parsers and fails recovery; it is
+    /// never mistaken for a torn tail.
+    #[test]
+    fn corrupt_canonical_line_mid_journal_fails_recovery() {
+        let dir = std::env::temp_dir().join(format!("dbp-journal-corrupt-{}", std::process::id()));
+        let line = event_to_line(&arrivals(3..4)[0]);
+        let cut_den = line.replacen("\"den\":1}", "\"den\":}", 1);
+        assert_ne!(cut_den, line);
+        for damaged in [cut_den, line[..line.len() / 2].to_string()] {
+            let _ = fs::remove_dir_all(&dir);
+            let mut journal = Journal::create(&dir, &header()).unwrap();
+            journal.append(&arrivals(0..3)).unwrap();
+            drop(journal);
+            let path = journal_path(&dir, "acme");
+            append_raw(&path, format!("{damaged}\n").as_bytes());
+            for event in arrivals(4..6) {
+                append_raw(&path, format!("{}\n", event_to_line(&event)).as_bytes());
+            }
+            let err = read_journal(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{damaged}");
+            assert!(err.to_string().contains("bad journal line"), "{err}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
