@@ -51,6 +51,13 @@
 //!   its untraced pass, back to back in the same run) must reach
 //!   0.90: request tracing may cost at most 10% of serving
 //!   throughput;
+//! * `tick_compile` — an **absolute** same-run floor only: the fresh
+//!   snapshot's `shuffled_vs_ordered_ids_ratio` (one flash crowd
+//!   replayed as generated against the same crowd renumbered in
+//!   arrival order, interleaved best-of rounds) must reach 0.85.
+//!   Compiled replays run in arrival rank whatever the instance's
+//!   numbering; tables read in id order again show up as a ratio near
+//!   0.66;
 //! * `opt_solver` — `intervals_per_sec` (the incremental
 //!   branch-and-bound adversary's interval-solve rate) against the
 //!   baseline, plus an **absolute** same-run floor: the fresh
@@ -114,6 +121,12 @@ const OPT_SOLVER_SPEEDUP_FLOOR: f64 = 10.0;
 /// pass's throughput, measured back to back in the same run.
 const SERVER_TRACED_FLOOR: f64 = 0.90;
 
+/// Fixed same-run floor for `shuffled_vs_ordered_ids_ratio`: a
+/// compiled replay of an instance numbered independently of arrival
+/// must keep at least 85% of the rate of the same instance numbered
+/// in arrival order.
+const TICK_ID_ORDER_FLOOR: f64 = 0.85;
+
 /// Baseline-relative throughput metrics gated per experiment, named
 /// as [`metric`] paths.
 fn gated_metrics(experiment: &str) -> &'static [&'static str] {
@@ -143,6 +156,7 @@ fn same_run_floors(experiment: &str) -> &'static [(&'static str, f64)] {
         "fit_scaling" => &[("chunked_vs_scalar_scan_ratio", SCAN_CHUNKED_FLOOR)],
         "opt_solver" => &[("speedup_vs_seed", OPT_SOLVER_SPEEDUP_FLOOR)],
         "server" => &[("traced_vs_untraced_ratio", SERVER_TRACED_FLOOR)],
+        "tick_compile" => &[("shuffled_vs_ordered_ids_ratio", TICK_ID_ORDER_FLOOR)],
         _ => &[],
     }
 }
@@ -407,6 +421,38 @@ mod tests {
         let mut old = server(2.5e6, 0.0);
         old.metrics = Value::Object(vec![("server_events_per_sec".into(), Value::Float(2.5e6))]);
         assert_eq!(check_pair(&old, &server(2.5e6, 1e6), 0.70), (2, false));
+    }
+
+    fn tick_compile(ratio: Option<f64>) -> Snapshot {
+        let mut metrics = vec![("series".into(), Value::Array(Vec::new()))];
+        if let Some(r) = ratio {
+            metrics.push(("shuffled_vs_ordered_ids_ratio".into(), Value::Float(r)));
+        }
+        Snapshot {
+            experiment: "tick_compile".into(),
+            metrics: Value::Object(metrics),
+        }
+    }
+
+    #[test]
+    fn id_order_ratio_is_a_same_run_floor() {
+        let base = tick_compile(None);
+        assert_eq!(
+            check_pair(&base, &tick_compile(Some(1.01)), 0.70),
+            (1, false)
+        );
+        // Tables read in instance-id order again: the old 0.66.
+        assert_eq!(
+            check_pair(&base, &tick_compile(Some(0.66)), 0.70),
+            (1, true)
+        );
+        // The floor ignores --tolerance, and a snapshot without the
+        // arm fails outright.
+        assert_eq!(
+            check_pair(&base, &tick_compile(Some(0.80)), 0.10),
+            (1, true)
+        );
+        assert!(check_pair(&base, &tick_compile(None), 0.70).1);
     }
 
     #[test]

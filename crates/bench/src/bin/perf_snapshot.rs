@@ -18,7 +18,12 @@
 //! * `BENCH_tick_compile.json` — compile-then-run economics: per
 //!   workload shape, the compile cost, the tick replay rate, the
 //!   exact Rational replay rate on the *same* instances, and the
-//!   speedup. Outcomes are asserted bit-identical while measuring;
+//!   speedup. Outcomes are asserted bit-identical while measuring.
+//!   A same-run id-order arm replays one 60k-item flash crowd as
+//!   generated and renumbered in arrival order, in interleaved
+//!   best-of rounds; `perf_check` gates
+//!   `shuffled_vs_ordered_ids_ratio ≥ 0.85`, so replay speed must
+//!   not depend on how an instance numbers its items;
 //! * `BENCH_stream.json` — streaming-session overhead: the snapshot-2
 //!   batch replayed through one-event-at-a-time `Session`s (tick and
 //!   exact) against the batch tick rate measured in the same run,
@@ -79,6 +84,7 @@ use dbp_core::{
 use dbp_numeric::rat;
 use dbp_obs::{Profiler, TelemetrySink};
 use dbp_simcore::EventClass;
+use dbp_workloads::random::{ArrivalDist, DurationDist, SizeDist};
 use dbp_workloads::RandomWorkload;
 use serde::Value;
 use std::path::Path;
@@ -99,6 +105,46 @@ fn staircase(n: i128, window: i128) -> Instance {
         b = b.item(size, rat(i, 1), rat(i + window, 1));
     }
     b.build().expect("staircase is well-formed")
+}
+
+/// Items in the id-order arm's flash crowd.
+const ID_ORDER_ITEMS: usize = 60_000;
+
+/// Items per arrival wave of the id-order arm's flash crowd.
+const ID_ORDER_WAVE: usize = 3_000;
+
+/// The id-order arm's instance: a flash crowd (sizes and times on a
+/// 1/1024 grid, durations uniform on [1, 4] so µ ≤ 4, 3,000 items per
+/// wave) whose generator numbers items independently of arrival.
+fn flash_crowd() -> Instance {
+    RandomWorkload {
+        n: ID_ORDER_ITEMS,
+        seed: 1,
+        grid: 1024,
+        sizes: SizeDist::Uniform { max: rat(1, 1) },
+        durations: DurationDist::Uniform {
+            min: rat(1, 1),
+            max: rat(4, 1),
+        },
+        arrivals: ArrivalDist::Bursty {
+            bursts: ID_ORDER_ITEMS.div_ceil(ID_ORDER_WAVE) as u32,
+            spacing: rat(1, 1),
+        },
+    }
+    .generate()
+}
+
+/// `inst` with its items renumbered in arrival order (a stable sort,
+/// so same-instant arrivals keep their relative order and the packing
+/// is the same up to the renaming).
+fn in_arrival_order(inst: &Instance) -> Instance {
+    let mut specs: Vec<_> = inst
+        .items()
+        .iter()
+        .map(|it| (it.size, it.arrival(), it.departure()))
+        .collect();
+    specs.sort_by_key(|&(_, arrival, _)| arrival);
+    Instance::new(specs).expect("a renumbering keeps specs valid")
 }
 
 /// Replays `inst` through `algo` on an explicit backend, returning
@@ -507,7 +553,7 @@ fn main() {
     // Snapshot 3: compile-then-run economics — compile cost, tick
     // replay rate, and the exact Rational rate on identical
     // instances, asserting bit-identical outcomes while measuring.
-    let (series, snap) = measure("tick_compile", || {
+    let (payload, snap) = measure("tick_compile", || {
         let mut series = Vec::new();
         let shapes: Vec<(String, Vec<Instance>)> = vec![
             (
@@ -551,11 +597,49 @@ fn main() {
                 ("speedup".into(), Value::Float(speedup)),
             ]));
         }
-        series
+        // Id order: the same flash crowd numbered as generated and in
+        // arrival order. The packings agree up to the renaming, so
+        // any gap between the two rates is the cost of reading the
+        // engine's tables in id order rather than arrival order.
+        let crowd = flash_crowd();
+        let shuffled = [CompiledInstance::compile(&crowd).expect("flash crowds compile")];
+        let ordered =
+            [CompiledInstance::compile(&in_arrival_order(&crowd)).expect("flash crowds compile")];
+        let a = shuffled[0].run(TickPolicy::FirstFit).unwrap();
+        let b = ordered[0].run(TickPolicy::FirstFit).unwrap();
+        assert_eq!(
+            (a.bins_opened(), a.max_open_bins(), a.total_usage()),
+            (b.bins_opened(), b.max_open_bins(), b.total_usage()),
+            "renumbering changed the packing"
+        );
+        let events = 2 * ID_ORDER_ITEMS as i128;
+        let reps = reps_for(events as f64 / tick_replay_rate(&shuffled, events, 1));
+        let mut best = [0f64; 2];
+        for _ in 0..HEAD_ROUNDS {
+            best[0] = best[0].max(tick_replay_rate(&shuffled, events, reps));
+            best[1] = best[1].max(tick_replay_rate(&ordered, events, reps));
+        }
+        (series, best)
     });
+    let (series, [shuffled_eps, ordered_eps]) = payload;
+    let id_ratio = shuffled_eps / ordered_eps;
+    println!(
+        "  id order: flash crowd {ID_ORDER_ITEMS} items as generated={shuffled_eps:>12.0} ev/s \
+         in arrival order={ordered_eps:>12.0} ev/s (ratio {id_ratio:.3})"
+    );
     let snap = snap
         .with_metric("algorithms", Value::Str("FirstFit vs TickEngine".into()))
-        .with_metric("series", Value::Array(series));
+        .with_metric("series", Value::Array(series))
+        .with_metric(
+            "id_order_workload",
+            Value::Str(format!(
+                "flash_crowd_{ID_ORDER_ITEMS}x{ID_ORDER_WAVE}_grid1024_mu4"
+            )),
+        )
+        .with_metric("best_of_rounds", Value::Int(HEAD_ROUNDS as i128))
+        .with_metric("shuffled_ids_events_per_sec", Value::Float(shuffled_eps))
+        .with_metric("ordered_ids_events_per_sec", Value::Float(ordered_eps))
+        .with_metric("shuffled_vs_ordered_ids_ratio", Value::Float(id_ratio));
     let path = snap.write_to(dir).expect("write snapshot");
     println!("wrote {} ({:.1} ms)", path.display(), snap.wall_ms());
 

@@ -34,7 +34,11 @@
 //! (dense for compiled replays, hashed for streaming sessions), and
 //! [`CompiledInstance::run`] applies the pre-sorted schedule in
 //! equal-`(tick, class)` **bursts** — one clock check and one
-//! bookkeeping flush per burst instead of per event.
+//! bookkeeping flush per burst instead of per event. Compiled items
+//! are numbered by arrival rank, so a replay reads its item table and
+//! active set front to back whatever order the instance lists them
+//! in; ranks map back to instance ids once, in
+//! [`TickEngine::finish`].
 //!
 //! Compilation is checked end to end: if either LCM, any scaled
 //! quantity, or the tick horizon leaves the supported range (scales
@@ -54,6 +58,7 @@ use crate::scan;
 use dbp_numeric::{checked_lcm, gcd128, Interval, Rational};
 use dbp_simcore::EventClass;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Hard cap on both LCM scales and the tick horizon. Keeping each
 /// factor below `2³²` bounds every product the engine forms:
@@ -121,7 +126,8 @@ pub struct TickEvent {
     /// Departures before arrivals at equal ticks (half-open
     /// intervals), exactly as in the Rational replay.
     pub class: EventClass,
-    /// The item arriving or departing.
+    /// The item arriving or departing, by arrival rank (see
+    /// [`CompiledInstance::item_ids`]).
     pub item: ItemId,
 }
 
@@ -174,6 +180,15 @@ impl TickPolicy {
 
 /// An instance rescaled onto its integer grid, with a pre-sorted
 /// replay schedule. Built once, replayed per algorithm.
+///
+/// Items are renumbered by **arrival rank**: the item whose arrival
+/// comes `r`-th in the schedule is item `r` of [`items`](Self::items)
+/// and of every [`TickEvent`], and [`item_ids`](Self::item_ids)`[r]`
+/// is its [`ItemId`] in the instance. Generated instances number
+/// items independently of arrival, so replaying them by instance id
+/// reads the item table and the engine's active set in random order;
+/// by rank, arrivals read both front to back. Outcomes and errors
+/// still speak instance ids.
 #[derive(Debug, Clone)]
 pub struct CompiledInstance {
     origin: Rational,
@@ -182,6 +197,9 @@ pub struct CompiledInstance {
     capacity: u64,
     items: Vec<TickItem>,
     schedule: Vec<TickEvent>,
+    /// Arrival rank → instance id, shared with every engine built on
+    /// this instance (a permutation of `0..len`).
+    ids: Arc<[ItemId]>,
 }
 
 impl CompiledInstance {
@@ -207,23 +225,29 @@ impl CompiledInstance {
                 .filter(|&l| l <= MAX_SCALE)
                 .ok_or(CompileError::SizeScaleOverflow)?;
         }
-        let mut items = Vec::with_capacity(instance.len());
+        // `(t − t₀)·T` as `t·T − t₀·T`: `T` folds in every timestamp
+        // denominator, so both products are integers and no rational
+        // subtraction is needed. A product past `i128` takes the
+        // rational route.
+        let origin_ticks = origin.scaled_to(time_scale);
+        let ticks = |t: Rational| {
+            origin_ticks
+                .and_then(|o| t.scaled_to(time_scale)?.checked_sub(o))
+                .or_else(|| (t - origin).scaled_to(time_scale))
+                .filter(|&n| (0..=MAX_SCALE).contains(&n))
+                .ok_or(CompileError::TickOverflow)
+        };
+        let mut by_id = Vec::with_capacity(instance.len());
         let mut entries = Vec::with_capacity(instance.len() * 2);
         for item in instance.items() {
-            let arrival = (item.arrival() - origin)
-                .scaled_to(time_scale)
-                .filter(|&t| (0..=MAX_SCALE).contains(&t))
-                .ok_or(CompileError::TickOverflow)?;
-            let departure = (item.departure() - origin)
-                .scaled_to(time_scale)
-                .filter(|&t| (0..=MAX_SCALE).contains(&t))
-                .ok_or(CompileError::TickOverflow)?;
+            let arrival = ticks(item.arrival())?;
+            let departure = ticks(item.departure())?;
             let size = item
                 .size
                 .scaled_to(size_scale)
                 .expect("size denominator divides the size LCM");
             debug_assert!(size >= 1 && size <= size_scale, "validated size in (0,1]");
-            items.push(TickItem {
+            by_id.push(TickItem {
                 size: size as u64,
                 arrival: arrival as u64,
                 departure: departure as u64,
@@ -241,7 +265,29 @@ impl CompiledInstance {
         }
         // Stable sort: full `(tick, class)` ties keep insertion (item)
         // order — the same total order the seq-numbered heap produces.
-        entries.sort_by_key(|e| (e.tick, e.class));
+        // Ticks stay below 2³², so `(tick, class)` packs into one
+        // `u64` key.
+        entries.sort_by_key(|e| e.tick << 2 | e.class as u64);
+        // Renumber in place by arrival rank. An item departs strictly
+        // after it arrives, so its rank is known by the time its
+        // departure is rewritten; the event order itself is untouched.
+        let mut items = Vec::with_capacity(by_id.len());
+        let mut ids = Vec::with_capacity(by_id.len());
+        let mut rank_of = vec![0u32; by_id.len()];
+        for ev in &mut entries {
+            let id = ev.item;
+            let rank = match ev.class {
+                EventClass::Arrival => {
+                    let rank = ids.len() as u32;
+                    items.push(by_id[id.index()]);
+                    ids.push(id);
+                    rank_of[id.index()] = rank;
+                    rank
+                }
+                _ => rank_of[id.index()],
+            };
+            ev.item = ItemId(rank);
+        }
         Ok(CompiledInstance {
             origin,
             time_scale,
@@ -249,6 +295,7 @@ impl CompiledInstance {
             capacity: size_scale as u64,
             items,
             schedule: entries,
+            ids: ids.into(),
         })
     }
 
@@ -272,14 +319,26 @@ impl CompiledInstance {
         self.capacity
     }
 
-    /// The rescaled items, indexed by [`ItemId`].
+    /// The rescaled items in arrival-rank order: `items()[r]` is the
+    /// item of rank `r`, instance id [`item_ids`](Self::item_ids)`[r]`.
     pub fn items(&self) -> &[TickItem] {
         &self.items
     }
 
-    /// The pre-sorted replay schedule (two events per item).
+    /// The pre-sorted replay schedule (two events per item), by
+    /// `(tick, class)` with ties in instance-id order. Events name
+    /// items by arrival rank, so arrivals count `0, 1, 2, …` and
+    /// [`item_ids`](Self::item_ids) maps a rank back to its [`ItemId`].
     pub fn schedule(&self) -> &[TickEvent] {
         &self.schedule
+    }
+
+    /// Arrival rank → instance id: `item_ids()[r]` is the [`ItemId`]
+    /// of the item that [`items`](Self::items) and
+    /// [`schedule`](Self::schedule) call `r`. A permutation of
+    /// `0..len`.
+    pub fn item_ids(&self) -> &[ItemId] {
+        &self.ids
     }
 
     /// Number of items.
@@ -572,6 +631,10 @@ pub struct TickEngine {
     active: ActiveSet,
     active_count: usize,
     assignments: Vec<(ItemId, BinId)>,
+    /// Engine id → instance id for compiled replays (the instance's
+    /// [`CompiledInstance::item_ids`]); empty for streaming engines,
+    /// whose ids already are the caller's.
+    ids: Arc<[ItemId]>,
     scan: ScanMode,
     /// Placement index; empty until `scan` switches to `Tree`. Built
     /// for `policy`, so only Best Fit maintains its ordered set.
@@ -598,8 +661,15 @@ pub struct TickEngine {
 
 impl TickEngine {
     /// Creates an engine for one compiled instance under `policy`.
-    /// Compiled item ids are dense arrival ranks, so the active set
-    /// is a flat vector sized to the instance.
+    ///
+    /// The engine speaks the compiled numbering: [`arrive`](Self::arrive),
+    /// [`depart`](Self::depart) and [`is_active`](Self::is_active) take
+    /// the arrival ranks of [`CompiledInstance::schedule`], so the
+    /// active set is a flat vector sized to the instance and filled
+    /// front to back. Errors and the [`finish`](Self::finish)ed
+    /// outcome map ranks back to instance ids (ids past the instance
+    /// are reported as given), so driving the schedule event by event
+    /// yields exactly [`CompiledInstance::run`]'s result.
     pub fn new(compiled: &CompiledInstance, policy: TickPolicy) -> TickEngine {
         let mut engine = Self::with_grid(
             policy,
@@ -609,6 +679,7 @@ impl TickEngine {
         );
         engine.active = ActiveSet::Dense(vec![ActiveEntry::EMPTY; compiled.len()]);
         engine.assignments.reserve(compiled.len());
+        engine.ids = Arc::clone(&compiled.ids);
         engine
     }
 
@@ -644,6 +715,7 @@ impl TickEngine {
             active: ActiveSet::Dense(Vec::new()),
             active_count: 0,
             assignments: Vec::new(),
+            ids: Arc::new([]),
             scan: ScanMode::Linear(LinearScan::default()),
             tree: FitTree::for_policy(policy),
             tree_slots: Vec::new(),
@@ -674,6 +746,13 @@ impl TickEngine {
             }
         }
         self.origin + Rational::new(tick as i128, self.time_scale)
+    }
+
+    /// The instance id behind engine id `item`. The rank table is a
+    /// permutation of `0..n`, so mapping ids past it to themselves
+    /// keeps the map one-to-one.
+    fn instance_id(&self, item: ItemId) -> ItemId {
+        self.ids.get(item.index()).copied().unwrap_or(item)
     }
 
     /// Converts a unit count back to an exact size/level.
@@ -925,7 +1004,7 @@ impl TickEngine {
         tick: u64,
     ) -> Result<BinId, PackingError> {
         if self.is_active(item) {
-            return Err(PackingError::DuplicateItem(item));
+            return Err(PackingError::DuplicateItem(self.instance_id(item)));
         }
         probe.enter(Phase::FitScan);
         // A hit resolves to (bin id, store slot, linear position).
@@ -1093,7 +1172,7 @@ impl TickEngine {
         probe.enter(Phase::DepartureDrain);
         let Some(entry) = self.active_remove(item) else {
             probe.exit(Phase::DepartureDrain);
-            return Err(PackingError::UnknownItem(item));
+            return Err(PackingError::UnknownItem(self.instance_id(item)));
         };
         let s = entry.slot as usize;
         probe.enter(Phase::ClockAdvance);
@@ -1161,6 +1240,7 @@ impl TickEngine {
     pub(crate) fn into_exact(self) -> crate::engine::PackingEngine {
         use crate::bin::OpenBin;
         use crate::engine::LiveBin;
+        debug_assert!(self.ids.is_empty(), "only streaming engines promote");
         let denom = self.time_scale * self.size_scale;
         let act = self.active_sorted();
         // One consumed-flag per active entry: an id may recur in a
@@ -1252,8 +1332,16 @@ impl TickEngine {
         }
         debug_assert_eq!(self.open_count, 0);
         let mut closed = std::mem::take(&mut self.closed);
-        closed.sort_by_key(|b| b.id);
-        self.assignments.sort_by_key(|&(r, _)| r);
+        // Bin ids are unique, so the unstable sort is the stable order.
+        closed.sort_unstable_by_key(|b| b.id);
+        if !self.ids.is_empty() {
+            for rec in &mut closed {
+                for item in &mut rec.items {
+                    *item = self.instance_id(*item);
+                }
+            }
+        }
+        let assignments = self.instance_assignments();
         // Both scales ≤ 2³², so the product fits i128. Every
         // `integral/denom` shares whatever factor the whole batch
         // shares with the grid denominator (usually most of `T·S` —
@@ -1292,10 +1380,41 @@ impl TickEngine {
         Ok(PackingOutcome::from_parts(
             algorithm.to_string(),
             bins,
-            self.assignments,
+            assignments,
             total_usage,
             self.max_open,
         ))
+    }
+
+    /// The assignments by instance id. A compiled replay places every
+    /// rank once, in rank order, so one scatter through the rank table
+    /// sorts them. Any other history — a streaming engine's ids, which
+    /// may repeat, or a per-event caller that left the schedule — maps
+    /// each id and takes the stable sort, keeping repeats in arrival
+    /// order.
+    fn instance_assignments(&mut self) -> Vec<(ItemId, BinId)> {
+        let mut assignments = std::mem::take(&mut self.assignments);
+        let ids = &self.ids;
+        let rank_order = !ids.is_empty()
+            && assignments.len() == ids.len()
+            && assignments
+                .iter()
+                .enumerate()
+                .all(|(rank, &(item, _))| item.index() == rank);
+        if rank_order {
+            let mut by_id = vec![(ItemId(0), BinId(0)); ids.len()];
+            for (&id, &(_, bin)) in ids.iter().zip(&assignments) {
+                by_id[id.index()] = (id, bin);
+            }
+            return by_id;
+        }
+        if !ids.is_empty() {
+            for entry in &mut assignments {
+                entry.0 = self.instance_id(entry.0);
+            }
+        }
+        assignments.sort_by_key(|&(item, _)| item);
+        assignments
     }
 }
 
@@ -1344,6 +1463,16 @@ mod tests {
     use crate::algo::{BestFit, FirstFit, WorstFit};
     use crate::session::Runner;
     use dbp_numeric::rat;
+
+    /// The exact Rational engine's outcome. `Runner`'s default
+    /// `Backend::Auto` would route these policies to the tick engine
+    /// itself.
+    fn exact(inst: &Instance, algo: &mut dyn PackingAlgorithm) -> PackingOutcome {
+        Runner::new(inst)
+            .backend(crate::session::Backend::Exact)
+            .run(algo)
+            .unwrap()
+    }
 
     /// A churny scenario: mid-run closures, exact fills, equal-time
     /// departure/arrival boundaries (mirrors `fast_fit::scenario`).
@@ -1400,6 +1529,92 @@ mod tests {
         );
     }
 
+    /// Items listed out of arrival order: the compiled tables run in
+    /// arrival rank (ties at one instant by instance id), while the
+    /// outcome and the errors still name instance ids.
+    #[test]
+    fn compile_numbers_items_by_arrival_rank() {
+        let inst = Instance::builder()
+            .item(rat(1, 2), rat(3, 1), rat(5, 1)) // r0: rank 2
+            .item(rat(1, 4), rat(1, 1), rat(4, 1)) // r1: rank 0
+            .item(rat(3, 4), rat(2, 1), rat(3, 1)) // r2: rank 1
+            .item(rat(1, 4), rat(3, 1), rat(6, 1)) // r3: rank 3 (tie with r0)
+            .build()
+            .unwrap();
+        let c = CompiledInstance::compile(&inst).unwrap();
+        assert_eq!(c.item_ids(), &[ItemId(1), ItemId(2), ItemId(0), ItemId(3)]);
+        let sizes: Vec<u64> = c.items().iter().map(|it| it.size).collect();
+        assert_eq!(sizes, vec![1, 3, 2, 1]);
+        let order: Vec<(u64, EventClass, u32)> = c
+            .schedule()
+            .iter()
+            .map(|e| (e.tick, e.class, e.item.0))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (0, EventClass::Arrival, 0),
+                (1, EventClass::Arrival, 1),
+                (2, EventClass::Departure, 1),
+                (2, EventClass::Arrival, 2),
+                (2, EventClass::Arrival, 3),
+                (3, EventClass::Departure, 0),
+                (4, EventClass::Departure, 2),
+                (5, EventClass::Departure, 3),
+            ]
+        );
+        let out = c.run(TickPolicy::FirstFit).unwrap();
+        assert_eq!(out, exact(&inst, &mut FirstFit::new()));
+
+        // A per-event caller speaks ranks; errors come back as instance
+        // ids, and ids past the instance pass through unchanged.
+        let mut eng = TickEngine::new(&c, TickPolicy::FirstFit);
+        eng.arrive(ItemId(0), 1, 0).unwrap();
+        assert!(eng.is_active(ItemId(0)));
+        assert_eq!(
+            eng.arrive(ItemId(0), 1, 0),
+            Err(PackingError::DuplicateItem(ItemId(1)))
+        );
+        assert_eq!(
+            eng.depart(ItemId(2), 1),
+            Err(PackingError::UnknownItem(ItemId(0)))
+        );
+        assert_eq!(
+            eng.depart(ItemId(9), 1),
+            Err(PackingError::UnknownItem(ItemId(9)))
+        );
+    }
+
+    /// A per-event caller that leaves the schedule — an id past the
+    /// instance, a rank placed twice — still finishes to assignments
+    /// sorted by instance id, through the mapped stable sort.
+    #[test]
+    fn off_schedule_callers_finish_by_instance_id() {
+        let inst = Instance::builder()
+            .item(rat(1, 2), rat(1, 1), rat(2, 1)) // rank 1
+            .item(rat(1, 2), rat(0, 1), rat(2, 1)) // rank 0
+            .build()
+            .unwrap();
+        let c = CompiledInstance::compile(&inst).unwrap();
+        let mut eng = TickEngine::new(&c, TickPolicy::FirstFit);
+        eng.arrive(ItemId(1), 1, 0).unwrap();
+        eng.arrive(ItemId(5), 1, 0).unwrap();
+        eng.depart(ItemId(1), 1).unwrap();
+        eng.arrive(ItemId(1), 1, 1).unwrap();
+        eng.depart(ItemId(1), 2).unwrap();
+        eng.depart(ItemId(5), 2).unwrap();
+        let out = eng.finish("FirstFit").unwrap();
+        assert_eq!(
+            out.assignments(),
+            &[
+                (ItemId(0), BinId(0)),
+                (ItemId(0), BinId(0)),
+                (ItemId(5), BinId(0)),
+            ]
+        );
+        assert_eq!(out.bins()[0].items, vec![ItemId(0), ItemId(5), ItemId(0)]);
+    }
+
     #[test]
     fn negative_timestamps_compile_via_the_origin_shift() {
         let inst = Instance::builder()
@@ -1411,8 +1626,7 @@ mod tests {
         assert_eq!(c.origin(), rat(-3, 2));
         assert_eq!(c.items()[0].arrival, 0);
         let out = c.run(TickPolicy::FirstFit).unwrap();
-        let reference = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
-        assert_eq!(out, reference);
+        assert_eq!(out, exact(&inst, &mut FirstFit::new()));
     }
 
     #[test]
@@ -1428,8 +1642,12 @@ mod tests {
         ] {
             let compiled = CompiledInstance::compile(&inst).unwrap();
             let tick = compiled.run(policy).unwrap();
-            let exact = Runner::new(&inst).run(reference.as_mut()).unwrap();
-            assert_eq!(tick, exact, "{} diverged", policy.name());
+            assert_eq!(
+                tick,
+                exact(&inst, reference.as_mut()),
+                "{} diverged",
+                policy.name()
+            );
         }
     }
 
@@ -1441,7 +1659,7 @@ mod tests {
         let b = compiled.run(TickPolicy::FirstFit).unwrap();
         assert_eq!(a, b);
         let bf = run_packing_compiled(&compiled, TickPolicy::BestFit).unwrap();
-        assert_eq!(bf, Runner::new(&inst).run(&mut BestFit::new()).unwrap());
+        assert_eq!(bf, exact(&inst, &mut BestFit::new()));
     }
 
     #[test]

@@ -12,14 +12,18 @@
 //! peaks, the `Σ_k |U_k|` objective, and peak concurrency. A separate
 //! property drives instances that cannot compile (oversized LCMs,
 //! out-of-range horizons) through `run_packing_auto` and asserts the
-//! Rational fallback is transparent.
+//! Rational fallback is transparent. Another renames every item and
+//! requires tick-vs-tick outcomes equal up to the renaming, which
+//! pins the compiled arrival-rank numbering and its map back to
+//! instance ids.
 
 use dbp_core::prelude::*;
 use dbp_core::tick::{CompiledInstance, TickEngine, TickPolicy};
-use dbp_core::{PackingAlgorithm, PackingError, PackingOutcome};
+use dbp_core::{BinRecord, PackingAlgorithm, PackingError, PackingOutcome};
 use dbp_numeric::rat;
 use dbp_simcore::EventClass;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Strategy: a well-formed instance with up to 40 items on a mixed
 /// grid (halves..eighths for sizes, quarters for times), forcing many
@@ -80,6 +84,70 @@ fn overflow_burst_strategy() -> impl Strategy<Value = Instance> {
         .prop_map(|specs| Instance::new(specs).expect("strategy produces valid specs"))
 }
 
+/// Strategy: an instance and a renaming of its items. Random keys
+/// shuffle the ids; then the ids of items arriving at one instant are
+/// handed back in their original relative order, because the
+/// schedule breaks those ties by id and a renaming that reorders them
+/// may legitimately change the packing. Returns the instance and
+/// `old_of_new`, the original id of each renamed item.
+fn renamed_strategy() -> impl Strategy<Value = (Instance, Vec<ItemId>)> {
+    prop_oneof![instance_strategy(), burst_strategy()].prop_flat_map(|inst| {
+        let n = inst.len();
+        (Just(inst), prop::collection::vec(0u32..u32::MAX, n..=n)).prop_map(|(inst, keys)| {
+            let mut old_of_new: Vec<ItemId> = (0..inst.len() as u32).map(ItemId).collect();
+            old_of_new.sort_by_key(|id| (keys[id.index()], *id));
+            // Keep the positions the shuffle gave each arrival instant,
+            // but refill them with that instant's ids in original order.
+            let mut by_instant: BTreeMap<_, VecDeque<ItemId>> = BTreeMap::new();
+            for it in inst.items() {
+                by_instant.entry(it.arrival()).or_default().push_back(it.id);
+            }
+            for id in &mut old_of_new {
+                *id = by_instant
+                    .get_mut(&inst.item(*id).arrival())
+                    .and_then(VecDeque::pop_front)
+                    .expect("one id per position");
+            }
+            (inst, old_of_new)
+        })
+    })
+}
+
+/// The instance with item `k` being the original item `old_of_new[k]`.
+fn renamed_instance(inst: &Instance, old_of_new: &[ItemId]) -> Instance {
+    let specs = old_of_new
+        .iter()
+        .map(|&id| {
+            let it = inst.item(id);
+            (it.size, it.arrival(), it.departure())
+        })
+        .collect();
+    Instance::new(specs).expect("a renaming keeps specs valid")
+}
+
+/// A renamed run's assignments and bins, translated back to original
+/// ids (assignments re-sorted by the original id).
+fn translated(
+    out: &PackingOutcome,
+    old_of_new: &[ItemId],
+) -> (Vec<(ItemId, BinId)>, Vec<BinRecord>) {
+    let mut assignments: Vec<(ItemId, BinId)> = out
+        .assignments()
+        .iter()
+        .map(|&(item, bin)| (old_of_new[item.index()], bin))
+        .collect();
+    assignments.sort();
+    let bins = out
+        .bins()
+        .iter()
+        .map(|b| BinRecord {
+            items: b.items.iter().map(|i| old_of_new[i.index()]).collect(),
+            ..b.clone()
+        })
+        .collect();
+    (assignments, bins)
+}
+
 /// Replays `compiled` through the *public per-event* API — one
 /// `arrive`/`depart` call per schedule entry, in schedule order —
 /// bypassing the burst batching that [`CompiledInstance::run`] does
@@ -120,6 +188,7 @@ fn assert_tick_equivalent(
     let compiled = CompiledInstance::compile(inst).expect("strategy instances compile");
     let tick: PackingOutcome = compiled.run(policy).expect("tick run succeeds");
     let exact: PackingOutcome = Runner::new(inst)
+        .backend(Backend::Exact)
         .run(linear)
         .expect("reference run succeeds");
     prop_assert_eq!(
@@ -128,7 +197,10 @@ fn assert_tick_equivalent(
         "tick {} diverged from reference",
         policy.name()
     );
-    let tree: PackingOutcome = Runner::new(inst).run(fast).expect("fast run succeeds");
+    let tree: PackingOutcome = Runner::new(inst)
+        .backend(Backend::Exact)
+        .run(fast)
+        .expect("fast run succeeds");
     prop_assert_eq!(tick.assignments(), tree.assignments());
     prop_assert_eq!(tick.bins(), tree.bins());
     prop_assert_eq!(tick.total_usage(), tree.total_usage());
@@ -357,8 +429,57 @@ proptest! {
         prop_assert!(CompiledInstance::compile(&inst).is_ok());
         #[allow(deprecated)] // compat-shim coverage: the legacy auto entry point
         let auto = run_packing_auto(&inst, TickPolicy::FirstFit).unwrap();
-        let exact = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
+        let exact = Runner::new(&inst)
+            .backend(Backend::Exact)
+            .run(&mut FirstFit::new())
+            .unwrap();
         prop_assert_eq!(auto, exact);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Renaming items (keeping same-instant arrivals in order) renames
+    /// the outcome and changes nothing else: batched, tree-mode and
+    /// per-event replays of the renamed instance, translated back,
+    /// equal the original replay under every policy. The compiled
+    /// tables agree rank for rank.
+    #[test]
+    fn renaming_items_renames_the_outcome((inst, old_of_new) in renamed_strategy()) {
+        let renamed = renamed_instance(&inst, &old_of_new);
+        let compiled = CompiledInstance::compile(&inst).expect("strategy instances compile");
+        let twin = CompiledInstance::compile(&renamed).expect("a renaming compiles alike");
+        prop_assert_eq!(compiled.items(), twin.items());
+        let mapped: Vec<ItemId> = twin
+            .item_ids()
+            .iter()
+            .map(|id| old_of_new[id.index()])
+            .collect();
+        prop_assert_eq!(compiled.item_ids(), &mapped[..]);
+        for policy in [TickPolicy::FirstFit, TickPolicy::BestFit, TickPolicy::WorstFit] {
+            let original = compiled.run(policy).expect("tick run succeeds");
+            let runs = [
+                ("run", twin.run(policy)),
+                ("tree-mode", twin.run_with_crossover(policy, 1)),
+                ("per-event", replay_per_event(&twin, policy, None)),
+            ];
+            for (label, run) in runs {
+                let run = run.expect("renamed run succeeds");
+                let (assignments, bins) = translated(&run, &old_of_new);
+                prop_assert_eq!(
+                    original.assignments(),
+                    &assignments[..],
+                    "{} {} assignments",
+                    policy.name(),
+                    label
+                );
+                prop_assert_eq!(original.bins(), &bins[..], "{} {} bins", policy.name(), label);
+                prop_assert_eq!(original.total_usage(), run.total_usage());
+                prop_assert_eq!(original.max_open_bins(), run.max_open_bins());
+                prop_assert_eq!(original.algorithm(), run.algorithm());
+            }
+        }
     }
 }
 
@@ -383,7 +504,10 @@ fn staircase_tick_equivalence_at_scale() {
     assert_eq!(compiled.time_scale(), 1);
     assert_eq!(compiled.size_scale(), 100);
     let tick = compiled.run(TickPolicy::FirstFit).unwrap();
-    let exact = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
+    let exact = Runner::new(&inst)
+        .backend(Backend::Exact)
+        .run(&mut FirstFit::new())
+        .unwrap();
     assert_eq!(tick, exact);
     assert!(tick.max_open_bins() >= window as usize / 2);
 }

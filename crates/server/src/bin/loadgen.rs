@@ -3,12 +3,17 @@
 //! Drives `--threads` client threads × `--tenants` tenants of batched
 //! arrive/depart waves against a `dbp-server` (an in-process one on a
 //! loopback port by default, or `--addr` for an external daemon) in
-//! two same-run passes — untraced, then traced — recording into a
-//! perf_check-compatible snapshot (`results/BENCH_server.json` by
-//! convention):
+//! [`PAIRS`] same-run pairs of passes, one untraced and one traced,
+//! each on fresh tenants, alternating which pass of a pair goes first.
+//! It records into a perf_check-compatible snapshot
+//! (`results/BENCH_server.json` by convention):
 //!
-//! * aggregate placement events/sec for both passes, and their ratio
-//!   (`traced_vs_untraced_ratio`, the tracing-overhead gate);
+//! * aggregate placement events/sec, the median over each kind of
+//!   pass, and every pair's traced/untraced ratio with their median
+//!   (`traced_vs_untraced_ratio`, the tracing-overhead gate). A pair
+//!   runs back to back, so slow drift of the host between pairs
+//!   stays out of each ratio, and alternating the order keeps a
+//!   drift within a pair from favouring one kind of pass;
 //! * client-side placement latency from individually-timed frames,
 //!   accumulated in the shared `dbp_obs` log₂ [`Histogram`] (same
 //!   buckets the server publishes, so the two sides are comparable);
@@ -36,6 +41,11 @@ use dbp_server::tenant::Tenant;
 use dbp_server::{Client, DbpServer, Quotas, ServerConfig};
 use std::io::Write;
 use std::time::Instant;
+
+/// Untraced/traced pass pairs per run. On a 2-core VM, ten runs of a
+/// single untraced-then-traced pair read ratios of 0.87–1.37; ten
+/// medians of five alternating pairs read 0.94–1.12.
+const PAIRS: usize = 5;
 
 struct Args {
     threads: usize,
@@ -222,6 +232,23 @@ fn quantile_or_zero(h: &Histogram, q: f64) -> f64 {
     h.quantile(q).unwrap_or(0.0)
 }
 
+/// Median of a non-empty sample (mean of the middle two when even).
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
+}
+
+/// Tenant-name prefix of one pass: passes never share sessions.
+fn pass_prefix(pair: usize, traced: bool) -> String {
+    format!("{}{pair}_", if traced { "lgt" } else { "lg" })
+}
+
 fn main() {
     let args = parse_args();
 
@@ -243,43 +270,78 @@ fn main() {
         args.threads, args.tenants, args.events_per_tenant, args.batch
     );
 
-    // Pass 1 — untraced: the baseline-comparable throughput number.
-    let (total_events, wall, latencies) = run_pass(&args, &addr, "lg", false);
-    let events_per_sec = total_events as f64 / wall;
+    // Untraced/traced pairs. The untraced passes give the
+    // baseline-comparable throughput; in a traced pass every frame
+    // carries a request id the server echoes. Each pair's ratio is
+    // taken back to back, and the gate reads the median pair.
+    let mut total_events = 0;
+    let mut walls = Vec::with_capacity(PAIRS);
+    let mut untraced_rates = Vec::with_capacity(PAIRS);
+    let mut traced_rates = Vec::with_capacity(PAIRS);
+    let mut pair_ratios = Vec::with_capacity(PAIRS);
+    let mut latencies = Histogram::default();
+    let mut traced_latencies = Histogram::default();
+    for pair in 0..PAIRS {
+        let traced_first = !pair.is_multiple_of(2);
+        let mut rates = [0f64; 2];
+        for traced in [traced_first, !traced_first] {
+            let (events, wall, sampled) =
+                run_pass(&args, &addr, &pass_prefix(pair, traced), traced);
+            let rate = events as f64 / wall;
+            rates[traced as usize] = rate;
+            if traced {
+                traced_rates.push(rate);
+                traced_latencies.merge(&sampled);
+            } else {
+                total_events = events;
+                walls.push(wall);
+                untraced_rates.push(rate);
+                latencies.merge(&sampled);
+            }
+        }
+        pair_ratios.push(rates[1] / rates[0]);
+        eprintln!(
+            "loadgen: pair {pair} ({} first): untraced {:.0} events/sec, traced {:.0} \
+             events/sec, ratio {:.3}",
+            if traced_first { "traced" } else { "untraced" },
+            rates[0],
+            rates[1],
+            rates[1] / rates[0]
+        );
+    }
+    let wall = median(&walls);
+    let events_per_sec = median(&untraced_rates);
+    let traced_events_per_sec = median(&traced_rates);
+    let traced_ratio = median(&pair_ratios);
     eprintln!(
-        "loadgen: untraced {total_events} events in {wall:.2}s -> {events_per_sec:.0} events/sec; \
-         placement latency p50 {:.1}us p99 {:.1}us ({} samples)",
+        "loadgen: medians over {} pairs of {total_events}-event passes: untraced \
+         {events_per_sec:.0} events/sec, traced {traced_events_per_sec:.0} events/sec, ratio \
+         {traced_ratio:.3}; placement latency p50 {:.1}us p99 {:.1}us ({} samples), traced \
+         client latency p50 {:.1}us p99 {:.1}us",
+        PAIRS,
         quantile_or_zero(&latencies, 0.50),
         quantile_or_zero(&latencies, 0.99),
-        latencies.count()
-    );
-
-    // Pass 2 — traced: same workload on fresh tenants, every frame
-    // carrying a request id the server echoes. The throughput ratio
-    // against pass 1 is the tracing-overhead gate.
-    let (traced_events, traced_wall, traced_latencies) = run_pass(&args, &addr, "lgt", true);
-    let traced_events_per_sec = traced_events as f64 / traced_wall;
-    let traced_ratio = traced_events_per_sec / events_per_sec;
-    eprintln!(
-        "loadgen: traced {traced_events} events in {traced_wall:.2}s -> {traced_events_per_sec:.0} \
-         events/sec (ratio {traced_ratio:.3}); client latency p50 {:.1}us p99 {:.1}us",
+        latencies.count(),
         quantile_or_zero(&traced_latencies, 0.50),
         quantile_or_zero(&traced_latencies, 0.99),
     );
 
-    // Server-side view of the traced pass, read off the in-process
+    // Server-side view of the traced passes, read off the in-process
     // server's merged exposition page: per-tenant request latency
-    // histograms and phase counters under the `tenant_lgt*_` prefix.
+    // histograms and phase counters under the `tenant_lgt*_` prefixes.
     let mut server_latency = Histogram::default();
     let mut phase_ns = [0u64; 5];
     if let Some(server) = &server {
         let registry = server.registry_snapshot();
-        for tenant in 0..args.tenants {
-            if let Some(h) = registry.histogram(&format!("tenant_lgt{tenant}_request_latency_us")) {
-                server_latency.merge(h);
-            }
-            for (acc, name) in phase_ns.iter_mut().zip(PHASE_NAMES) {
-                *acc += registry.counter(&format!("tenant_lgt{tenant}_request_{name}_ns"));
+        for pair in 0..PAIRS {
+            for tenant in 0..args.tenants {
+                let prefix = format!("tenant_{}{tenant}_request", pass_prefix(pair, true));
+                if let Some(h) = registry.histogram(&format!("{prefix}_latency_us")) {
+                    server_latency.merge(h);
+                }
+                for (acc, name) in phase_ns.iter_mut().zip(PHASE_NAMES) {
+                    *acc += registry.counter(&format!("{prefix}_{name}_ns"));
+                }
             }
         }
         let spent: u64 = phase_ns.iter().sum();
@@ -318,13 +380,20 @@ fn main() {
             std::fs::create_dir_all(dir).expect("create output directory");
         }
         let spent: u64 = phase_ns.iter().sum::<u64>().max(1);
+        let pair_ratios = pair_ratios
+            .iter()
+            .map(|r| format!("{r:.4}"))
+            .collect::<Vec<_>>()
+            .join(", ");
         let json = format!(
             "{{\n  \"experiment\": \"server\",\n  \"threads\": {},\n  \"tenants\": {},\n  \
-             \"events_per_tenant\": {},\n  \"batch\": {},\n  \"total_events\": {},\n  \
-             \"wall_seconds\": {:.3},\n  \"latency_samples\": {},\n  \"metrics\": {{\n    \
+             \"events_per_tenant\": {},\n  \"batch\": {},\n  \"pairs\": {},\n  \
+             \"total_events\": {},\n  \"wall_seconds\": {:.3},\n  \"latency_samples\": {},\n  \
+             \"metrics\": {{\n    \
              \"server_events_per_sec\": {:.0},\n    \"p50_placement_latency_us\": {:.2},\n    \
              \"p99_placement_latency_us\": {:.2},\n    \"traced_events_per_sec\": {:.0},\n    \
-             \"traced_vs_untraced_ratio\": {:.4},\n    \"p50_client_latency_us\": {:.2},\n    \
+             \"traced_vs_untraced_ratio\": {:.4},\n    \
+             \"traced_vs_untraced_pair_ratios\": [{}],\n    \"p50_client_latency_us\": {:.2},\n    \
              \"p99_client_latency_us\": {:.2},\n    \"p50_server_latency_us\": {:.2},\n    \
              \"p99_server_latency_us\": {:.2},\n    \"phase_share_decode\": {:.4},\n    \
              \"phase_share_quota\": {:.4},\n    \"phase_share_apply\": {:.4},\n    \
@@ -334,6 +403,7 @@ fn main() {
             args.tenants,
             args.events_per_tenant,
             args.batch,
+            PAIRS,
             total_events,
             wall,
             latencies.count(),
@@ -342,6 +412,7 @@ fn main() {
             quantile_or_zero(&latencies, 0.99),
             traced_events_per_sec,
             traced_ratio,
+            pair_ratios,
             quantile_or_zero(&traced_latencies, 0.50),
             quantile_or_zero(&traced_latencies, 0.99),
             quantile_or_zero(&server_latency, 0.50),

@@ -12,7 +12,9 @@ use dbp_core::session::Session;
 use dbp_core::{ItemId, PackingOutcome};
 use dbp_numeric::rat;
 use dbp_proto::{ErrorKind, Event, TickGrid};
-use dbp_server::{Client, ClientError, DbpServer, Quotas, ServerConfig, TokenPolicy};
+use dbp_server::{
+    Client, ClientBuilder, ClientError, DbpServer, Quotas, ServerConfig, TokenPolicy,
+};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -310,6 +312,151 @@ fn batch_quota_refusals_report_the_failing_index() {
         other => panic!("expected a quota error, got {other:?}"),
     }
     assert_eq!(client.metrics().unwrap().events, 0);
+}
+
+/// A frame's result as the client sees it: the placements, or a
+/// refusal's kind, batch index and message.
+type FrameResult = Result<Vec<u32>, (ErrorKind, Option<u64>, String)>;
+
+/// Count quotas (at most 4 items in flight, 3 open bins) over one
+/// tenant flavour, then a scripted mix of single and batch frames:
+/// 3/4-size items open a bin each, 1/8-size items fit beside them.
+/// Returns every frame's result and the final `(active, open)`
+/// counters.
+fn count_quota_script(
+    flavour: fn(ClientBuilder) -> ClientBuilder,
+) -> (Vec<FrameResult>, (usize, usize)) {
+    let server = DbpServer::start(ServerConfig {
+        quotas: Quotas {
+            max_active_items: Some(4),
+            max_open_bins: Some(3),
+            ..Quotas::unlimited()
+        },
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = flavour(
+        Client::builder("firstfit")
+            .tenant("capped")
+            .without_journal(),
+    )
+    .connect(server.local_addr())
+    .unwrap();
+    let arrive = |id: u32, eighths: i128, t: i128| Event::Arrive {
+        id: ItemId(id),
+        size: rat(eighths, 8),
+        time: rat(t, 1),
+    };
+    let depart = |id: u32, t: i128| Event::Depart {
+        id: ItemId(id),
+        time: rat(t, 1),
+    };
+    let frames: Vec<Vec<Event>> = vec![
+        vec![arrive(0, 6, 0)],
+        vec![arrive(1, 6, 0)],
+        vec![arrive(2, 6, 1), arrive(3, 1, 1)],
+        vec![arrive(2, 6, 1)],
+        vec![arrive(3, 1, 1)],
+        vec![depart(0, 2)],
+        vec![depart(1, 2), arrive(3, 1, 2)],
+        vec![arrive(4, 1, 3), arrive(5, 1, 3), arrive(6, 1, 3)],
+        vec![arrive(4, 1, 3), arrive(5, 1, 3)],
+        vec![arrive(6, 1, 3)],
+    ];
+    let results = frames
+        .iter()
+        .map(|frame| {
+            let sent = match frame.as_slice() {
+                [one] => client.apply(one).map(|bin| vec![bin]),
+                many => client.ingest(many),
+            };
+            match sent {
+                Ok(bins) => Ok(bins.iter().map(|b| b.0).collect()),
+                Err(ClientError::Remote(e)) => Err((e.kind, e.index, e.message)),
+                Err(other) => panic!("transport failure: {other:?}"),
+            }
+        })
+        .collect();
+    let metrics = client.metrics().unwrap();
+    server.stop();
+    (results, (metrics.active_items, metrics.open_bins))
+}
+
+fn open_bins_refusal(open: u64, arriving: u64, index: Option<u64>) -> FrameResult {
+    Err((
+        ErrorKind::Quota,
+        index,
+        format!("open-bins quota exceeded ({open} open + up to {arriving} new > limit 3)"),
+    ))
+}
+
+fn active_items_refusal(active: u64, arriving: u64, index: Option<u64>) -> FrameResult {
+    Err((
+        ErrorKind::Quota,
+        index,
+        format!("active-items quota exceeded ({active} in flight + {arriving} arriving > limit 4)"),
+    ))
+}
+
+/// One session: `max_open_bins` refuses an arrival that would have fit
+/// an open bin (the documented conservative rule), and both count
+/// quotas refuse single and batch frames with the counters they saw.
+fn single_session_expectation() -> (Vec<FrameResult>, (usize, usize)) {
+    (
+        vec![
+            Ok(vec![0]),
+            Ok(vec![1]),
+            open_bins_refusal(2, 2, Some(0)),
+            Ok(vec![2]),
+            open_bins_refusal(3, 1, None),
+            Ok(vec![0]),
+            Ok(vec![1, 2]),
+            active_items_refusal(2, 3, Some(0)),
+            Ok(vec![2, 3]),
+            active_items_refusal(4, 1, None),
+        ],
+        (4, 2),
+    )
+}
+
+#[test]
+fn open_bins_and_active_items_quotas_refuse_single_and_batch_frames() {
+    assert_eq!(count_quota_script(|b| b), single_session_expectation());
+}
+
+/// Telemetry tenants keep the exact same refusals: admission reads
+/// the same counters whether or not `vol`/`span` are tracked.
+#[test]
+fn count_quotas_refuse_identically_on_a_telemetry_tenant() {
+    assert_eq!(
+        count_quota_script(|b| b.telemetry()),
+        single_session_expectation()
+    );
+}
+
+/// A 2-shard tenant (ids routed by `id % 2`) admits against the
+/// fleet-wide counters. Shard 1 reopens a bin for item 3, so the
+/// two-arrival batch at t=3 now hits the open-bins cap, and the last
+/// single arrival fits under both caps.
+#[test]
+fn count_quotas_refuse_on_fleet_counters_for_a_sharded_tenant() {
+    let (results, counters) = count_quota_script(|b| b.shards(2).telemetry());
+    assert_eq!(
+        results,
+        vec![
+            Ok(vec![0]),
+            Ok(vec![0]),
+            open_bins_refusal(2, 2, Some(0)),
+            Ok(vec![1]),
+            open_bins_refusal(3, 1, None),
+            Ok(vec![0]),
+            Ok(vec![0, 1]),
+            active_items_refusal(2, 3, Some(0)),
+            open_bins_refusal(2, 2, Some(0)),
+            Ok(vec![1]),
+        ]
+    );
+    assert_eq!(counters, (3, 2));
 }
 
 #[test]
