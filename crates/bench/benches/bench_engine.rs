@@ -16,31 +16,20 @@ fn bench_engine(c: &mut Criterion) {
         };
         let inst = wl.generate();
         group.throughput(Throughput::Elements(2 * n as u64)); // arrivals + departures
+                                                              // The exact Rational engine's linear First Fit scan.
         group.bench_with_input(BenchmarkId::new(label, n), &inst, |b, inst| {
             b.iter(|| {
                 Runner::new(inst)
+                    .backend(Backend::Exact)
                     .run(&mut FirstFit::new())
                     .unwrap()
                     .bins_opened()
             });
         });
-        // Same stream through the FitTree-indexed variant: the gap
-        // between these two is the linear-scan cost.
-        group.bench_with_input(
-            BenchmarkId::new(format!("{label}-fast"), n),
-            &inst,
-            |b, inst| {
-                b.iter(|| {
-                    Runner::new(inst)
-                        .run(&mut FirstFitFast::new())
-                        .unwrap()
-                        .bins_opened()
-                });
-            },
-        );
         // And through the tick-compiled integer engine: the schedule
         // is compiled once and each iteration is a pure `u64` replay
-        // — the gap to `-fast` is the Rational-arithmetic cost.
+        // — the gap to the exact arm is the Rational-arithmetic and
+        // linear-scan cost.
         let compiled = CompiledInstance::compile(&inst).expect("workload compiles");
         group.bench_with_input(
             BenchmarkId::new(format!("{label}-tick"), n),

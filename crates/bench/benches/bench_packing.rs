@@ -1,7 +1,8 @@
 //! Per-algorithm packing throughput on random workloads.
 //!
-//! Measures `run_packing` end-to-end (event replay + placement +
-//! accounting) for each algorithm at several instance sizes.
+//! Measures a batch `Runner` replay end-to-end (event replay +
+//! placement + accounting) for each algorithm at several instance
+//! sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dbp_core::prelude::*;
@@ -12,11 +13,8 @@ use dbp_workloads::RandomWorkload;
 fn algorithms() -> Vec<Box<dyn PackingAlgorithm>> {
     vec![
         Box::new(FirstFit::new()),
-        Box::new(FirstFitFast::new()),
         Box::new(BestFit::new()),
-        Box::new(BestFitFast::new()),
         Box::new(WorstFit::new()),
-        Box::new(WorstFitFast::new()),
         Box::new(NextFit::new()),
         Box::new(HybridFirstFit::classic()),
     ]

@@ -60,7 +60,7 @@
 //!   staircase workload holding `B ∈ {100, 1000, 10000}` bins open
 //!   at once, replayed through the exact engine's linear-scan
 //!   `FirstFit` and the `Backend::Auto` route every untraced run
-//!   takes (`FirstFitFast`, tick-compiled, adaptive linear→`FitTree`
+//!   takes (`FirstFit`, tick-compiled, adaptive linear→`FitTree`
 //!   scan), recording both throughputs and the speedup. This is the
 //!   `Θ(n·B)` vs `O(n log B)` separation. The file also carries the
 //!   gap-scan micro-arm: the chunked 8-lane First Fit sweep against
@@ -78,8 +78,8 @@ use dbp_bench::perf::measure;
 use dbp_core::scan;
 use dbp_core::session::{Backend, Event, Session, TickGrid};
 use dbp_core::{
-    event_schedule, CompiledInstance, FirstFit, FirstFitFast, Instance, NoopProbe,
-    PackingAlgorithm, PhaseProbe, ProbeCounter, Runner, TickPolicy,
+    event_schedule, CompiledInstance, FirstFit, Instance, NoopProbe, PackingAlgorithm, PhaseProbe,
+    ProbeCounter, Runner, TickPolicy,
 };
 use dbp_numeric::rat;
 use dbp_obs::{Profiler, TelemetrySink};
@@ -195,13 +195,16 @@ fn tick_replay_rate(compiled: &[CompiledInstance], events: i128, reps: usize) ->
 }
 
 /// Single-threaded Rational-engine replay rate over the same batch,
-/// `reps` passes per timed window, in events/second.
+/// `reps` passes per timed window, in events/second. Pinned to
+/// `Backend::Exact`: the default `Backend::Auto` would compile these
+/// instances and replay them on the tick engine.
 fn rational_replay_rate(insts: &[Instance], events: i128, reps: usize) -> f64 {
     let start = Instant::now();
     for _ in 0..reps {
         for inst in insts {
             Runner::new(inst)
-                .run(&mut FirstFitFast::new())
+                .backend(Backend::Exact)
+                .run(&mut FirstFit::new())
                 .expect("replay succeeds");
         }
     }
@@ -242,7 +245,7 @@ fn stream_rate(
     let start = Instant::now();
     for _ in 0..reps {
         for (events_i, grid) in streams.iter().zip(grids) {
-            let mut builder = Session::builder(FirstFitFast::new()).without_checkpoints();
+            let mut builder = Session::builder(FirstFit::new()).without_checkpoints();
             if let Some(grid) = grid {
                 builder = builder.grid(*grid);
             }
@@ -277,7 +280,7 @@ fn observed_stream_rate(streams: &[Vec<Event>], events: i128, telemetry: bool, s
     for _ in 0..OBS_REPS {
         for events_i in streams {
             let mut ring = TelemetrySink::new().ring(256);
-            let mut builder = Session::builder(FirstFitFast::new()).without_checkpoints();
+            let mut builder = Session::builder(FirstFit::new()).without_checkpoints();
             if telemetry {
                 builder = builder.telemetry();
             }
@@ -579,7 +582,10 @@ fn main() {
             // The whole point of the tick path: same bits, less time.
             for (inst, c) in insts.iter().zip(&compiled) {
                 let tick = c.run(TickPolicy::FirstFit).unwrap();
-                let exact = Runner::new(inst).run(&mut FirstFit::new()).unwrap();
+                let exact = Runner::new(inst)
+                    .backend(Backend::Exact)
+                    .run(&mut FirstFit::new())
+                    .unwrap();
                 assert_eq!(tick, exact, "tick outcome diverged on {label}");
             }
             let speedup = tick_eps / rational_eps;
@@ -684,7 +690,7 @@ fn main() {
         100.0 * ratio
     );
     let snap = snap
-        .with_metric("algorithm", Value::Str("Session(FirstFitFast)".into()))
+        .with_metric("algorithm", Value::Str("Session(FirstFit)".into()))
         .with_metric("instances", Value::Int(instances as i128))
         .with_metric("items_per_instance", Value::Int(items_each as i128))
         .with_metric("engine_events", Value::Int(total_events))
@@ -735,7 +741,7 @@ fn main() {
     let snap = snap
         .with_metric(
             "algorithm",
-            Value::Str("Session(FirstFitFast)+TelemetrySink".into()),
+            Value::Str("Session(FirstFit)+TelemetrySink".into()),
         )
         .with_metric("instances", Value::Int(instances as i128))
         .with_metric("items_per_instance", Value::Int(items_each as i128))
@@ -785,7 +791,7 @@ fn main() {
                 bins,
                 "auto_tick",
                 Backend::Auto,
-                &mut FirstFitFast::new(),
+                &mut FirstFit::new(),
             ));
         }
         // Cost arms, exact engine: [bare, detached, attached].
@@ -989,7 +995,7 @@ fn main() {
             let mut max_open = 0usize;
             for _ in 0..FIT_ROUNDS {
                 let (auto_eps, open) =
-                    backend_throughput(&inst, Backend::Auto, &mut FirstFitFast::new());
+                    backend_throughput(&inst, Backend::Auto, &mut FirstFit::new());
                 let (linear_eps, _) =
                     backend_throughput(&inst, Backend::Exact, &mut FirstFit::new());
                 auto_best = auto_best.max(auto_eps);
@@ -1025,7 +1031,7 @@ fn main() {
     let snap = snap
         .with_metric(
             "algorithms",
-            Value::Str("FirstFit(exact) vs FirstFitFast(auto)".into()),
+            Value::Str("FirstFit(exact) vs FirstFit(auto)".into()),
         )
         .with_metric("best_of_rounds", Value::Int(FIT_ROUNDS as i128))
         .with_metric("chunked_scan_queries_per_sec", Value::Float(chunked_qps))

@@ -10,7 +10,7 @@
 
 use crate::table::{dec, Table};
 use dbp_analysis::measure_ratio;
-use dbp_core::{FirstFitFast, Runner};
+use dbp_core::{FirstFit, Runner};
 use dbp_numeric::{rat, Rational};
 use dbp_par::par_map;
 use dbp_simcore::SummaryStats;
@@ -56,7 +56,7 @@ pub fn run(mus: &[u32], n: usize, seeds_per_mu: u64) -> (Vec<MuRow>, Table) {
             let inst = wl.generate();
             // Tick-compiled First Fit: bit-identical to the Rational
             // engine, integer arithmetic on the hot path.
-            let out = Runner::new(&inst).run(&mut FirstFitFast::new()).unwrap();
+            let out = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
             let rep = measure_ratio(&inst, &out);
             let actual_mu = inst.mu().unwrap_or(Rational::ONE);
             let cert_bound = (actual_mu + Rational::from_int(3)) * inst.vol() + inst.span();

@@ -24,9 +24,8 @@
 use dbp_analysis::{certify_first_fit, measure_ratio, TheoremChain};
 use dbp_cloudsim::{simulate, BillingModel};
 use dbp_core::{
-    Backend, BestFit, BestFitFast, CompiledInstance, DepartureAlignedFit, FanOut, FirstFit,
-    FirstFitFast, HybridFirstFit, Instance, LastFit, NextFit, PackingAlgorithm, Runner, TickPolicy,
-    WorstFit, WorstFitFast,
+    Backend, BestFit, CompiledInstance, DepartureAlignedFit, FanOut, FirstFit, HybridFirstFit,
+    Instance, LastFit, NextFit, PackingAlgorithm, Runner, TickPolicy, WorstFit,
 };
 use dbp_numeric::{rat, Rational};
 use dbp_obs::{
@@ -200,8 +199,8 @@ COMMANDS:
 
 ALGORITHMS: firstfit bestfit worstfit lastfit nextfit hybrid harmonic
             aligned (clairvoyant — pack/render only)
-            firstfit-fast bestfit-fast worstfit-fast (FitTree-indexed,
-            O(log B) per arrival, identical placements)
+            (firstfit-fast bestfit-fast worstfit-fast: old names of
+            firstfit bestfit worstfit)
 ";
 
 fn make_algo_for(name: &str, instance: &Instance) -> Result<Box<dyn PackingAlgorithm>, CliError> {
@@ -213,12 +212,9 @@ fn make_algo_for(name: &str, instance: &Instance) -> Result<Box<dyn PackingAlgor
 
 fn make_algo(name: &str) -> Result<Box<dyn PackingAlgorithm>, CliError> {
     Ok(match name {
-        "firstfit" | "ff" => Box::new(FirstFit::new()),
-        "bestfit" | "bf" => Box::new(BestFit::new()),
-        "worstfit" | "wf" => Box::new(WorstFit::new()),
-        "firstfit-fast" | "fff" => Box::new(FirstFitFast::new()),
-        "bestfit-fast" | "bff" => Box::new(BestFitFast::new()),
-        "worstfit-fast" | "wff" => Box::new(WorstFitFast::new()),
+        "firstfit" | "ff" | "firstfit-fast" | "fff" => Box::new(FirstFit::new()),
+        "bestfit" | "bf" | "bestfit-fast" | "bff" => Box::new(BestFit::new()),
+        "worstfit" | "wf" | "worstfit-fast" | "wff" => Box::new(WorstFit::new()),
         "lastfit" | "lf" => Box::new(LastFit::new()),
         "nextfit" | "nf" => Box::new(NextFit::new()),
         "hybrid" | "hff" => Box::new(HybridFirstFit::classic()),
@@ -491,13 +487,7 @@ fn cmd_compare(opts: &Opts) -> Result<String, CliError> {
     let (_, instance) = load(opts)?;
     let billing = make_billing(opts.get("billing").unwrap_or("continuous"))?;
     let names = [
-        "firstfit",
-        "firstfit-fast",
-        "bestfit",
-        "worstfit",
-        "lastfit",
-        "nextfit",
-        "hybrid",
+        "firstfit", "bestfit", "worstfit", "lastfit", "nextfit", "hybrid",
     ];
     let mut rows: Vec<(String, Rational, Rational, usize)> = Vec::new();
     for name in names {
@@ -680,6 +670,7 @@ fn cmd_tick(opts: &Opts) -> Result<String, CliError> {
                     TickPolicy::WorstFit => Box::new(WorstFit::new()),
                 };
                 let exact = Runner::new(&instance)
+                    .backend(Backend::Exact)
                     .run(linear.as_mut())
                     .map_err(|e| err(format!("verification replay failed: {e}")))?;
                 if outcome == exact {
@@ -1521,7 +1512,8 @@ mod tests {
     #[test]
     fn profile_burst_generates_its_own_workload() {
         // No --trace: --burst synthesizes 32 waves × 6 arrivals whose
-        // departure and arrival bursts share ticks.
+        // departure and arrival bursts share ticks. The retired
+        // `firstfit-fast` spelling still parses, as First Fit.
         let out = run(&args(&[
             "profile",
             "--burst",
@@ -1530,12 +1522,16 @@ mod tests {
             "firstfit-fast",
         ]))
         .unwrap();
+        assert!(
+            out.contains("FirstFit") && !out.contains("FirstFitFast"),
+            "{out}"
+        );
         assert!(out.contains("equal-tick bursts"), "{out}");
         assert!(out.contains("192 items"), "{out}");
         assert!(out.contains("profile: 384 events"), "{out}");
         assert!(out.contains("fit_scan"), "{out}");
         // Without --burst the trace is still required.
-        let e = run(&args(&["profile", "--algo", "firstfit-fast"])).unwrap_err();
+        let e = run(&args(&["profile", "--algo", "firstfit"])).unwrap_err();
         assert!(e.0.contains("--trace"), "{e}");
     }
 
@@ -1555,7 +1551,7 @@ mod tests {
             "--trace",
             &path,
             "--algo",
-            "firstfit-fast",
+            "firstfit",
             "--folded",
             &folded,
             "--chrome",
@@ -1564,7 +1560,7 @@ mod tests {
             &metrics,
         ]))
         .unwrap();
-        assert!(out.contains("FirstFitFast"), "{out}");
+        assert!(out.contains("FirstFit"), "{out}");
         assert!(out.contains("profile: 80 events"), "{out}");
         assert!(out.contains("fit_scan"), "{out}");
         assert!(out.contains("departure_drain"), "{out}");
@@ -1588,8 +1584,9 @@ mod tests {
         // The metrics registry carries the profile families.
         let reg = std::fs::read_to_string(&metrics).unwrap();
         assert!(reg.contains("profile_fit_scan_self_ns"), "{reg}");
-        // firstfit-fast answers placements from the tree index.
-        assert!(reg.contains("probe_tree_depth"), "{reg}");
+        // The chrome export's recorder keeps the run on the exact
+        // engine, where First Fit scans the open bins linearly.
+        assert!(reg.contains("probe_bins_scanned"), "{reg}");
 
         // Sampling and strict backends work; tick + --chrome is the
         // observer conflict the runner reports.

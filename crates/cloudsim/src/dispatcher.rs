@@ -15,7 +15,7 @@
 use crate::billing::BillingModel;
 use crate::report::CostReport;
 use dbp_core::session::{Backend, Runner, SessionError};
-use dbp_core::{EngineObserver, Instance, PackingAlgorithm, PackingError};
+use dbp_core::{EngineObserver, Instance, PackingAlgorithm};
 
 /// Starts a dispatch simulation over the job stream `jobs`.
 ///
@@ -95,28 +95,6 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Pre-builder entry point, kept as a thin shim.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate(jobs).billing(b).observer(obs).run(algo)`"
-)]
-pub fn simulate_observed(
-    jobs: &Instance,
-    algo: &mut dyn PackingAlgorithm,
-    billing: BillingModel,
-    observer: &mut dyn EngineObserver,
-) -> Result<CostReport, PackingError> {
-    simulate(jobs)
-        .billing(billing)
-        .observer(observer)
-        .backend(Backend::Exact)
-        .run(algo)
-        .map_err(|e| match e {
-            SessionError::Packing(e) => e,
-            other => unreachable!("exact batch replay surfaces only packing errors: {other}"),
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,11 +154,11 @@ mod tests {
         let exact = simulate(&jobs())
             .billing(BillingModel::hourly())
             .backend(Backend::Exact)
-            .run(&mut FirstFitFast::new())
+            .run(&mut FirstFit::new())
             .unwrap();
         let auto = simulate(&jobs())
             .billing(BillingModel::hourly())
-            .run(&mut FirstFitFast::new())
+            .run(&mut FirstFit::new())
             .unwrap();
         assert_eq!(exact, auto);
     }
@@ -206,16 +184,13 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_observed_shim_still_works() {
+    fn observed_simulation_bills_the_same() {
         let mut obs = NoopObserver;
-        #[allow(deprecated)]
-        let r = simulate_observed(
-            &jobs(),
-            &mut FirstFit::new(),
-            BillingModel::hourly(),
-            &mut obs,
-        )
-        .unwrap();
+        let r = simulate(&jobs())
+            .billing(BillingModel::hourly())
+            .observer(&mut obs)
+            .run(&mut FirstFit::new())
+            .unwrap();
         assert_eq!(r.billed_time, rat(240, 1));
     }
 

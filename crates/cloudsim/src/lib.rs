@@ -44,8 +44,6 @@ pub mod dispatcher;
 pub mod report;
 
 pub use billing::BillingModel;
-#[allow(deprecated)] // compat re-export; gone next release
-pub use dispatcher::simulate_observed;
 pub use dispatcher::{simulate, Simulation};
 pub use report::{CostReport, ServerRecord};
 

@@ -14,7 +14,6 @@
 
 mod any_fit;
 mod clairvoyant;
-mod fast_fit;
 mod hybrid;
 mod next_fit;
 mod scripted;
@@ -24,10 +23,6 @@ pub use any_fit::{
     LowestLevel, RandomChoice, RandomFit, WorstFit,
 };
 pub use clairvoyant::{DepartureAlignedFit, MarginalCostFit};
-pub use fast_fit::{
-    BestFitFast, EarliestFeasible, FirstFitFast, RoomiestFeasible, TightestFeasible, TreeFit,
-    TreeRule, WorstFitFast,
-};
 pub use hybrid::HybridFirstFit;
 pub use next_fit::NextFit;
 pub use scripted::Scripted;
@@ -102,24 +97,22 @@ pub trait PackingAlgorithm: Send {
     fn on_bin_closed(&mut self, _bin: BinId, _time: Rational) {}
 
     /// The integer-engine policy this algorithm is equivalent to, if
-    /// any. First/Best/Worst Fit (linear and tree-backed alike)
-    /// return their [`TickPolicy`]; everything else returns `None`
-    /// and always runs on the exact Rational engine. Backend
-    /// selection in [`crate::session::Runner`] and
-    /// [`crate::session::Session`] keys off this — never off the
-    /// algorithm's name.
+    /// any. First/Best/Worst Fit return their [`TickPolicy`];
+    /// everything else returns `None` and always runs on the exact
+    /// Rational engine. Backend selection in
+    /// [`crate::session::Runner`] and [`crate::session::Session`]
+    /// keys off this — never off the algorithm's name.
     fn tick_policy(&self) -> Option<TickPolicy> {
         None
     }
 
     /// Algorithmic work spent on the **most recent**
     /// [`place`](Self::place) decision, as a probe counter sample —
-    /// bins examined for linear scanners, tree descent depth for
-    /// index-backed ones. `None` (the default) for algorithms that
-    /// do not account their scans. Queried by the engine only when a
-    /// profiling probe is attached ([`crate::probe::PhaseProbe`]), so
-    /// implementations may keep the bookkeeping unconditionally cheap
-    /// (a single stored integer).
+    /// bins examined for linear scanners. `None` (the default) for
+    /// algorithms that do not account their scans. Queried by the
+    /// engine only when a profiling probe is attached
+    /// ([`crate::probe::PhaseProbe`]), so implementations may keep the
+    /// bookkeeping unconditionally cheap (a single stored integer).
     fn probe_sample(&self) -> Option<(ProbeCounter, u64)> {
         None
     }
@@ -192,15 +185,17 @@ impl<T: PackingAlgorithm + ?Sized> PackingAlgorithm for Box<T> {
 /// needs its seed, `Scripted` its script, the clairvoyant algorithms
 /// their instance). This is how [`crate::session::Session::resume`]
 /// rebuilds the algorithm recorded in a checkpoint.
+///
+/// The retired names of the tree-indexed variants (`FirstFitFast`,
+/// `BestFitFast`, `WorstFitFast`) still load, as the algorithm they
+/// always matched placement for placement, so older checkpoints
+/// resume.
 pub fn by_name(name: &str) -> Option<Box<dyn PackingAlgorithm>> {
     Some(match name {
-        "FirstFit" => Box::new(FirstFit::new()),
-        "BestFit" => Box::new(BestFit::new()),
-        "WorstFit" => Box::new(WorstFit::new()),
+        "FirstFit" | "FirstFitFast" => Box::new(FirstFit::new()),
+        "BestFit" | "BestFitFast" => Box::new(BestFit::new()),
+        "WorstFit" | "WorstFitFast" => Box::new(WorstFit::new()),
         "LastFit" => Box::new(LastFit::new()),
-        "FirstFitFast" => Box::new(FirstFitFast::new()),
-        "BestFitFast" => Box::new(BestFitFast::new()),
-        "WorstFitFast" => Box::new(WorstFitFast::new()),
         "NextFit" => Box::new(NextFit::new()),
         _ => return None,
     })

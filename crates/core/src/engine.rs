@@ -176,9 +176,9 @@ impl PackingOutcome {
         }
     }
 
-    /// Relabels the algorithm name (the tick fallback path runs a
-    /// `*Fast` algorithm but reports the canonical policy name so
-    /// both engines produce literally identical outcomes).
+    /// Relabels the algorithm name (a tick replay reports the name of
+    /// the algorithm the caller drove, so both engines produce
+    /// literally identical outcomes).
     pub(crate) fn with_algorithm(mut self, algorithm: &str) -> PackingOutcome {
         self.algorithm = algorithm.to_string();
         self
@@ -201,9 +201,9 @@ pub(crate) struct LiveBin {
 const NO_SLOT: u32 = u32::MAX;
 
 /// The incremental engine. Drive it with [`arrive`](Self::arrive) /
-/// [`depart`](Self::depart) in non-decreasing time order (the
-/// instance-replay helper [`run_packing`] does this for you), then
-/// call [`finish`](Self::finish).
+/// [`depart`](Self::depart) in non-decreasing time order (the batch
+/// [`crate::session::Runner`] does this for you), then call
+/// [`finish`](Self::finish).
 pub struct PackingEngine {
     /// Open bins sorted by id, as exposed to algorithms.
     open: Vec<OpenBin>,
@@ -665,8 +665,9 @@ impl PackingEngine {
 /// precede arrivals (half-open intervals); equal-time same-class
 /// events run in item order. Build it once per instance and replay it
 /// against any number of algorithms with
-/// [`run_packing_scheduled`] — a sweep over `k` algorithms pays one
-/// sort instead of `k` heap fills of `2n` entries each.
+/// [`Runner::schedule`](crate::session::Runner::schedule) — a sweep
+/// over `k` algorithms pays one sort instead of `k` heap fills of
+/// `2n` entries each.
 pub fn event_schedule(instance: &Instance) -> EventSchedule<ItemId> {
     let mut entries = Vec::with_capacity(instance.len() * 2);
     for item in instance.items() {
@@ -676,99 +677,22 @@ pub fn event_schedule(instance: &Instance) -> EventSchedule<ItemId> {
     EventSchedule::new(entries)
 }
 
-/// Exact-engine batch replay behind the deprecated `run_packing*`
-/// shims: one [`crate::session::Runner`] invocation, unwrapped back
-/// to the legacy [`PackingError`] (the exact batch path can surface
-/// nothing else).
-pub(crate) fn runner_exact(
-    instance: &Instance,
-    schedule: Option<&EventSchedule<ItemId>>,
-    algo: &mut dyn PackingAlgorithm,
-    obs: &mut dyn EngineObserver,
-) -> Result<PackingOutcome, PackingError> {
-    use crate::session::{Backend, Runner, SessionError};
-    let mut runner = Runner::new(instance).backend(Backend::Exact).observer(obs);
-    if let Some(schedule) = schedule {
-        runner = runner.schedule(schedule);
-    }
-    runner.run(algo).map_err(|e| match e {
-        SessionError::Packing(e) => e,
-        other => unreachable!("exact batch replay surfaces only packing errors: {other}"),
-    })
-}
-
-/// Replays a whole instance against an algorithm and returns the
-/// completed outcome.
-///
-/// Event order: global time order; at equal times departures precede
-/// arrivals (half-open intervals), and equal-time same-class events
-/// run in item order — this is what makes adversarial constructions
-/// like §VIII's "let n pairs of items arrive in sequence"
-/// deterministic.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dbp_core::session::Runner::new(i).run(algo)`"
-)]
-pub fn run_packing(
-    instance: &Instance,
-    algo: &mut dyn PackingAlgorithm,
-) -> Result<PackingOutcome, PackingError> {
-    runner_exact(instance, None, algo, &mut NoopObserver)
-}
-
-/// [`run_packing`] with instrumentation: every engine event is also
-/// reported to `obs` (see [`EngineObserver`] for the exact firing
-/// points).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dbp_core::session::Runner::new(i).observer(obs).run(algo)`"
-)]
-pub fn run_packing_observed(
-    instance: &Instance,
-    algo: &mut dyn PackingAlgorithm,
-    obs: &mut dyn EngineObserver,
-) -> Result<PackingOutcome, PackingError> {
-    runner_exact(instance, None, algo, obs)
-}
-
-/// [`run_packing`] over a prebuilt [`event_schedule`]: the caller
-/// owns the schedule and may replay it against many algorithms.
-///
-/// `schedule` must be the schedule of `instance` (or at least
-/// reference only its item ids in non-decreasing time order); a
-/// mismatched schedule surfaces as a normal [`PackingError`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dbp_core::session::Runner::new(i).schedule(s).run(algo)`"
-)]
-pub fn run_packing_scheduled(
-    instance: &Instance,
-    schedule: &EventSchedule<ItemId>,
-    algo: &mut dyn PackingAlgorithm,
-) -> Result<PackingOutcome, PackingError> {
-    runner_exact(instance, Some(schedule), algo, &mut NoopObserver)
-}
-
-/// [`run_packing_scheduled`] with instrumentation.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dbp_core::session::Runner::new(i).schedule(s).observer(obs).run(algo)`"
-)]
-pub fn run_packing_scheduled_observed(
-    instance: &Instance,
-    schedule: &EventSchedule<ItemId>,
-    algo: &mut dyn PackingAlgorithm,
-    obs: &mut dyn EngineObserver,
-) -> Result<PackingOutcome, PackingError> {
-    runner_exact(instance, Some(schedule), algo, obs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algo::FirstFit;
-    use crate::session::Runner;
+    use crate::session::{Backend, Runner};
     use dbp_numeric::rat;
+
+    /// First Fit on this module's engine (`Runner`'s default
+    /// `Backend::Auto` would replay these instances on the tick
+    /// engine).
+    fn first_fit(i: &Instance) -> PackingOutcome {
+        Runner::new(i)
+            .backend(Backend::Exact)
+            .run(&mut FirstFit::new())
+            .unwrap()
+    }
 
     fn inst(specs: &[(i128, i128, i128, i128)]) -> Instance {
         // (size_num, size_den, arrival, departure)
@@ -784,7 +708,7 @@ mod tests {
     #[test]
     fn single_item_single_bin() {
         let i = inst(&[(1, 2, 0, 3)]);
-        let out = Runner::new(&i).run(&mut FirstFit::new()).unwrap();
+        let out = first_fit(&i);
         assert_eq!(out.bins_opened(), 1);
         assert_eq!(out.total_usage(), rat(3, 1));
         assert_eq!(out.max_open_bins(), 1);
@@ -803,7 +727,7 @@ mod tests {
         // bins never reopen, First Fit must open a NEW bin for item 1.
         // Two bins, usage 1 each.
         let i = inst(&[(1, 1, 0, 1), (1, 1, 1, 2)]);
-        let out = Runner::new(&i).run(&mut FirstFit::new()).unwrap();
+        let out = first_fit(&i);
         assert_eq!(out.bins_opened(), 2);
         assert_eq!(out.total_usage(), rat(2, 1));
         assert_eq!(out.max_open_bins(), 1);
@@ -812,7 +736,7 @@ mod tests {
     #[test]
     fn capacity_forces_second_bin() {
         let i = inst(&[(2, 3, 0, 2), (2, 3, 0, 2)]);
-        let out = Runner::new(&i).run(&mut FirstFit::new()).unwrap();
+        let out = first_fit(&i);
         assert_eq!(out.bins_opened(), 2);
         assert_eq!(out.total_usage(), rat(4, 1));
         assert_eq!(out.max_open_bins(), 2);
@@ -825,7 +749,7 @@ mod tests {
         // Two items in one bin with staggered intervals, then a late
         // item reopening a fresh bin after everything closed.
         let i = inst(&[(1, 2, 0, 2), (1, 2, 1, 4), (1, 2, 6, 7)]);
-        let out = Runner::new(&i).run(&mut FirstFit::new()).unwrap();
+        let out = first_fit(&i);
         assert_eq!(out.bins_opened(), 2);
         let b0 = &out.bins()[0];
         let b1 = &out.bins()[1];
@@ -925,21 +849,29 @@ mod tests {
     fn max_open_bins_counts_concurrency() {
         // Three simultaneous full-size items: three bins at once.
         let i = inst(&[(1, 1, 0, 2), (1, 1, 0, 2), (1, 1, 0, 2), (1, 1, 3, 4)]);
-        let out = Runner::new(&i).run(&mut FirstFit::new()).unwrap();
+        let out = first_fit(&i);
         assert_eq!(out.max_open_bins(), 3);
         assert_eq!(out.bins_opened(), 4);
         assert_eq!(out.total_usage(), rat(7, 1));
     }
 
     #[test]
-    fn scheduled_replay_matches_run_packing_and_is_reusable() {
+    fn scheduled_replay_matches_the_direct_run_and_is_reusable() {
         let i = inst(&[(1, 2, 0, 2), (1, 2, 1, 4), (1, 2, 6, 7), (2, 3, 0, 2)]);
-        let direct = Runner::new(&i).run(&mut FirstFit::new()).unwrap();
+        let direct = first_fit(&i);
         let sched = event_schedule(&i);
         assert_eq!(sched.len(), 2 * i.len());
         let mut ff = FirstFit::new();
-        let first = Runner::new(&i).schedule(&sched).run(&mut ff).unwrap();
-        let second = Runner::new(&i).schedule(&sched).run(&mut ff).unwrap();
+        let first = Runner::new(&i)
+            .schedule(&sched)
+            .backend(Backend::Exact)
+            .run(&mut ff)
+            .unwrap();
+        let second = Runner::new(&i)
+            .schedule(&sched)
+            .backend(Backend::Exact)
+            .run(&mut ff)
+            .unwrap();
         assert_eq!(first, direct);
         assert_eq!(second, direct);
     }
@@ -956,7 +888,7 @@ mod tests {
             (1, 10, 0, 3),
             (1, 10, 0, 3),
         ]);
-        let out = Runner::new(&i).run(&mut FirstFit::new()).unwrap();
+        let out = first_fit(&i);
         assert_eq!(out.bins_opened(), 1);
         // Level: 1/2 on [0,1), 2/5 on [1,2), 1/5 on [2,3).
         assert_eq!(
@@ -970,7 +902,7 @@ mod tests {
     #[test]
     fn outcome_assignment_lookup() {
         let i = inst(&[(1, 2, 0, 2), (1, 2, 0, 2), (1, 2, 0, 2)]);
-        let out = Runner::new(&i).run(&mut FirstFit::new()).unwrap();
+        let out = first_fit(&i);
         assert_eq!(out.bin_of(ItemId(0)), Some(BinId(0)));
         assert_eq!(out.bin_of(ItemId(1)), Some(BinId(0)));
         assert_eq!(out.bin_of(ItemId(2)), Some(BinId(1)));

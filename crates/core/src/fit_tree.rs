@@ -1,8 +1,10 @@
-//! `FitTree` — a sublinear placement index over open bins.
+//! `FitTree` — the tick engine's sublinear placement index over open
+//! bins.
 //!
-//! The Any-Fit reference implementations scan every open bin per
-//! arrival, which makes a replay with `B` concurrent bins cost
-//! `Θ(n·B)`. This module provides the classic alternative (a
+//! A linear Any-Fit scan visits every open bin per arrival, which
+//! makes a replay with `B` concurrent bins cost `Θ(n·B)`. Above
+//! [`SCAN_CROSSOVER`](crate::SCAN_CROSSOVER) open bins the tick engine
+//! (`crate::tick`) switches to this classic alternative (a
 //! Johnson-style tournament tree over residual capacities): one leaf
 //! per bin, internal nodes storing the **maximum residual gap** of
 //! their subtree, so that the three Any-Fit selection rules become
@@ -21,91 +23,72 @@
 //! ([`FitTree::new`], or [`FitTree::for_policy`] with
 //! [`TickPolicy::BestFit`]). A tree built for First or Worst Fit
 //! skips it, so each of its updates is one leaf write plus one
-//! pull-up, with no B-tree remove/insert per event. Both users (the
-//! tick engine's tree mode and the `*Fast` algorithms) build the tree
-//! from the policy they already run, so the policy alone decides
-//! which index exists.
+//! pull-up, with no B-tree remove/insert per event. The tick engine
+//! builds its tree from the policy it runs, so the policy alone
+//! decides which index exists.
+//!
+//! Keys are the tick engine's integer gaps in size units, **shifted
+//! by one** (`key = gap + 1 ≥ 1`) so that `0` is free to tombstone
+//! closed leaves; queries shift the size the same way (`size + 1`),
+//! which preserves every comparison, and [`place`](FitTree::place)
+//! subtracts the unshifted size. Every comparison on a descent is a
+//! machine integer compare.
 //!
 //! Leaves are indexed by [`BinId`] directly — bin ids are assigned in
 //! opening order and never reused, so leaf order *is* opening order
 //! and "leftmost" *is* "earliest opened". Closed bins leave a
-//! tombstone leaf holding a sentinel gap that no query can match. The
-//! leaf array doubles geometrically as ids grow, so a tree that has
-//! seen `N` bins opened pays `O(log N)` per query and amortized `O(1)`
-//! growth per opening. A batch run bounds `N` by its item count and
+//! tombstone leaf that no query can match. The leaf array doubles
+//! geometrically as ids grow, so a tree that has seen `N` bins opened
+//! pays `O(log N)` per query and amortized `O(1)` growth per opening.
+//! A batch run bounds `N` by its item count and
 //! [`clear`](FitTree::clear)s the tree between runs; a streaming
 //! session never clears it, so there the leaves grow with every bin
 //! the session has ever opened, closed ones included.
-//!
-//! The tree is generic over its gap key through [`GapKey`]. The
-//! default, [`Rational`], keeps feasibility decisions bit-identical
-//! to the linear scans the fast algorithms replace; the tick engine
-//! (`crate::tick`) instantiates the same structure over `u64` keys —
-//! scaled gaps shifted by one so that `0` can serve as the tombstone
-//! — turning every comparison on the descent into a machine integer
-//! compare.
 
 use crate::bin::BinId;
 use crate::tick::TickPolicy;
-use dbp_numeric::Rational;
 use std::collections::BTreeSet;
-use std::ops::Sub;
 
-/// A totally ordered gap key with a sentinel strictly below every
-/// value a live bin can hold, used to tombstone closed leaves.
-pub trait GapKey: Copy + Ord {
-    /// Sentinel for tombstoned (closed) and never-opened leaves. No
-    /// feasibility query may ever pass a size at or below it.
-    const CLOSED: Self;
-}
-
-/// Exact rational gaps; real gaps are `≥ 0`, so `-1` tombstones.
-impl GapKey for Rational {
-    const CLOSED: Rational = Rational::from_int(-1);
-}
-
-/// Scaled integer gaps for the tick engine. Stored shifted by one
-/// (`key = gap + 1 ≥ 1`) so `0` is free for the tombstone; queries
-/// shift the size the same way, which preserves every comparison.
-impl GapKey for u64 {
-    const CLOSED: u64 = 0;
-}
+/// Key of tombstoned (closed) and never-opened leaves: strictly below
+/// every live key, so no query (whose keys are `size + 1 ≥ 2`) can
+/// match it.
+const CLOSED: u64 = 0;
 
 /// Tournament (max-)tree over bin residual gaps, plus — in a tree
 /// built for Best Fit — an ordered `(gap, id)` set for Best-Fit
 /// queries. See the module docs.
 #[derive(Debug, Clone)]
-pub struct FitTree<V: GapKey = Rational> {
+pub struct FitTree {
     /// Number of leaves (a power of two, or 0 before first use).
     cap: usize,
     /// 1-based flat tree: `tree[1]` is the root, leaves occupy
-    /// `tree[cap..2·cap]`; `tree[i]` is the max gap in the subtree.
-    tree: Vec<V>,
+    /// `tree[cap..2·cap]`; `tree[i]` is the max key in the subtree.
+    tree: Vec<u64>,
     /// Number of live (non-tombstoned) leaves.
     live: usize,
-    /// Live bins ordered by `(gap, id)`: Best Fit is the first entry
+    /// Live bins ordered by `(key, id)`: Best Fit is the first entry
     /// at or above `(s, BinId(0))`. `None` in a tree built for First
     /// or Worst Fit, which never asks.
-    by_gap: Option<BTreeSet<(V, BinId)>>,
+    by_gap: Option<BTreeSet<(u64, BinId)>>,
 }
 
-impl<V: GapKey> Default for FitTree<V> {
-    fn default() -> FitTree<V> {
+impl Default for FitTree {
+    fn default() -> FitTree {
         FitTree::new()
     }
 }
 
-impl<V: GapKey> FitTree<V> {
+impl FitTree {
     /// Creates an empty index that answers all three queries (the
     /// Best-Fit ordered set included).
-    pub fn new() -> FitTree<V> {
+    pub fn new() -> FitTree {
         FitTree::for_policy(TickPolicy::BestFit)
     }
 
     /// Creates an empty index for one selection rule: the `(gap, id)`
     /// ordered set is kept only for [`TickPolicy::BestFit`], so First
     /// and Worst Fit updates skip it.
-    pub fn for_policy(policy: TickPolicy) -> FitTree<V> {
+    pub fn for_policy(policy: TickPolicy) -> FitTree {
         FitTree {
             cap: 0,
             tree: Vec::new(),
@@ -135,10 +118,11 @@ impl<V: GapKey> FitTree<V> {
         self.live == 0
     }
 
-    /// The residual gap of a live bin (`None` if closed or unknown).
-    pub fn gap(&self, id: BinId) -> Option<V> {
+    /// The key (`gap + 1`) of a live bin (`None` if closed or
+    /// unknown).
+    pub fn gap(&self, id: BinId) -> Option<u64> {
         let i = id.index();
-        if i < self.cap && self.tree[self.cap + i] != V::CLOSED {
+        if i < self.cap && self.tree[self.cap + i] != CLOSED {
             Some(self.tree[self.cap + i])
         } else {
             None
@@ -155,7 +139,7 @@ impl<V: GapKey> FitTree<V> {
         if cap == self.cap {
             return;
         }
-        let mut tree = vec![V::CLOSED; 2 * cap];
+        let mut tree = vec![CLOSED; 2 * cap];
         if self.cap > 0 {
             tree[cap..cap + self.cap].copy_from_slice(&self.tree[self.cap..2 * self.cap]);
         }
@@ -179,15 +163,16 @@ impl<V: GapKey> FitTree<V> {
         }
     }
 
-    /// Registers a freshly opened bin with the given residual gap.
+    /// Registers a freshly opened bin with key `gap` (its residual
+    /// gap plus one).
     ///
     /// # Panics
     /// Panics if `id` is already live (ids are never reused).
-    pub fn open(&mut self, id: BinId, gap: V) {
+    pub fn open(&mut self, id: BinId, gap: u64) {
         let i = id.index();
         self.grow(i + 1);
         assert!(
-            self.tree[self.cap + i] == V::CLOSED,
+            self.tree[self.cap + i] == CLOSED,
             "bin {id} opened twice in FitTree"
         );
         self.tree[self.cap + i] = gap;
@@ -202,26 +187,23 @@ impl<V: GapKey> FitTree<V> {
     ///
     /// # Panics
     /// Panics if `id` is not live.
-    pub fn place(&mut self, id: BinId, size: V)
-    where
-        V: Sub<Output = V>,
-    {
+    pub fn place(&mut self, id: BinId, size: u64) {
         let old = self.gap(id).expect("place() into a bin not in FitTree");
         self.replace(id, old, old - size);
     }
 
-    /// Sets a live bin's gap to an absolute value (an item departed
-    /// and the bin's level is known from the snapshot).
+    /// Sets a live bin's key to an absolute value (an item departed
+    /// and the bin's level is known).
     ///
     /// # Panics
     /// Panics if `id` is not live.
-    pub fn set_gap(&mut self, id: BinId, gap: V) {
+    pub fn set_gap(&mut self, id: BinId, gap: u64) {
         let old = self.gap(id).expect("set_gap() on a bin not in FitTree");
         self.replace(id, old, gap);
     }
 
-    /// Moves live bin `id` from gap `old` to `gap`.
-    fn replace(&mut self, id: BinId, old: V, gap: V) {
+    /// Moves live bin `id` from key `old` to `gap`.
+    fn replace(&mut self, id: BinId, old: u64, gap: u64) {
         if old == gap {
             return;
         }
@@ -244,13 +226,13 @@ impl<V: GapKey> FitTree<V> {
         if let Some(set) = &mut self.by_gap {
             set.remove(&(old, id));
         }
-        self.tree[self.cap + i] = V::CLOSED;
+        self.tree[self.cap + i] = CLOSED;
         self.pull_up(i);
         self.live -= 1;
     }
 
-    /// First Fit: the earliest-opened live bin with `gap ≥ size`.
-    pub fn first_fit(&self, size: V) -> Option<BinId> {
+    /// First Fit: the earliest-opened live bin with key `≥ size`.
+    pub fn first_fit(&self, size: u64) -> Option<BinId> {
         self.first_fit_counted(size).0
     }
 
@@ -259,7 +241,7 @@ impl<V: GapKey> FitTree<V> {
     /// register increment, so callers that discard it (the plain
     /// query) pay nothing after inlining; profiling probes read it as
     /// the per-arrival descent depth.
-    pub fn first_fit_counted(&self, size: V) -> (Option<BinId>, u32) {
+    pub fn first_fit_counted(&self, size: u64) -> (Option<BinId>, u32) {
         if self.cap == 0 || self.tree[1] < size {
             return (None, 1);
         }
@@ -276,13 +258,13 @@ impl<V: GapKey> FitTree<V> {
         (Some(BinId((i - self.cap) as u32)), depth)
     }
 
-    /// Best Fit: the highest-level (smallest-gap) live bin with
-    /// `gap ≥ size`; ties broken toward the earliest-opened bin.
+    /// Best Fit: the highest-level (smallest-key) live bin with
+    /// key `≥ size`; ties broken toward the earliest-opened bin.
     ///
     /// # Panics
     /// Panics if the tree was built for First or Worst Fit, which
     /// keeps no `(gap, id)` set to answer from.
-    pub fn best_fit(&self, size: V) -> Option<BinId> {
+    pub fn best_fit(&self, size: u64) -> Option<BinId> {
         self.by_gap
             .as_ref()
             .expect("best_fit() on a FitTree built without its Best-Fit set")
@@ -293,20 +275,20 @@ impl<V: GapKey> FitTree<V> {
 
     /// [`best_fit`](Self::best_fit) with a descent count of 1 (the
     /// ordered-set range lookup is one probe from the caller's view).
-    pub fn best_fit_counted(&self, size: V) -> (Option<BinId>, u32) {
+    pub fn best_fit_counted(&self, size: u64) -> (Option<BinId>, u32) {
         (self.best_fit(size), 1)
     }
 
-    /// Worst Fit: the lowest-level (largest-gap) live bin, provided
+    /// Worst Fit: the lowest-level (largest-key) live bin, provided
     /// it can take `size`; ties broken toward the earliest-opened
     /// bin (the leftmost leaf attaining the root's maximum).
-    pub fn worst_fit(&self, size: V) -> Option<BinId> {
+    pub fn worst_fit(&self, size: u64) -> Option<BinId> {
         self.worst_fit_counted(size).0
     }
 
     /// [`worst_fit`](Self::worst_fit) plus the descent node count
     /// (see [`first_fit_counted`](Self::first_fit_counted)).
-    pub fn worst_fit_counted(&self, size: V) -> (Option<BinId>, u32) {
+    pub fn worst_fit_counted(&self, size: u64) -> (Option<BinId>, u32) {
         if self.cap == 0 || self.tree[1] < size {
             return (None, 1);
         }
@@ -328,89 +310,93 @@ impl<V: GapKey> FitTree<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbp_numeric::rat;
+
+    // Gaps and sizes below are in twentieths of a bin, written as the
+    // tick engine passes them: keys `gap + 1`, queries `size + 1`.
 
     #[test]
     fn empty_tree_answers_nothing() {
         let t = FitTree::new();
         assert!(t.is_empty());
-        assert_eq!(t.first_fit(rat(1, 2)), None);
-        assert_eq!(t.best_fit(rat(1, 2)), None);
-        assert_eq!(t.worst_fit(rat(1, 2)), None);
+        assert_eq!(t.first_fit(11), None);
+        assert_eq!(t.best_fit(11), None);
+        assert_eq!(t.worst_fit(11), None);
         assert_eq!(t.gap(BinId(0)), None);
     }
 
     #[test]
     fn selection_rules_agree_with_definitions() {
         let mut t = FitTree::new();
-        // Gaps: b0=0.1, b1=0.5, b2=0.4, b3=0.5.
-        t.open(BinId(0), rat(1, 10));
-        t.open(BinId(1), rat(1, 2));
-        t.open(BinId(2), rat(2, 5));
-        t.open(BinId(3), rat(1, 2));
+        // Gaps: b0=2, b1=10, b2=8, b3=10.
+        t.open(BinId(0), 2 + 1);
+        t.open(BinId(1), 10 + 1);
+        t.open(BinId(2), 8 + 1);
+        t.open(BinId(3), 10 + 1);
         assert_eq!(t.len(), 4);
-        // size 0.3: earliest feasible is b1; tightest feasible is b2;
-        // roomiest is b1 (gap 0.5, tie with b3 → earliest).
-        assert_eq!(t.first_fit(rat(3, 10)), Some(BinId(1)));
-        assert_eq!(t.best_fit(rat(3, 10)), Some(BinId(2)));
-        assert_eq!(t.worst_fit(rat(3, 10)), Some(BinId(1)));
-        // size 0.05 fits everything: FF→b0, BF→b0 (tightest), WF→b1.
-        assert_eq!(t.first_fit(rat(1, 20)), Some(BinId(0)));
-        assert_eq!(t.best_fit(rat(1, 20)), Some(BinId(0)));
-        assert_eq!(t.worst_fit(rat(1, 20)), Some(BinId(1)));
-        // Nothing fits 0.6.
-        assert_eq!(t.first_fit(rat(3, 5)), None);
-        assert_eq!(t.best_fit(rat(3, 5)), None);
-        assert_eq!(t.worst_fit(rat(3, 5)), None);
+        // size 6: earliest feasible is b1; tightest feasible is b2;
+        // roomiest is b1 (gap 10, tie with b3 → earliest).
+        assert_eq!(t.first_fit(6 + 1), Some(BinId(1)));
+        assert_eq!(t.best_fit(6 + 1), Some(BinId(2)));
+        assert_eq!(t.worst_fit(6 + 1), Some(BinId(1)));
+        // size 1 fits everything: FF→b0, BF→b0 (tightest), WF→b1.
+        assert_eq!(t.first_fit(1 + 1), Some(BinId(0)));
+        assert_eq!(t.best_fit(1 + 1), Some(BinId(0)));
+        assert_eq!(t.worst_fit(1 + 1), Some(BinId(1)));
+        // Nothing fits 12.
+        assert_eq!(t.first_fit(12 + 1), None);
+        assert_eq!(t.best_fit(12 + 1), None);
+        assert_eq!(t.worst_fit(12 + 1), None);
     }
 
     #[test]
     fn updates_and_closures_are_tracked() {
         let mut t = FitTree::new();
-        t.open(BinId(0), rat(1, 2));
-        t.open(BinId(1), rat(1, 2));
-        t.place(BinId(0), rat(1, 4)); // b0 gap → 1/4
-        assert_eq!(t.gap(BinId(0)), Some(rat(1, 4)));
-        assert_eq!(t.first_fit(rat(1, 3)), Some(BinId(1)));
-        t.set_gap(BinId(0), rat(3, 4)); // departure grew the gap
-        assert_eq!(t.first_fit(rat(2, 3)), Some(BinId(0)));
+        t.open(BinId(0), 10 + 1);
+        t.open(BinId(1), 10 + 1);
+        t.place(BinId(0), 5); // b0 gap → 5
+        assert_eq!(t.gap(BinId(0)), Some(5 + 1));
+        assert_eq!(t.first_fit(7 + 1), Some(BinId(1)));
+        t.set_gap(BinId(0), 15 + 1); // departure grew the gap
+        assert_eq!(t.first_fit(14 + 1), Some(BinId(0)));
         t.close(BinId(0));
         assert_eq!(t.gap(BinId(0)), None);
-        assert_eq!(t.first_fit(rat(1, 8)), Some(BinId(1)));
+        assert_eq!(t.first_fit(2 + 1), Some(BinId(1)));
         assert_eq!(t.len(), 1);
         t.clear();
         assert!(t.is_empty());
-        assert_eq!(t.first_fit(rat(1, 8)), None);
+        assert_eq!(t.first_fit(2 + 1), None);
     }
 
     #[test]
     fn exact_fill_boundary_is_inclusive() {
         let mut t = FitTree::new();
-        t.open(BinId(0), rat(1, 4));
+        t.open(BinId(0), 5 + 1);
         // gap == size is feasible (capacity is inclusive).
-        assert_eq!(t.first_fit(rat(1, 4)), Some(BinId(0)));
-        assert_eq!(t.best_fit(rat(1, 4)), Some(BinId(0)));
-        assert_eq!(t.worst_fit(rat(1, 4)), Some(BinId(0)));
-        t.place(BinId(0), rat(1, 4));
-        assert_eq!(t.gap(BinId(0)), Some(Rational::ZERO));
-        assert_eq!(t.first_fit(rat(1, 100)), None);
+        assert_eq!(t.first_fit(5 + 1), Some(BinId(0)));
+        assert_eq!(t.best_fit(5 + 1), Some(BinId(0)));
+        assert_eq!(t.worst_fit(5 + 1), Some(BinId(0)));
+        t.place(BinId(0), 5);
+        // A full bin keeps key 1, above the tombstone: still live.
+        assert_eq!(t.gap(BinId(0)), Some(1));
+        assert_eq!(t.first_fit(1 + 1), None);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn growth_preserves_existing_leaves() {
         let mut t = FitTree::new();
         for k in 0..100u32 {
-            t.open(BinId(k), rat(1 + (k as i128 % 7), 10));
+            t.open(BinId(k), 2 * (1 + k as u64 % 7) + 1);
         }
         assert_eq!(t.len(), 100);
-        // Leftmost with gap ≥ 0.7: gaps cycle 1/10..7/10, so the
-        // first leaf holding 7/10 is id 6.
-        assert_eq!(t.first_fit(rat(7, 10)), Some(BinId(6)));
+        // Leftmost with gap ≥ 14: gaps cycle 2..14, so the first leaf
+        // holding 14 is id 6.
+        assert_eq!(t.first_fit(14 + 1), Some(BinId(6)));
         // Close the first fifty; queries shift right.
         for k in 0..50u32 {
             t.close(BinId(k));
         }
-        assert_eq!(t.first_fit(rat(7, 10)), Some(BinId(55)));
+        assert_eq!(t.first_fit(14 + 1), Some(BinId(55)));
         assert_eq!(t.len(), 50);
     }
 
@@ -418,78 +404,33 @@ mod tests {
     fn counted_queries_report_descent_depth() {
         let mut t = FitTree::new();
         for k in 0..5u32 {
-            t.open(BinId(k), rat(1, 2));
+            t.open(BinId(k), 10 + 1);
         }
         // cap grew to 8: a full descent visits root + 3 levels.
-        let (hit, depth) = t.first_fit_counted(rat(1, 4));
+        let (hit, depth) = t.first_fit_counted(5 + 1);
         assert_eq!(hit, Some(BinId(0)));
         assert_eq!(depth, 4);
-        assert_eq!(t.worst_fit_counted(rat(1, 4)), (Some(BinId(0)), 4));
-        assert_eq!(t.best_fit_counted(rat(1, 4)), (Some(BinId(0)), 1));
+        assert_eq!(t.worst_fit_counted(5 + 1), (Some(BinId(0)), 4));
+        assert_eq!(t.best_fit_counted(5 + 1), (Some(BinId(0)), 1));
         // Infeasible queries stop at the root.
-        assert_eq!(t.first_fit_counted(rat(3, 4)), (None, 1));
-        assert_eq!(t.worst_fit_counted(rat(3, 4)), (None, 1));
+        assert_eq!(t.first_fit_counted(15 + 1), (None, 1));
+        assert_eq!(t.worst_fit_counted(15 + 1), (None, 1));
     }
 
     #[test]
     #[should_panic(expected = "opened twice")]
     fn double_open_panics() {
         let mut t = FitTree::new();
-        t.open(BinId(0), rat(1, 2));
-        t.open(BinId(0), rat(1, 2));
+        t.open(BinId(0), 10 + 1);
+        t.open(BinId(0), 10 + 1);
     }
 
     #[test]
     #[should_panic(expected = "without its Best-Fit set")]
     fn best_fit_needs_the_ordered_set() {
         let mut t = FitTree::for_policy(TickPolicy::FirstFit);
-        t.open(BinId(0), rat(1, 2));
-        t.best_fit(rat(1, 4));
-    }
-
-    /// The `u64` instantiation (shifted keys, tombstone `0`) answers
-    /// exactly like the `Rational` tree over the same scaled gaps, and
-    /// a `u64` tree built without the Best-Fit set answers First and
-    /// Worst Fit exactly like the full one.
-    #[test]
-    fn integer_keys_mirror_rational_keys() {
-        const SCALE: i128 = 20;
-        let gaps: [(u32, i128); 4] = [(0, 2), (1, 10), (2, 8), (3, 10)];
-        let mut rt: FitTree<Rational> = FitTree::new();
-        let mut it: FitTree<u64> = FitTree::new();
-        let mut lean: FitTree<u64> = FitTree::for_policy(TickPolicy::FirstFit);
-        for &(id, g) in &gaps {
-            rt.open(BinId(id), rat(g, SCALE));
-            it.open(BinId(id), g as u64 + 1);
-            lean.open(BinId(id), g as u64 + 1);
-        }
-        let agree = |rt: &FitTree<Rational>, it: &FitTree<u64>, lean: &FitTree<u64>| {
-            for s in 1..=SCALE {
-                let (size, key) = (rat(s, SCALE), s as u64 + 1);
-                assert_eq!(rt.first_fit(size), it.first_fit(key));
-                assert_eq!(rt.best_fit(size), it.best_fit(key));
-                assert_eq!(rt.worst_fit(size), it.worst_fit(key));
-                assert_eq!(lean.first_fit(key), it.first_fit(key));
-                assert_eq!(lean.worst_fit(key), it.worst_fit(key));
-            }
-            assert_eq!(lean.len(), it.len());
-        };
-        agree(&rt, &it, &lean);
-        // Churn: place, depart, close — shifted keys stay aligned.
-        rt.place(BinId(1), rat(4, SCALE));
-        it.place(BinId(1), 4);
-        lean.place(BinId(1), 4);
-        assert_eq!(rt.gap(BinId(1)), Some(rat(6, SCALE)));
-        assert_eq!(it.gap(BinId(1)), Some(7));
-        assert_eq!(lean.gap(BinId(1)), Some(7));
-        rt.set_gap(BinId(0), rat(5, SCALE));
-        it.set_gap(BinId(0), 6);
-        lean.set_gap(BinId(0), 6);
-        rt.close(BinId(3));
-        it.close(BinId(3));
-        lean.close(BinId(3));
-        agree(&rt, &it, &lean);
-        assert_eq!(it.len(), 3);
+        t.open(BinId(0), 10 + 1);
+        t.best_fit(5 + 1);
     }
 
     /// Cross-check every query against a brute-force scan on a
@@ -504,37 +445,39 @@ mod tests {
             TickPolicy::WorstFit,
         ];
         let mut trees = policies.map(FitTree::for_policy);
-        let mut live: Vec<(BinId, Rational)> = Vec::new();
+        // (bin, key) of every live bin; keys are gap + 1 with gaps in
+        // hundredths.
+        let mut live: Vec<(BinId, u64)> = Vec::new();
         let mut next = 0u32;
         let mut state = 0x9E37u64;
         let mut rng = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 33) as i128
+            state >> 33
         };
         for step in 0..600 {
             match rng() % 3 {
                 0 => {
-                    let gap = rat(rng() % 100, 100).abs();
-                    trees.iter_mut().for_each(|t| t.open(BinId(next), gap));
-                    live.push((BinId(next), gap));
+                    let key = rng() % 100 + 1;
+                    trees.iter_mut().for_each(|t| t.open(BinId(next), key));
+                    live.push((BinId(next), key));
                     next += 1;
                 }
                 1 if !live.is_empty() => {
-                    let k = (rng().unsigned_abs() as usize) % live.len();
+                    let k = rng() as usize % live.len();
                     let (id, _) = live.remove(k);
                     trees.iter_mut().for_each(|t| t.close(id));
                 }
                 _ if !live.is_empty() => {
-                    let k = (rng().unsigned_abs() as usize) % live.len();
-                    let gap = rat(rng() % 100, 100).abs();
-                    live[k].1 = gap;
-                    trees.iter_mut().for_each(|t| t.set_gap(live[k].0, gap));
+                    let k = rng() as usize % live.len();
+                    let key = rng() % 100 + 1;
+                    live[k].1 = key;
+                    trees.iter_mut().for_each(|t| t.set_gap(live[k].0, key));
                 }
                 _ => {}
             }
-            let s = rat(1 + rng().unsigned_abs() as i128 % 99, 100);
+            let s = 1 + rng() % 99 + 1;
             let ff = live
                 .iter()
                 .filter(|(_, g)| *g >= s)

@@ -44,14 +44,13 @@
 //!   `u64` ticks/units via denominator LCMs and replayed on a pure
 //!   integer engine, with bit-identical outcomes and automatic
 //!   fallback to the Rational engine on overflow.
-//! * [`scan`] — the chunked (autovectorizing) residual-gap sweeps
-//!   the tick engine's sub-crossover linear mode runs, with their
-//!   per-slot scalar references.
+//! * [`scan`] and [`fit_tree`] — the tick engine's two placement
+//!   indexes: chunked (autovectorizing) residual-gap sweeps below the
+//!   scan crossover, a `u64` tournament tree above it.
 //!
 //! * [`session`] — streaming online sessions (incremental ingestion
 //!   with live metrics and journal checkpoints) and the unified
-//!   batch [`session::Runner`] that replaced the `run_packing*`
-//!   free-function family.
+//!   batch [`session::Runner`].
 //!
 //! ## Quick example
 //!
@@ -96,17 +95,12 @@ pub mod session;
 pub mod tick;
 
 pub use algo::{
-    AnyFit, BestFit, BestFitFast, DepartureAlignedFit, FirstFit, FirstFitFast, FitPolicy,
-    HybridFirstFit, LastFit, MarginalCostFit, NextFit, PackingAlgorithm, Placement, RandomFit,
-    Scripted, WorstFit, WorstFitFast,
+    AnyFit, BestFit, DepartureAlignedFit, FirstFit, FitPolicy, HybridFirstFit, LastFit,
+    MarginalCostFit, NextFit, PackingAlgorithm, Placement, RandomFit, Scripted, WorstFit,
 };
 pub use bin::{BinId, BinSnapshot, OpenBin};
 pub use engine::{event_schedule, BinRecord, PackingEngine, PackingError, PackingOutcome};
-#[allow(deprecated)] // compat re-exports; gone next release
-pub use engine::{
-    run_packing, run_packing_observed, run_packing_scheduled, run_packing_scheduled_observed,
-};
-pub use fit_tree::{FitTree, GapKey};
+pub use fit_tree::FitTree;
 pub use item::{Instance, InstanceBuilder, InstanceError, InstanceStats, Item, ItemId};
 pub use observe::{EngineObserver, FanOut, NoopObserver};
 pub use probe::{EventKind, NoopProbe, Phase, PhaseProbe, ProbeCounter};
@@ -114,27 +108,19 @@ pub use session::{
     Backend, BatchError, Event, Runner, Session, SessionBuilder, SessionError, SessionMetrics,
     SessionSnapshot, TickGrid,
 };
-#[allow(deprecated)] // compat re-export; gone next release
-pub use tick::run_packing_auto;
-pub use tick::{
-    run_packing_compiled, CompileError, CompiledInstance, TickEngine, TickPolicy, SCAN_CROSSOVER,
-};
+pub use tick::{CompileError, CompiledInstance, TickEngine, TickPolicy, SCAN_CROSSOVER};
 
 /// One-stop imports for downstream crates and examples.
 pub mod prelude {
     pub use crate::algo::{
-        BestFit, BestFitFast, FirstFit, FirstFitFast, HybridFirstFit, LastFit, NextFit,
-        PackingAlgorithm, Placement, RandomFit, WorstFit, WorstFitFast,
+        BestFit, FirstFit, HybridFirstFit, LastFit, NextFit, PackingAlgorithm, Placement,
+        RandomFit, WorstFit,
     };
     pub use crate::bin::{BinId, BinSnapshot, OpenBin};
     pub use crate::engine::{event_schedule, PackingEngine, PackingOutcome};
-    #[allow(deprecated)] // compat re-exports; gone next release
-    pub use crate::engine::{run_packing, run_packing_observed, run_packing_scheduled};
     pub use crate::item::{Instance, Item, ItemId};
     pub use crate::observe::{EngineObserver, NoopObserver};
     pub use crate::probe::{NoopProbe, Phase, PhaseProbe, ProbeCounter};
     pub use crate::session::{Backend, Event, Runner, Session, SessionError, TickGrid};
-    #[allow(deprecated)] // compat re-export; gone next release
-    pub use crate::tick::run_packing_auto;
     pub use crate::tick::{CompiledInstance, TickPolicy};
 }

@@ -8,8 +8,9 @@
 //!
 //! Every callback has a no-op default body, so an observer implements
 //! only what it cares about, and the unobserved entry points
-//! ([`crate::engine::run_packing`] etc.) route through the zero-sized
-//! [`NoopObserver`] at no allocation cost.
+//! ([`PackingEngine::arrive`](crate::engine::PackingEngine::arrive)
+//! etc.) route through the zero-sized [`NoopObserver`] at no
+//! allocation cost.
 //!
 //! Observation points fire at precise moments:
 //!

@@ -14,7 +14,7 @@
 //! opened bin wins — bit-identical to the `*_scalar` references.
 //!
 //! The `*_scalar` twins are the pre-vectorization per-slot sweeps,
-//! kept as the semantic reference: the `prop_fast_fit` suite asserts
+//! kept as the semantic reference: the `prop_scan` suite asserts
 //! position-for-position agreement, and the `fit_scaling` perf
 //! snapshot measures both so `perf_check` can gate
 //! `chunked_vs_scalar_scan_ratio ≥ 1` (the vectorized sweep must

@@ -1,11 +1,11 @@
 //! Streaming online sessions and the unified batch runner.
 //!
-//! Batch replay ([`Runner`], formerly the `run_packing*` family)
-//! knows every event up front; a *session* ingests them one at a
-//! time, the way a live cloud allocator sees jobs: an arrival carries
-//! only the item's size — its departure is revealed by a later
-//! departure event. A [`Session`] wraps an engine, an algorithm, and
-//! an optional observer behind one incremental API:
+//! Batch replay ([`Runner`]) knows every event up front; a *session*
+//! ingests them one at a time, the way a live cloud allocator sees
+//! jobs: an arrival carries only the item's size — its departure is
+//! revealed by a later departure event. A [`Session`] wraps an
+//! engine, an algorithm, and an optional observer behind one
+//! incremental API:
 //!
 //! * [`arrive`](Session::arrive) / [`depart`](Session::depart) /
 //!   [`ingest`](Session::ingest) — feed events in non-decreasing time
@@ -928,9 +928,10 @@ impl<'s> Session<'s> {
             // fresh, keep driving it directly.
             Core::TickIdle => PackingEngine::new(),
             // Mid-run: the tick engine embodied the policy and never
-            // drove the stored algorithm, so its state (e.g. a
-            // `*Fast` tree) is stale. Swap in the stateless linear
-            // equivalent, which decides correctly from any books.
+            // drove the stored algorithm, which may be any algorithm
+            // that claims the policy. Swap in the linear equivalent,
+            // which keeps no placement state and so decides
+            // correctly from any books.
             Core::Tick(engine) => {
                 let policy = self.tick_policy.expect("tick core implies a policy");
                 self.algo = policy.linear_algo();
@@ -1271,8 +1272,7 @@ impl<'s> Session<'s> {
 }
 
 /// The unified batch entry point: replays a complete [`Instance`]
-/// through a [`Session`], replacing the `run_packing*` free-function
-/// family with one builder.
+/// through a [`Session`], with one builder for every option.
 ///
 /// ```
 /// use dbp_core::session::Runner;
@@ -1374,9 +1374,8 @@ impl<'a> Runner<'a> {
     }
 
     /// The batch tick path: replay the pre-compiled schedule on the
-    /// integer engine. Relabeled with the driven algorithm's own name
-    /// so a `FirstFitFast` run reports `FirstFitFast` on both
-    /// engines.
+    /// integer engine. Relabeled with the driven algorithm's own name,
+    /// which the exact engine would report.
     fn run_compiled(
         compiled: &CompiledInstance,
         policy: TickPolicy,
@@ -1431,7 +1430,7 @@ impl<'a> Runner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{BestFitFast, FirstFit, FirstFitFast, RandomFit};
+    use crate::algo::{BestFit, FirstFit, RandomFit};
     use dbp_numeric::rat;
 
     /// Mid-run closures, exact fills, equal-time boundaries.
@@ -1482,9 +1481,9 @@ mod tests {
         let grid = TickGrid::for_instance(&inst).unwrap();
         let exact = Runner::new(&inst)
             .backend(Backend::Exact)
-            .run(&mut FirstFitFast::new())
+            .run(&mut FirstFit::new())
             .unwrap();
-        let mut session = Session::builder(FirstFitFast::new())
+        let mut session = Session::builder(FirstFit::new())
             .grid(grid)
             .build()
             .unwrap();
@@ -1501,7 +1500,7 @@ mod tests {
         // half-integer event below does not.
         let grid = TickGrid::new(1, 10);
         let exact = {
-            let mut s = Session::builder(FirstFitFast::new())
+            let mut s = Session::builder(FirstFit::new())
                 .backend(Backend::Exact)
                 .build()
                 .unwrap();
@@ -1510,7 +1509,7 @@ mod tests {
             s.depart(ItemId(9), rat(11, 1)).unwrap();
             s.finish().unwrap()
         };
-        let mut s = Session::builder(FirstFitFast::new())
+        let mut s = Session::builder(FirstFit::new())
             .grid(grid)
             .build()
             .unwrap();
@@ -1726,11 +1725,11 @@ mod tests {
         let inst = scenario();
         let grid = TickGrid::for_instance(&inst).unwrap();
         let events = events_of(&inst);
-        let mut tick = Session::builder(FirstFitFast::new())
+        let mut tick = Session::builder(FirstFit::new())
             .grid(grid)
             .build()
             .unwrap();
-        let mut exact = Session::builder(FirstFitFast::new())
+        let mut exact = Session::builder(FirstFit::new())
             .backend(Backend::Exact)
             .build()
             .unwrap();
@@ -1747,7 +1746,7 @@ mod tests {
         let inst = scenario();
         let events = events_of(&inst);
         for cut in 0..=events.len() {
-            let mut s = Session::builder(BestFitFast::new()).build().unwrap();
+            let mut s = Session::builder(BestFit::new()).build().unwrap();
             s.ingest(&events[..cut]).unwrap();
             let snap = s.snapshot().unwrap();
             // The snapshot survives the serde data model.
@@ -1758,6 +1757,24 @@ mod tests {
             s.ingest(&events[cut..]).unwrap();
             assert_eq!(resumed.finish().unwrap(), s.finish().unwrap());
         }
+    }
+
+    #[test]
+    fn checkpoints_naming_a_retired_tree_variant_resume() {
+        let inst = scenario();
+        let events = events_of(&inst);
+        let cut = events.len() / 2;
+        let mut s = Session::builder(BestFit::new()).build().unwrap();
+        s.ingest(&events[..cut]).unwrap();
+        let mut snap = s.snapshot().unwrap();
+        snap.algorithm = "BestFitFast".into();
+        let mut resumed = Session::resume(&snap).unwrap();
+        assert_eq!(resumed.metrics(), s.metrics());
+        resumed.ingest(&events[cut..]).unwrap();
+        s.ingest(&events[cut..]).unwrap();
+        let out = resumed.finish().unwrap();
+        assert_eq!(out.algorithm(), "BestFit");
+        assert_eq!(out, s.finish().unwrap());
     }
 
     #[test]
@@ -1838,32 +1855,26 @@ mod tests {
     }
 
     #[test]
-    fn runner_matches_the_legacy_entry_points() {
+    fn runner_backends_and_prebuilt_schedules_agree() {
         let inst = scenario();
-        #[allow(deprecated)]
-        let legacy = crate::engine::run_packing(&inst, &mut FirstFit::new()).unwrap();
-        let auto = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
         let exact = Runner::new(&inst)
             .backend(Backend::Exact)
             .run(&mut FirstFit::new())
             .unwrap();
+        let auto = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
         let tick = Runner::new(&inst)
             .backend(Backend::Tick)
             .run(&mut FirstFit::new())
             .unwrap();
-        assert_eq!(auto, legacy);
-        assert_eq!(exact, legacy);
-        assert_eq!(tick, legacy);
-        // Prebuilt schedules and fast algorithms agree too, name
-        // included.
+        assert_eq!(auto, exact);
+        assert_eq!(tick, exact);
         let sched = event_schedule(&inst);
-        let fast = Runner::new(&inst)
+        let scheduled = Runner::new(&inst)
             .schedule(&sched)
-            .run(&mut FirstFitFast::new())
+            .backend(Backend::Exact)
+            .run(&mut FirstFit::new())
             .unwrap();
-        assert_eq!(fast.algorithm(), "FirstFitFast");
-        assert_eq!(fast.bins(), legacy.bins());
-        assert_eq!(fast.assignments(), legacy.assignments());
+        assert_eq!(scheduled, exact);
     }
 
     #[test]
@@ -1947,7 +1958,7 @@ mod tests {
             .build()
             .unwrap();
         exact.ingest(&events).unwrap();
-        let mut tick = Session::builder(FirstFitFast::new())
+        let mut tick = Session::builder(FirstFit::new())
             .grid(grid)
             .telemetry()
             .build()

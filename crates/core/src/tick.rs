@@ -23,8 +23,8 @@
 //! Worst-Fit maxima, tie-breaks on bin id) has the same answer in
 //! tick space as in rational space — so [`TickEngine`] produces
 //! **bit-identical** [`PackingOutcome`]s, which the `prop_tick`
-//! property suite asserts against both the linear-scan references and
-//! the `*Fast` tree algorithms.
+//! property suite asserts against the linear-scan references on the
+//! exact engine.
 //!
 //! The engine itself is data-oriented (see `DESIGN.md`, "Hot path
 //! anatomy"): live bin state lives in a slot-recycled
@@ -44,8 +44,9 @@
 //! quantity, or the tick horizon leaves the supported range (scales
 //! and horizon each capped at `u32::MAX`, which bounds every interim
 //! product below `u128`/`i128` limits), [`CompiledInstance::compile`]
-//! reports [`CompileError`] and [`run_packing_auto`] falls back to
-//! the exact Rational engine — same outcome, slower path.
+//! reports [`CompileError`] and [`crate::session::Runner`] falls back
+//! to the linear Any-Fit algorithm on the exact Rational engine —
+//! same outcome, slower path.
 
 use crate::algo::PackingAlgorithm;
 use crate::bin::BinId;
@@ -84,7 +85,8 @@ pub const SCAN_CROSSOVER: usize = 512;
 const VACANT: u32 = u32::MAX;
 
 /// Why an instance could not be rescaled to tick space. Every variant
-/// routes [`run_packing_auto`] to the Rational fallback.
+/// routes a [`crate::session::Backend::Auto`] run to the Rational
+/// fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompileError {
     /// The LCM of timestamp denominators exceeds [`u32::MAX`].
@@ -156,19 +158,10 @@ impl TickPolicy {
         }
     }
 
-    /// The tree-backed Rational algorithm used on the fallback path.
-    fn fast_algo(self) -> Box<dyn PackingAlgorithm> {
-        match self {
-            TickPolicy::FirstFit => Box::new(crate::algo::FirstFitFast::new()),
-            TickPolicy::BestFit => Box::new(crate::algo::BestFitFast::new()),
-            TickPolicy::WorstFit => Box::new(crate::algo::WorstFitFast::new()),
-        }
-    }
-
     /// The linear-scan Rational algorithm equivalent to this policy.
-    /// Unlike the `*Fast` variants these are stateless, so they make
-    /// correct decisions from *any* engine state — which is what the
-    /// tick-to-exact promotion of a streaming session needs.
+    /// It keeps no placement state, so it makes correct decisions
+    /// from *any* engine state — which is what the tick-to-exact
+    /// promotion of a streaming session needs.
     pub(crate) fn linear_algo(self) -> Box<dyn PackingAlgorithm> {
         match self {
             TickPolicy::FirstFit => Box::new(crate::algo::FirstFit::new()),
@@ -638,7 +631,7 @@ pub struct TickEngine {
     scan: ScanMode,
     /// Placement index; empty until `scan` switches to `Tree`. Built
     /// for `policy`, so only Best Fit maintains its ordered set.
-    tree: FitTree<u64>,
+    tree: FitTree,
     /// Bin id → store slot, indexed directly by id ([`VACANT`] once
     /// the bin closes); maintained only in tree mode (linear mode
     /// carries slots in its own arrays). Like the tree's leaves it
@@ -1418,45 +1411,6 @@ impl TickEngine {
     }
 }
 
-/// Runs `policy` over a prebuilt [`CompiledInstance`] (alias for
-/// [`CompiledInstance::run`], mirroring the legacy `run_packing`
-/// shims' shape; batch callers normally go through
-/// [`crate::session::Runner`]).
-pub fn run_packing_compiled(
-    compiled: &CompiledInstance,
-    policy: TickPolicy,
-) -> Result<PackingOutcome, PackingError> {
-    compiled.run(policy)
-}
-
-/// Compile-then-run with automatic fallback: replays on the integer
-/// [`TickEngine`] when the instance fits tick space, and otherwise on
-/// the exact Rational engine via the corresponding `*Fast` algorithm.
-/// Both paths return the same outcome bit for bit (algorithm name
-/// included), so callers never observe which engine ran.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dbp_core::session::Runner` with `Backend::Auto` and a policy algorithm"
-)]
-pub fn run_packing_auto(
-    instance: &Instance,
-    policy: TickPolicy,
-) -> Result<PackingOutcome, PackingError> {
-    match CompiledInstance::compile(instance) {
-        Ok(compiled) => compiled.run(policy),
-        Err(_) => {
-            let mut algo = policy.fast_algo();
-            let out = crate::engine::runner_exact(
-                instance,
-                None,
-                algo.as_mut(),
-                &mut crate::observe::NoopObserver,
-            )?;
-            Ok(out.with_algorithm(policy.name()))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1475,7 +1429,7 @@ mod tests {
     }
 
     /// A churny scenario: mid-run closures, exact fills, equal-time
-    /// departure/arrival boundaries (mirrors `fast_fit::scenario`).
+    /// departure/arrival boundaries.
     fn scenario() -> Instance {
         Instance::builder()
             .item(rat(7, 10), rat(0, 1), rat(10, 1))
@@ -1658,7 +1612,7 @@ mod tests {
         let a = compiled.run(TickPolicy::FirstFit).unwrap();
         let b = compiled.run(TickPolicy::FirstFit).unwrap();
         assert_eq!(a, b);
-        let bf = run_packing_compiled(&compiled, TickPolicy::BestFit).unwrap();
+        let bf = compiled.run(TickPolicy::BestFit).unwrap();
         assert_eq!(bf, exact(&inst, &mut BestFit::new()));
     }
 
@@ -1698,7 +1652,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // compat-shim coverage: the legacy auto entry point
     fn auto_falls_back_to_the_rational_engine_on_overflow() {
         let inst = Instance::builder()
             .item(rat(1, 2), rat(1, 99991), rat(2, 1))
@@ -1707,9 +1660,8 @@ mod tests {
             .build()
             .unwrap();
         assert!(CompiledInstance::compile(&inst).is_err());
-        let auto = run_packing_auto(&inst, TickPolicy::FirstFit).unwrap();
-        let exact = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
-        assert_eq!(auto, exact); // same outcome, name included
+        let auto = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
+        assert_eq!(auto, exact(&inst, &mut FirstFit::new())); // name included
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! satisfy regardless of algorithm: conservation (every item packed
 //! exactly once), capacity feasibility, exact usage accounting, and
 //! the defining greediness property of the Any-Fit family.
+//!
+//! The universal, Any-Fit, determinism and invariance properties run
+//! on both engines: `Backend::Exact` (the linear Any-Fit scans on the
+//! Rational engine, the reference) and the default `Backend::Auto`,
+//! which sends First/Best/Worst Fit to the tick engine whenever the
+//! instance compiles.
 
 use dbp_core::prelude::*;
 use dbp_core::PackingAlgorithm;
@@ -40,12 +46,30 @@ fn algorithms() -> Vec<Box<dyn PackingAlgorithm>> {
     ]
 }
 
-/// Replays `inst` with `algo` and checks the universal outcome
-/// invariants shared by all algorithms.
-fn check_universal(inst: &Instance, algo: &mut dyn PackingAlgorithm) -> PackingOutcome {
-    let out = Runner::new(inst).run(algo).unwrap_or_else(|e| {
-        panic!("{} failed on valid instance: {e}", algo.name());
-    });
+/// The engines every property runs on.
+const BACKENDS: [Backend; 2] = [Backend::Exact, Backend::Auto];
+
+/// Replays `inst` with `algo` on `backend`.
+fn run(inst: &Instance, backend: Backend, algo: &mut dyn PackingAlgorithm) -> PackingOutcome {
+    Runner::new(inst)
+        .backend(backend)
+        .run(algo)
+        .unwrap_or_else(|e| {
+            panic!(
+                "{} on {backend:?} failed on valid instance: {e}",
+                algo.name()
+            )
+        })
+}
+
+/// Replays `inst` with `algo` on `backend` and checks the universal
+/// outcome invariants shared by all algorithms.
+fn check_universal(
+    inst: &Instance,
+    backend: Backend,
+    algo: &mut dyn PackingAlgorithm,
+) -> PackingOutcome {
+    let out = run(inst, backend, algo);
 
     // (1) Conservation: every item assigned exactly once.
     assert_eq!(out.assignments().len(), inst.len(), "{}", algo.name());
@@ -142,8 +166,10 @@ proptest! {
 
     #[test]
     fn all_algorithms_satisfy_universal_invariants(inst in instance_strategy()) {
-        for mut algo in algorithms() {
-            check_universal(&inst, algo.as_mut());
+        for backend in BACKENDS {
+            for mut algo in algorithms() {
+                check_universal(&inst, backend, algo.as_mut());
+            }
         }
     }
 
@@ -153,41 +179,43 @@ proptest! {
         // only when no open bin fits. We verify by replaying the
         // outcome: when an item opened bin k, every bin open at that
         // moment must have lacked room.
-        for mut algo in [
-            Box::new(FirstFit::new()) as Box<dyn PackingAlgorithm>,
-            Box::new(BestFit::new()),
-            Box::new(WorstFit::new()),
-            Box::new(LastFit::new()),
-            Box::new(RandomFit::seeded(7)),
-        ] {
-            let out = Runner::new(&inst).run(algo.as_mut()).unwrap();
-            for bin in out.bins() {
-                let opener = bin.items[0];
-                let t = inst.item(opener).arrival();
-                let size = inst.item(opener).size;
-                // Bins open at time t that were opened before this one:
-                for other in out.bins() {
-                    if other.id >= bin.id || !other.usage.contains_point(t) {
-                        continue;
+        for backend in BACKENDS {
+            for mut algo in [
+                Box::new(FirstFit::new()) as Box<dyn PackingAlgorithm>,
+                Box::new(BestFit::new()),
+                Box::new(WorstFit::new()),
+                Box::new(LastFit::new()),
+                Box::new(RandomFit::seeded(7)),
+            ] {
+                let out = run(&inst, backend, algo.as_mut());
+                for bin in out.bins() {
+                    let opener = bin.items[0];
+                    let t = inst.item(opener).arrival();
+                    let size = inst.item(opener).size;
+                    // Bins open at time t that were opened before this one:
+                    for other in out.bins() {
+                        if other.id >= bin.id || !other.usage.contains_point(t) {
+                            continue;
+                        }
+                        // Level of `other` at t, *after* same-instant
+                        // departures, counting only items placed before
+                        // the opener (same-instant arrivals run in id
+                        // order):
+                        let level: Rational = other
+                            .items
+                            .iter()
+                            .map(|id| inst.item(*id))
+                            .filter(|r| {
+                                r.active_at(t) && (r.arrival() < t || r.id < opener)
+                            })
+                            .map(|r| r.size)
+                            .sum();
+                        prop_assert!(
+                            level + size > Rational::ONE,
+                            "{} on {:?}: item {} opened {} while {} had room (level {} + size {})",
+                            out.algorithm(), backend, opener, bin.id, other.id, level, size
+                        );
                     }
-                    // Level of `other` at t, *after* same-instant
-                    // departures, counting only items placed before
-                    // the opener (same-instant arrivals run in id
-                    // order):
-                    let level: Rational = other
-                        .items
-                        .iter()
-                        .map(|id| inst.item(*id))
-                        .filter(|r| {
-                            r.active_at(t) && (r.arrival() < t || r.id < opener)
-                        })
-                        .map(|r| r.size)
-                        .sum();
-                    prop_assert!(
-                        level + size > Rational::ONE,
-                        "{}: item {} opened {} while {} had room (level {} + size {})",
-                        out.algorithm(), opener, bin.id, other.id, level, size
-                    );
                 }
             }
         }
@@ -197,41 +225,50 @@ proptest! {
     fn first_fit_chooses_earliest_feasible(inst in instance_strategy()) {
         // Sharper FF-specific check: each item went to the
         // earliest-opened bin that had room at its arrival.
-        let out = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
-        for item in inst.items() {
-            let chosen = out.bin_of(item.id).unwrap();
-            let t = item.arrival();
-            for other in out.bins() {
-                if other.id >= chosen || !other.usage.contains_point(t) {
-                    continue;
+        for backend in BACKENDS {
+            let out = run(&inst, backend, &mut FirstFit::new());
+            for item in inst.items() {
+                let chosen = out.bin_of(item.id).unwrap();
+                let t = item.arrival();
+                for other in out.bins() {
+                    if other.id >= chosen || !other.usage.contains_point(t) {
+                        continue;
+                    }
+                    if other.usage.lo() == t && other.items[0] >= item.id {
+                        continue; // opened by a later same-instant item
+                    }
+                    let level: Rational = other
+                        .items
+                        .iter()
+                        .map(|id| inst.item(*id))
+                        .filter(|r| {
+                            r.active_at(t) && (r.arrival() < t || r.id < item.id)
+                        })
+                        .map(|r| r.size)
+                        .sum();
+                    prop_assert!(
+                        level + item.size > Rational::ONE,
+                        "FF on {:?} skipped feasible earlier bin {} for {}",
+                        backend, other.id, item.id
+                    );
                 }
-                if other.usage.lo() == t && other.items[0] >= item.id {
-                    continue; // opened by a later same-instant item
-                }
-                let level: Rational = other
-                    .items
-                    .iter()
-                    .map(|id| inst.item(*id))
-                    .filter(|r| {
-                        r.active_at(t) && (r.arrival() < t || r.id < item.id)
-                    })
-                    .map(|r| r.size)
-                    .sum();
-                prop_assert!(
-                    level + item.size > Rational::ONE,
-                    "FF skipped feasible earlier bin {} for {}",
-                    other.id, item.id
-                );
             }
         }
     }
 
+    /// Rerunning one algorithm value gives the same outcome on each
+    /// engine, and `Backend::Auto` reproduces the exact reference bit
+    /// for bit.
     #[test]
     fn runs_are_deterministic(inst in instance_strategy()) {
         for mut algo in algorithms() {
-            let a = Runner::new(&inst).run(algo.as_mut()).unwrap();
-            let b = Runner::new(&inst).run(algo.as_mut()).unwrap();
-            prop_assert_eq!(a, b);
+            let reference = run(&inst, Backend::Exact, algo.as_mut());
+            for backend in BACKENDS {
+                let a = run(&inst, backend, algo.as_mut());
+                let b = run(&inst, backend, algo.as_mut());
+                prop_assert_eq!(&a, &b);
+                prop_assert_eq!(&a, &reference, "{:?} diverged from the exact reference", backend);
+            }
         }
     }
 
@@ -245,18 +282,20 @@ proptest! {
         dt in -20i128..=20,
     ) {
         let c = rat(c_num, c_den);
-        let base = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
-
         let scaled = inst.scaled_time(c);
-        let scaled_out = Runner::new(&scaled).run(&mut FirstFit::new()).unwrap();
-        prop_assert_eq!(scaled_out.assignments(), base.assignments());
-        prop_assert_eq!(scaled_out.total_usage(), base.total_usage() * c);
-        prop_assert_eq!(scaled.mu(), inst.mu());
-
         let moved = inst.translated(rat(dt, 1));
-        let moved_out = Runner::new(&moved).run(&mut FirstFit::new()).unwrap();
-        prop_assert_eq!(moved_out.assignments(), base.assignments());
-        prop_assert_eq!(moved_out.total_usage(), base.total_usage());
+        prop_assert_eq!(scaled.mu(), inst.mu());
+        for backend in BACKENDS {
+            let base = run(&inst, backend, &mut FirstFit::new());
+
+            let scaled_out = run(&scaled, backend, &mut FirstFit::new());
+            prop_assert_eq!(scaled_out.assignments(), base.assignments());
+            prop_assert_eq!(scaled_out.total_usage(), base.total_usage() * c);
+
+            let moved_out = run(&moved, backend, &mut FirstFit::new());
+            prop_assert_eq!(moved_out.assignments(), base.assignments());
+            prop_assert_eq!(moved_out.total_usage(), base.total_usage());
+        }
     }
 
     /// Concatenated disjoint phases cost exactly the sum of the

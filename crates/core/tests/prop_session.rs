@@ -63,16 +63,13 @@ fn events_of(inst: &Instance) -> Vec<Event> {
         .collect()
 }
 
-/// Algorithms a session can stream through: the linear zoo plus the
-/// indexed fast variants (which are also the tick-capable ones).
+/// Algorithms a session can stream through: the tick-capable Any-Fit
+/// algorithms.
 fn algorithms() -> Vec<Box<dyn PackingAlgorithm>> {
     vec![
         Box::new(FirstFit::new()),
         Box::new(BestFit::new()),
         Box::new(WorstFit::new()),
-        Box::new(FirstFitFast::new()),
-        Box::new(BestFitFast::new()),
-        Box::new(WorstFitFast::new()),
     ]
 }
 
@@ -91,7 +88,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Streaming one event at a time is bit-identical to the batch
-    /// replay, for every algorithm, linear and indexed.
+    /// replay, for every algorithm.
     #[test]
     fn streaming_matches_batch_bit_for_bit(inst in instance_strategy()) {
         let events = events_of(&inst);
@@ -105,9 +102,6 @@ proptest! {
                 "FirstFit" => stream(&events, || Session::builder(FirstFit::new()).build()),
                 "BestFit" => stream(&events, || Session::builder(BestFit::new()).build()),
                 "WorstFit" => stream(&events, || Session::builder(WorstFit::new()).build()),
-                "FirstFitFast" => stream(&events, || Session::builder(FirstFitFast::new()).build()),
-                "BestFitFast" => stream(&events, || Session::builder(BestFitFast::new()).build()),
-                "WorstFitFast" => stream(&events, || Session::builder(WorstFitFast::new()).build()),
                 other => unreachable!("unexpected algorithm {other}"),
             };
             prop_assert_eq!(streamed, batch);
@@ -122,9 +116,9 @@ proptest! {
         let events = events_of(&inst);
         let batch = Runner::new(&inst)
             .backend(Backend::Exact)
-            .run(&mut FirstFitFast::new())
+            .run(&mut FirstFit::new())
             .unwrap();
-        let mut session = Session::builder(FirstFitFast::new())
+        let mut session = Session::builder(FirstFit::new())
             .grid(TickGrid::new(4, 8))
             .build()
             .unwrap();
@@ -292,7 +286,7 @@ fn resume_rejects_unknown_and_mismatched_algorithms() {
 
 #[test]
 fn strict_tick_sessions_reject_off_grid_events() {
-    let mut session = Session::builder(FirstFitFast::new())
+    let mut session = Session::builder(FirstFit::new())
         .backend(Backend::Tick)
         .grid(TickGrid::new(1, 4))
         .build()

@@ -6,13 +6,15 @@
 //! the *packing* may change. These properties replay random
 //! instances — dense with equal-time departure/arrival boundaries,
 //! exact fills, and mid-run bin closures — through the `TickEngine`
-//! and through both the linear-scan references and the tree-backed
-//! `*Fast` algorithms, and require **bit-identical** outcomes:
+//! and through the linear-scan references on the exact engine
+//! (`Backend::Exact`), and require **bit-identical** outcomes:
 //! assignments, per-bin usage intervals, exact level integrals and
-//! peaks, the `Σ_k |U_k|` objective, and peak concurrency. A separate
-//! property drives instances that cannot compile (oversized LCMs,
-//! out-of-range horizons) through `run_packing_auto` and asserts the
-//! Rational fallback is transparent. Another renames every item and
+//! peaks, the `Σ_k |U_k|` objective, and peak concurrency, algorithm
+//! name included. Two properties check `Runner`'s `Backend::Auto`
+//! against `Backend::Exact`: instances that compile take the tick
+//! path, and instances that cannot compile (oversized LCMs,
+//! out-of-range horizons) fall back to the Rational engine, both
+//! transparently. Another renames every item and
 //! requires tick-vs-tick outcomes equal up to the renaming, which
 //! pins the compiled arrival-rank numbering and its map back to
 //! instance ids.
@@ -176,14 +178,21 @@ fn replay_per_event(
     eng.finish(policy.name())
 }
 
+/// Constructors of the linear First/Best/Worst Fit references.
+fn policy_algorithms() -> [fn() -> Box<dyn PackingAlgorithm>; 3] {
+    [
+        || Box::new(FirstFit::new()),
+        || Box::new(BestFit::new()),
+        || Box::new(WorstFit::new()),
+    ]
+}
+
 /// Compiles and runs `policy`, then checks full outcome equality
-/// (name included) against the linear reference and field equality
-/// against the `*Fast` tree algorithm.
+/// (name included) against the linear reference on the exact engine.
 fn assert_tick_equivalent(
     inst: &Instance,
     policy: TickPolicy,
     linear: &mut dyn PackingAlgorithm,
-    fast: &mut dyn PackingAlgorithm,
 ) -> Result<(), TestCaseError> {
     let compiled = CompiledInstance::compile(inst).expect("strategy instances compile");
     let tick: PackingOutcome = compiled.run(policy).expect("tick run succeeds");
@@ -197,14 +206,6 @@ fn assert_tick_equivalent(
         "tick {} diverged from reference",
         policy.name()
     );
-    let tree: PackingOutcome = Runner::new(inst)
-        .backend(Backend::Exact)
-        .run(fast)
-        .expect("fast run succeeds");
-    prop_assert_eq!(tick.assignments(), tree.assignments());
-    prop_assert_eq!(tick.bins(), tree.bins());
-    prop_assert_eq!(tick.total_usage(), tree.total_usage());
-    prop_assert_eq!(tick.max_open_bins(), tree.max_open_bins());
     Ok(())
 }
 
@@ -213,66 +214,45 @@ proptest! {
 
     #[test]
     fn tick_first_fit_is_bit_identical(inst in instance_strategy()) {
-        assert_tick_equivalent(
-            &inst,
-            TickPolicy::FirstFit,
-            &mut FirstFit::new(),
-            &mut FirstFitFast::new(),
-        )?;
+        assert_tick_equivalent(&inst, TickPolicy::FirstFit, &mut FirstFit::new())?;
     }
 
     #[test]
     fn tick_best_fit_is_bit_identical(inst in instance_strategy()) {
-        assert_tick_equivalent(
-            &inst,
-            TickPolicy::BestFit,
-            &mut BestFit::new(),
-            &mut BestFitFast::new(),
-        )?;
+        assert_tick_equivalent(&inst, TickPolicy::BestFit, &mut BestFit::new())?;
     }
 
     #[test]
     fn tick_worst_fit_is_bit_identical(inst in instance_strategy()) {
-        assert_tick_equivalent(
-            &inst,
-            TickPolicy::WorstFit,
-            &mut WorstFit::new(),
-            &mut WorstFitFast::new(),
-        )?;
+        assert_tick_equivalent(&inst, TickPolicy::WorstFit, &mut WorstFit::new())?;
     }
 
     /// Equal-timestamp bursts: the integer engine must reproduce the
     /// heap's departure-before-arrival, item-order tie-breaking.
     #[test]
     fn tick_handles_equal_time_bursts(inst in burst_strategy()) {
-        assert_tick_equivalent(
-            &inst,
-            TickPolicy::FirstFit,
-            &mut FirstFit::new(),
-            &mut FirstFitFast::new(),
-        )?;
-        assert_tick_equivalent(
-            &inst,
-            TickPolicy::BestFit,
-            &mut BestFit::new(),
-            &mut BestFitFast::new(),
-        )?;
+        assert_tick_equivalent(&inst, TickPolicy::FirstFit, &mut FirstFit::new())?;
+        assert_tick_equivalent(&inst, TickPolicy::BestFit, &mut BestFit::new())?;
     }
 
-    /// Instances that refuse to compile run through the Rational
-    /// fallback — transparently, algorithm name included.
+    /// Instances that refuse to compile run under `Backend::Auto`
+    /// through the Rational fallback — transparently, algorithm name
+    /// included — while `Backend::Tick` reports the compile error.
     #[test]
     fn auto_fallback_is_transparent(inst in overflow_strategy()) {
         prop_assert!(CompiledInstance::compile(&inst).is_err());
-        for (policy, mut linear) in [
-            (TickPolicy::FirstFit, Box::new(FirstFit::new()) as Box<dyn PackingAlgorithm>),
-            (TickPolicy::BestFit, Box::new(BestFit::new())),
-            (TickPolicy::WorstFit, Box::new(WorstFit::new())),
-        ] {
-            #[allow(deprecated)] // compat-shim coverage: the legacy auto entry point
-            let auto = run_packing_auto(&inst, policy).expect("fallback run succeeds");
-            let exact = Runner::new(&inst).run(linear.as_mut()).expect("reference run succeeds");
-            prop_assert_eq!(auto, exact, "fallback {} diverged", policy.name());
+        for linear in policy_algorithms() {
+            let auto = Runner::new(&inst).run(linear().as_mut()).expect("fallback run succeeds");
+            let exact = Runner::new(&inst)
+                .backend(Backend::Exact)
+                .run(linear().as_mut())
+                .expect("reference run succeeds");
+            prop_assert_eq!(&auto, &exact, "fallback {} diverged", exact.algorithm());
+            let strict = Runner::new(&inst).backend(Backend::Tick).run(linear().as_mut());
+            prop_assert!(
+                matches!(strict, Err(SessionError::Compile(_))),
+                "{}: strict tick run did not refuse", exact.algorithm()
+            );
         }
     }
 
@@ -422,18 +402,25 @@ proptest! {
         prop_assert!(expected_kind, "unexpected error kind: {:?}", lin_err);
     }
 
-    /// `run_packing_auto` on compilable instances takes the tick path
-    /// and still equals the reference exactly.
+    /// `Backend::Auto` on compilable instances takes the tick path
+    /// (the same outcome as a strict `Backend::Tick` run) and still
+    /// equals the exact reference, algorithm name included.
     #[test]
     fn auto_takes_the_tick_path_when_possible(inst in instance_strategy()) {
         prop_assert!(CompiledInstance::compile(&inst).is_ok());
-        #[allow(deprecated)] // compat-shim coverage: the legacy auto entry point
-        let auto = run_packing_auto(&inst, TickPolicy::FirstFit).unwrap();
-        let exact = Runner::new(&inst)
-            .backend(Backend::Exact)
-            .run(&mut FirstFit::new())
-            .unwrap();
-        prop_assert_eq!(auto, exact);
+        for linear in policy_algorithms() {
+            let auto = Runner::new(&inst).run(linear().as_mut()).unwrap();
+            let tick = Runner::new(&inst)
+                .backend(Backend::Tick)
+                .run(linear().as_mut())
+                .unwrap();
+            let exact = Runner::new(&inst)
+                .backend(Backend::Exact)
+                .run(linear().as_mut())
+                .unwrap();
+            prop_assert_eq!(&auto, &tick);
+            prop_assert_eq!(&auto, &exact);
+        }
     }
 }
 

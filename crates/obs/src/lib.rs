@@ -44,7 +44,10 @@
 //!     .unwrap();
 //!
 //! let mut recorder = TraceRecorder::new();
-//! let outcome = run_packing_observed(&jobs, &mut FirstFit::new(), &mut recorder).unwrap();
+//! let outcome = Runner::new(&jobs)
+//!     .observer(&mut recorder)
+//!     .run(&mut FirstFit::new())
+//!     .unwrap();
 //!
 //! // The trace replays to the exact same aggregates…
 //! let summary = dbp_obs::verify(recorder.events(), &outcome).unwrap();

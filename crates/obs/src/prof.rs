@@ -407,7 +407,7 @@ impl PhaseProbe for Profiler {
 mod tests {
     use super::*;
     use dbp_core::session::{Backend, Runner, Session};
-    use dbp_core::{FirstFit, FirstFitFast, Instance, TickGrid};
+    use dbp_core::{FirstFit, Instance, TickGrid};
     use dbp_numeric::rat;
 
     fn scenario() -> Instance {
@@ -470,7 +470,7 @@ mod tests {
         Runner::new(&inst)
             .backend(Backend::Tick)
             .probe(&mut tick)
-            .run(&mut FirstFitFast::new())
+            .run(&mut FirstFit::new())
             .unwrap();
         // The compiled engine reports scan work per arrival too
         // (linear below the crossover), and charges gcd deltas per
@@ -505,17 +505,17 @@ mod tests {
     #[test]
     fn profiled_session_outcome_is_bit_identical() {
         let inst = scenario();
-        let plain = Runner::new(&inst).run(&mut FirstFitFast::new()).unwrap();
+        let plain = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
         let mut prof = Profiler::new();
         let profiled = Runner::new(&inst)
             .probe(&mut prof)
-            .run(&mut FirstFitFast::new())
+            .run(&mut FirstFit::new())
             .unwrap();
         assert_eq!(profiled, plain);
         // Streaming sessions accept the probe on the tick path too.
         let grid = TickGrid::for_instance(&inst).unwrap();
         let mut prof2 = Profiler::new();
-        let mut s = Session::builder(FirstFitFast::new())
+        let mut s = Session::builder(FirstFit::new())
             .grid(grid)
             .probe(&mut prof2)
             .build()

@@ -261,7 +261,10 @@ fn scan_stats_into(
 ///     .build()
 ///     .unwrap();
 /// let mut rec = TraceRecorder::new();
-/// let outcome = run_packing_observed(&jobs, &mut FirstFit::new(), &mut rec).unwrap();
+/// let outcome = Runner::new(&jobs)
+///     .observer(&mut rec)
+///     .run(&mut FirstFit::new())
+///     .unwrap();
 /// assert_eq!(dbp_obs::verify(rec.events(), &outcome).is_ok(), true);
 /// ```
 #[derive(Debug, Clone, Default)]

@@ -69,7 +69,6 @@ proptest! {
     fn profiled_first_fit_is_bit_identical(inst in instance_strategy()) {
         for backend in [Backend::Auto, Backend::Exact, Backend::Tick] {
             assert_profile_invisible(&inst, backend, &|| Box::new(FirstFit::new()))?;
-            assert_profile_invisible(&inst, backend, &|| Box::new(FirstFitFast::new()))?;
         }
     }
 
@@ -77,7 +76,6 @@ proptest! {
     fn profiled_best_fit_is_bit_identical(inst in instance_strategy()) {
         for backend in [Backend::Auto, Backend::Exact, Backend::Tick] {
             assert_profile_invisible(&inst, backend, &|| Box::new(BestFit::new()))?;
-            assert_profile_invisible(&inst, backend, &|| Box::new(BestFitFast::new()))?;
         }
     }
 
@@ -85,7 +83,6 @@ proptest! {
     fn profiled_worst_fit_is_bit_identical(inst in instance_strategy()) {
         for backend in [Backend::Auto, Backend::Exact, Backend::Tick] {
             assert_profile_invisible(&inst, backend, &|| Box::new(WorstFit::new()))?;
-            assert_profile_invisible(&inst, backend, &|| Box::new(WorstFitFast::new()))?;
         }
     }
 
@@ -96,11 +93,11 @@ proptest! {
         inst in instance_strategy(),
         every in 1u64..=7,
     ) {
-        let bare = Runner::new(&inst).run(&mut FirstFitFast::new()).unwrap();
+        let bare = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
         let mut prof = Profiler::new().with_sampling(every);
         let profiled = Runner::new(&inst)
             .probe(&mut prof)
-            .run(&mut FirstFitFast::new())
+            .run(&mut FirstFit::new())
             .unwrap();
         prop_assert_eq!(bare, profiled);
         prop_assert_eq!(prof.events(), 2 * inst.len() as u64);
@@ -125,11 +122,11 @@ fn profiled_staircase_crosses_the_scan_threshold() {
         b = b.item(size, rat(i, 1), rat(i + window, 1));
     }
     let inst = b.build().unwrap();
-    let bare = Runner::new(&inst).run(&mut FirstFitFast::new()).unwrap();
+    let bare = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
     let mut prof = Profiler::new();
     let profiled = Runner::new(&inst)
         .probe(&mut prof)
-        .run(&mut FirstFitFast::new())
+        .run(&mut FirstFit::new())
         .unwrap();
     assert_eq!(bare, profiled);
     assert!(

@@ -24,6 +24,11 @@ use std::time::Instant;
 /// its canonical name, restricted to algorithms that
 /// [`by_name`] can reconstruct — the server only serves
 /// journal-recoverable algorithms, by design.
+///
+/// The retired tree-indexed spellings (`firstfit-fast`/`fff`/
+/// `FirstFitFast` and their Best/Worst Fit twins) map to the
+/// algorithm they always matched, so old hello frames and journal
+/// headers still load.
 pub fn canonical_algo(name: &str) -> Option<&'static str> {
     Some(match name {
         "firstfit" | "ff" | "FirstFit" => "FirstFit",
@@ -31,9 +36,9 @@ pub fn canonical_algo(name: &str) -> Option<&'static str> {
         "worstfit" | "wf" | "WorstFit" => "WorstFit",
         "lastfit" | "lf" | "LastFit" => "LastFit",
         "nextfit" | "nf" | "NextFit" => "NextFit",
-        "firstfit-fast" | "fff" | "FirstFitFast" => "FirstFitFast",
-        "bestfit-fast" | "bff" | "BestFitFast" => "BestFitFast",
-        "worstfit-fast" | "wff" | "WorstFitFast" => "WorstFitFast",
+        "firstfit-fast" | "fff" | "FirstFitFast" => "FirstFit",
+        "bestfit-fast" | "bff" | "BestFitFast" => "BestFit",
+        "worstfit-fast" | "wff" | "WorstFitFast" => "WorstFit",
         _ => return None,
     })
 }

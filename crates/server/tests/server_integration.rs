@@ -243,6 +243,57 @@ fn torn_journal_tail_resumes_the_acknowledged_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Tenants of the retired tree-indexed variants still load: a journal
+/// whose header names `FirstFitFast` recovers as First Fit, and a
+/// `firstfit-fast` hello starts a First Fit tenant.
+#[test]
+fn retired_fast_algorithm_names_still_load() {
+    let dir = test_dir("legacy-names");
+    let events = wave_stream(6, 4);
+    let (head, tail) = events.split_at(events.len() / 2);
+    let mut journal = dbp_server::journal::Journal::create(
+        &dir,
+        &dbp_server::journal::JournalHeader {
+            tenant: "acme".into(),
+            algo: "FirstFitFast".into(),
+            backend: dbp_proto::Backend::Auto,
+            grid: Some(TickGrid::new(1, 32)),
+            shards: 1,
+            telemetry: false,
+        },
+    )
+    .unwrap();
+    journal.append(head).unwrap();
+    drop(journal);
+
+    let server = DbpServer::start(ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::builder("firstfit")
+        .tenant("acme")
+        .grid(TickGrid::new(1, 32))
+        .connect(server.local_addr())
+        .unwrap();
+    assert_eq!(client.resumed_events(), head.len() as u64);
+    client.ingest(tail).unwrap();
+    let expected = session_outcome("firstfit", &events);
+    assert_eq!(expected.algorithm(), "FirstFit");
+    assert_eq!(client.finish().unwrap(), vec![expected.clone()]);
+
+    let mut fresh = Client::builder("firstfit-fast")
+        .tenant("fresh")
+        .grid(TickGrid::new(1, 32))
+        .without_journal()
+        .connect(server.local_addr())
+        .unwrap();
+    fresh.ingest(&events).unwrap();
+    assert_eq!(fresh.finish().unwrap(), vec![expected]);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn quota_refusals_are_typed_and_leave_state_untouched() {
     let server = DbpServer::start(ServerConfig {

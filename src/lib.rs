@@ -39,7 +39,7 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let outcome = run_packing(&jobs, &mut FirstFit::new()).unwrap();
+//! let outcome = Runner::new(&jobs).run(&mut FirstFit::new()).unwrap();
 //! let report = mindbp::analysis::measure_ratio(&jobs, &outcome);
 //!
 //! assert!(report.exact_ratio().unwrap() <= report.theorem1_bound().unwrap());

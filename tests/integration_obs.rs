@@ -91,7 +91,7 @@ fn cli_trace_replays_bit_identically() {
 #[test]
 fn live_session_telemetry_pipeline_is_bounded_and_lossless() {
     use mindbp::core::session::{Event, Session};
-    use mindbp::core::{event_schedule, FirstFitFast};
+    use mindbp::core::{event_schedule, FirstFit};
     use mindbp::numeric::rat;
     use mindbp::obs::{
         parse_jsonl, set_ratio_gauge, telemetry_registry, verify, TelemetrySink, Watchdog,
@@ -122,7 +122,7 @@ fn live_session_telemetry_pipeline_is_bounded_and_lossless() {
     let mut sink = TelemetrySink::new()
         .ring(16)
         .spill(std::fs::File::create(&spill_path).unwrap());
-    let mut session = Session::builder(FirstFitFast::new())
+    let mut session = Session::builder(FirstFit::new())
         .telemetry()
         .observer(&mut sink)
         .build()
