@@ -1576,6 +1576,78 @@ mod tests {
         assert_eq!(tick.finish().unwrap(), exact.finish().unwrap());
     }
 
+    /// Promotion rebuilds each open bin's contents from its item log,
+    /// where an id that departed and arrived again occurs twice and
+    /// only the later occurrence is active. Id 0 re-arrives into its
+    /// own bin (bin 0's log reads `[0, 1, 0, 2]` when the session
+    /// promotes), id 3 into a new bin; the promoted session must
+    /// finish bit for bit as an exact one.
+    #[test]
+    fn promotion_with_re_arrived_ids_matches_the_exact_engine() {
+        let arrive = |id, size, time| StreamEvent::Arrive {
+            id: ItemId(id),
+            size,
+            time,
+        };
+        let depart = |id, time| StreamEvent::Depart {
+            id: ItemId(id),
+            time,
+        };
+        let mut tick = Session::builder(FirstFit::new())
+            .grid(TickGrid::new(1, 4))
+            .build()
+            .unwrap();
+        let mut exact = Session::builder(FirstFit::new())
+            .backend(Backend::Exact)
+            .build()
+            .unwrap();
+        let feed = [
+            arrive(0, rat(1, 2), rat(0, 1)), // bin 0
+            arrive(1, rat(1, 4), rat(0, 1)), // bin 0
+            arrive(3, rat(3, 4), rat(0, 1)), // bin 1
+            depart(0, rat(1, 1)),
+            depart(3, rat(1, 1)),            // bin 1 closes
+            arrive(0, rat(1, 4), rat(1, 1)), // bin 0 again
+            arrive(2, rat(1, 4), rat(1, 1)), // bin 0
+            arrive(3, rat(1, 2), rat(1, 1)), // bin 2
+            // Off-grid size and time: promotes the session.
+            arrive(4, rat(2, 3), rat(5, 2)), // bin 3
+        ];
+        tick.ingest(&feed).unwrap();
+        exact.ingest(&feed).unwrap();
+        assert!(!tick.tick_active());
+        assert_eq!(tick.metrics(), exact.metrics());
+        // What algorithms see: each open bin's active items, in
+        // arrival order — bin 0 holds the later 0, after 1.
+        let open_bins = |s: &Session| match &s.core {
+            Core::Exact(engine) => engine.snapshot().open_bins().to_vec(),
+            _ => unreachable!("both sessions run on the exact engine"),
+        };
+        let promoted = open_bins(&tick);
+        assert_eq!(promoted, open_bins(&exact));
+        let bin0: Vec<u32> = promoted[0].contents.iter().map(|c| c.0 .0).collect();
+        assert_eq!(bin0, vec![1, 0, 2]);
+        let drain = [
+            depart(0, rat(3, 1)),
+            depart(3, rat(3, 1)),
+            arrive(0, rat(1, 2), rat(3, 1)), // bin 0 a third time
+            depart(1, rat(4, 1)),
+            depart(2, rat(4, 1)),
+            depart(4, rat(4, 1)),
+            depart(0, rat(5, 1)),
+        ];
+        tick.ingest(&drain).unwrap();
+        exact.ingest(&drain).unwrap();
+        let out = tick.finish().unwrap();
+        assert_eq!(out, exact.finish().unwrap());
+        let logs: Vec<Vec<u32>> = out
+            .bins()
+            .iter()
+            .map(|b| b.items.iter().map(|i| i.0).collect())
+            .collect();
+        assert_eq!(logs, vec![vec![0, 1, 0, 2, 0], vec![3], vec![3], vec![4]]);
+    }
+
     #[test]
     fn strict_tick_rejects_off_grid_events() {
         let grid = TickGrid::new(1, 2);

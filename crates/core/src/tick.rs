@@ -40,6 +40,14 @@
 //! in; ranks map back to instance ids once, in
 //! [`TickEngine::finish`].
 //!
+//! History stays off the hot path: the engine records each placement
+//! once, as an arrival-ordered `(item, bin)` assignment, and each bin's
+//! usage period, integral and peak in a table indexed by bin id. No
+//! bin keeps an item log; `finish` rebuilds every log from the
+//! assignments in one counting pass by bin and walks the bin table in
+//! id order. Only a session whose item ids are sparse pays a
+//! comparison sort, for its assignments.
+//!
 //! Compilation is checked end to end: if either LCM, any scaled
 //! quantity, or the tick horizon leaves the supported range (scales
 //! and horizon each capped at `u32::MAX`, which bounds every interim
@@ -421,7 +429,9 @@ impl CompiledInstance {
 /// per closed bin the way the old `Vec<Option<TickLive>>` did. Bin
 /// *ids* (opening ranks; monotone, never reused) are data here, not
 /// indices: `ids[slot]` names the bin currently occupying a slot,
-/// [`VACANT`] marks a free one.
+/// [`VACANT`] marks a free one. Only state the hot path updates lives
+/// here; a bin's opening tick is in its [`TickRecord`], and its item
+/// log is not kept at all (see [`TickEngine::finish`]).
 #[derive(Debug, Clone, Default)]
 struct BinStore {
     /// Bin id occupying each slot ([`VACANT`] when free).
@@ -430,17 +440,12 @@ struct BinStore {
     levels: Vec<u64>,
     /// Active item count.
     counts: Vec<u32>,
-    /// Opening tick.
-    opened: Vec<u64>,
     /// Tick of the last level change (integral bookkeeping).
     last_change: Vec<u64>,
     /// `Σ level·Δticks` accrued so far.
     integrals: Vec<u128>,
     /// Peak level in units.
     peaks: Vec<u64>,
-    /// Item log, arrivals in placement order (moved into the bin's
-    /// [`TickRecord`] on close).
-    items: Vec<Vec<ItemId>>,
     /// Recycled slots of closed bins.
     free: Vec<u32>,
 }
@@ -448,36 +453,30 @@ struct BinStore {
 impl BinStore {
     /// Opens a bin with one item: recycles a free slot or grows every
     /// array by one. Returns the slot.
-    fn alloc(&mut self, id: u32, size: u64, tick: u64, item: ItemId) -> u32 {
+    fn alloc(&mut self, id: u32, size: u64, tick: u64) -> u32 {
         if let Some(slot) = self.free.pop() {
             let s = slot as usize;
             debug_assert_eq!(self.ids[s], VACANT, "free list holds only vacant slots");
             self.ids[s] = id;
             self.levels[s] = size;
             self.counts[s] = 1;
-            self.opened[s] = tick;
             self.last_change[s] = tick;
             self.integrals[s] = 0;
             self.peaks[s] = size;
-            debug_assert!(self.items[s].is_empty(), "released slot keeps no items");
-            self.items[s].push(item);
             slot
         } else {
             let slot = self.ids.len() as u32;
             self.ids.push(id);
             self.levels.push(size);
             self.counts.push(1);
-            self.opened.push(tick);
             self.last_change.push(tick);
             self.integrals.push(0);
             self.peaks.push(size);
-            self.items.push(vec![item]);
             slot
         }
     }
 
-    /// Returns a closed bin's slot to the free list. The item log
-    /// must already have been moved out.
+    /// Returns a closed bin's slot to the free list.
     fn release(&mut self, slot: u32) {
         self.ids[slot as usize] = VACANT;
         self.free.push(slot);
@@ -502,14 +501,21 @@ impl BinStore {
     }
 }
 
-/// A closed bin's integer history, converted in `finish`.
-#[derive(Debug, Clone)]
+/// One bin's integer history, at index `id` of the engine's record
+/// table: pushed when the bin opens, completed when it closes,
+/// converted in `finish`. The bin's id is its index, and its item log
+/// is rebuilt from the assignments. While the bin is open, only
+/// `opened` is current; its live integral and peak are in the
+/// [`BinStore`].
+#[derive(Debug, Clone, Copy)]
 struct TickRecord {
-    id: BinId,
+    /// Opening tick.
     opened: u64,
+    /// Closing tick.
     closed: u64,
-    items: Vec<ItemId>,
+    /// `Σ level·Δticks` over the usage period.
     integral: u128,
+    /// Peak level in units.
     peak: u64,
 }
 
@@ -617,12 +623,14 @@ pub struct TickEngine {
     time_scale: i128,
     size_scale: i128,
     store: BinStore,
-    /// Bins ever opened; the next bin id to mint.
-    next_bin: u32,
     open_count: usize,
-    closed: Vec<TickRecord>,
+    /// Every bin ever opened, by id: bin ids are opening ranks, so
+    /// the next id to mint is `records.len()`.
+    records: Vec<TickRecord>,
     active: ActiveSet,
     active_count: usize,
+    /// Every placement in arrival order, by engine id — the whole
+    /// placement history (each bin's item log is rebuilt from it).
     assignments: Vec<(ItemId, BinId)>,
     /// Engine id → instance id for compiled replays (the instance's
     /// [`CompiledInstance::item_ids`]); empty for streaming engines,
@@ -699,9 +707,8 @@ impl TickEngine {
             time_scale,
             size_scale,
             store: BinStore::default(),
-            next_bin: 0,
             open_count: 0,
-            closed: Vec::new(),
+            records: Vec::new(),
             // Streams mint their own ids, but almost always from a
             // small space: start flat and demote to hashed only if an
             // id past DENSE_ID_LIMIT ever shows up.
@@ -797,7 +804,7 @@ impl TickEngine {
 
     /// Number of bins ever opened.
     pub fn bins_opened(&self) -> usize {
-        self.next_bin as usize
+        self.records.len()
     }
 
     /// Peak number of simultaneously open bins so far.
@@ -927,7 +934,7 @@ impl TickEngine {
         };
         self.tree.clear();
         self.tree_slots.clear();
-        self.tree_slots.resize(self.next_bin as usize, VACANT);
+        self.tree_slots.resize(self.records.len(), VACANT);
         for ((&id, &slot), &gap) in lin.ids.iter().zip(&lin.slots).zip(&lin.gaps) {
             self.tree.open(BinId(id), gap + 1);
             self.tree_slots[id as usize] = slot;
@@ -1052,7 +1059,6 @@ impl TickEngine {
                 let level = self.store.levels[s] + size;
                 self.store.levels[s] = level;
                 self.store.counts[s] += 1;
-                self.store.items[s].push(item);
                 if level > self.store.peaks[s] {
                     self.store.peaks[s] = level;
                 }
@@ -1066,10 +1072,16 @@ impl TickEngine {
                 (BinId(id), slot)
             }
             None => {
-                let id = self.next_bin;
-                self.next_bin += 1;
+                let id = self.records.len() as u32;
                 probe.enter(Phase::PlacementCommit);
-                let slot = self.store.alloc(id, size, tick, item);
+                // Closing fields are filled in when the bin closes.
+                self.records.push(TickRecord {
+                    opened: tick,
+                    closed: tick,
+                    integral: 0,
+                    peak: size,
+                });
+                let slot = self.store.alloc(id, size, tick);
                 self.open_count += 1;
                 self.open_opened_sum += tick as u128;
                 probe.exit(Phase::PlacementCommit);
@@ -1176,18 +1188,14 @@ impl TickEngine {
         let closed_now = self.store.counts[s] == 0;
         if closed_now {
             debug_assert_eq!(self.store.levels[s], 0, "empty bin must have zero level");
-            let opened = self.store.opened[s];
+            let rec = &mut self.records[entry.bin as usize];
+            rec.closed = tick;
+            rec.integral = self.store.integrals[s];
+            rec.peak = self.store.peaks[s];
+            let opened = rec.opened;
             self.open_count -= 1;
             self.open_opened_sum -= opened as u128;
             self.closed_ticks += (tick - opened) as u128;
-            self.closed.push(TickRecord {
-                id: BinId(entry.bin),
-                opened,
-                closed: tick,
-                items: std::mem::take(&mut self.store.items[s]),
-                integral: self.store.integrals[s],
-                peak: self.store.peaks[s],
-            });
             self.store.release(entry.slot);
         }
         probe.exit(Phase::DepartureDrain);
@@ -1229,36 +1237,50 @@ impl TickEngine {
     /// state the integer replay reached. Every conversion below is
     /// the inverse of the compile-time rescaling, so the promoted
     /// engine's books are bit-identical to what an exact engine fed
-    /// the same prefix would hold.
+    /// the same prefix would hold. Bin item logs are rebuilt from the
+    /// assignments as in [`finish`](Self::finish), and each open
+    /// bin's contents are the active occurrences in its log.
     pub(crate) fn into_exact(self) -> crate::engine::PackingEngine {
         use crate::bin::OpenBin;
         use crate::engine::LiveBin;
         debug_assert!(self.ids.is_empty(), "only streaming engines promote");
         let denom = self.time_scale * self.size_scale;
         let act = self.active_sorted();
+        let logs = item_logs(&self.assignments, self.records.len());
+        // Bin id → store slot of the open bins, so the walk below
+        // visits bins in id (opening) order, as the exact engine's
+        // books list them.
+        let mut slot_of = vec![VACANT; self.records.len()];
+        for (slot, &id) in self.store.ids.iter().enumerate() {
+            if id != VACANT {
+                slot_of[id as usize] = slot as u32;
+            }
+        }
         // One consumed-flag per active entry: an id may recur in a
         // bin's item log (depart, then re-arrive), but at most one
         // occurrence is active — the *latest* one, which is the
         // occurrence the exact engine would hold in `contents`.
         let mut consumed = vec![false; act.len()];
-        // Occupied slots in bin-id (opening) order, as the exact
-        // engine's books list them.
-        let mut occupied: Vec<(u32, usize)> = self
-            .store
-            .ids
-            .iter()
-            .enumerate()
-            .filter(|&(_, &id)| id != VACANT)
-            .map(|(slot, &id)| (id, slot))
-            .collect();
-        occupied.sort_unstable();
         let mut open = Vec::with_capacity(self.open_count);
         let mut live = Vec::with_capacity(self.open_count);
-        for &(id, s) in &occupied {
-            let bin_id = BinId(id);
+        let mut closed = Vec::with_capacity(self.records.len() - self.open_count);
+        let bins = self.records.iter().zip(&slot_of).zip(logs);
+        for (id, ((rec, &slot), items)) in bins.enumerate() {
+            let bin_id = BinId(id as u32);
+            if slot == VACANT {
+                closed.push(BinRecord {
+                    id: bin_id,
+                    usage: Interval::new(self.time_of(rec.opened), self.time_of(rec.closed)),
+                    items,
+                    level_integral: Rational::new(rec.integral as i128, denom),
+                    peak_level: self.size_of(rec.peak),
+                });
+                continue;
+            }
+            let s = slot as usize;
             let count = self.store.counts[s] as usize;
             let mut picked: Vec<(ItemId, u64)> = Vec::with_capacity(count);
-            for &item in self.store.items[s].iter().rev() {
+            for &item in items.iter().rev() {
                 if picked.len() == count {
                     break;
                 }
@@ -1273,7 +1295,7 @@ impl TickEngine {
             picked.reverse();
             open.push(OpenBin {
                 id: bin_id,
-                opened_at: self.time_of(self.store.opened[s]),
+                opened_at: self.time_of(rec.opened),
                 level: self.size_of(self.store.levels[s]),
                 contents: picked
                     .iter()
@@ -1281,24 +1303,13 @@ impl TickEngine {
                     .collect(),
             });
             live.push(LiveBin {
-                opened_at: self.time_of(self.store.opened[s]),
-                items: self.store.items[s].clone(),
+                opened_at: self.time_of(rec.opened),
+                items,
                 level_integral: Rational::new(self.store.integrals[s] as i128, denom),
                 peak_level: self.size_of(self.store.peaks[s]),
                 last_change: self.time_of(self.store.last_change[s]),
             });
         }
-        let closed = self
-            .closed
-            .iter()
-            .map(|rec| BinRecord {
-                id: rec.id,
-                usage: Interval::new(self.time_of(rec.opened), self.time_of(rec.closed)),
-                items: rec.items.clone(),
-                level_integral: Rational::new(rec.integral as i128, denom),
-                peak_level: self.size_of(rec.peak),
-            })
-            .collect();
         let active = act
             .iter()
             .map(|&(item, bin, units)| (item, bin, self.size_of(units)))
@@ -1310,7 +1321,7 @@ impl TickEngine {
             closed,
             active,
             self.assignments,
-            self.next_bin,
+            self.records.len() as u32,
             now,
             self.max_open,
         )
@@ -1319,22 +1330,27 @@ impl TickEngine {
     /// Finalizes the run, converting every integer book back to the
     /// exact `Rational` form of [`PackingOutcome`]. Fails if items
     /// are still active.
+    ///
+    /// Runs no comparison sort unless a session's ids are sparse: the
+    /// bin records are already in id order, each bin's item log is
+    /// rebuilt from the arrival-ordered assignments in one counting
+    /// pass by bin, and the assignments reach id order by a counting
+    /// sort (see `sort_by_item`).
     pub fn finish(mut self, algorithm: &str) -> Result<PackingOutcome, PackingError> {
         if self.active_count > 0 {
             return Err(PackingError::ItemsStillActive(self.active_count));
         }
         debug_assert_eq!(self.open_count, 0);
-        let mut closed = std::mem::take(&mut self.closed);
-        // Bin ids are unique, so the unstable sort is the stable order.
-        closed.sort_unstable_by_key(|b| b.id);
+        // Ranks → instance ids once, before the logs and the sort
+        // read the assignments.
+        let mut assignments = std::mem::take(&mut self.assignments);
         if !self.ids.is_empty() {
-            for rec in &mut closed {
-                for item in &mut rec.items {
-                    *item = self.instance_id(*item);
-                }
+            for entry in &mut assignments {
+                entry.0 = self.instance_id(entry.0);
             }
         }
-        let assignments = self.instance_assignments();
+        let logs = item_logs(&assignments, self.records.len());
+        let assignments = sort_by_item(assignments);
         // Both scales ≤ 2³², so the product fits i128. Every
         // `integral/denom` shares whatever factor the whole batch
         // shares with the grid denominator (usually most of `T·S` —
@@ -1345,19 +1361,22 @@ impl TickEngine {
         // results are bit-identical to the unbatched form.
         let denom = self.time_scale * self.size_scale;
         let mut shared = denom;
-        for rec in &closed {
+        for rec in &self.records {
             if shared == 1 {
                 break;
             }
             shared = gcd128(rec.integral as i128, shared);
         }
         let shared_denom = denom / shared;
-        let bins: Vec<BinRecord> = closed
-            .into_iter()
-            .map(|rec| BinRecord {
-                id: rec.id,
+        let bins: Vec<BinRecord> = self
+            .records
+            .iter()
+            .zip(logs)
+            .enumerate()
+            .map(|(id, (rec, items))| BinRecord {
+                id: BinId(id as u32),
                 usage: Interval::new(self.time_of(rec.opened), self.time_of(rec.closed)),
-                items: rec.items,
+                items,
                 level_integral: Rational::new(rec.integral as i128 / shared, shared_denom),
                 peak_level: self.size_of(rec.peak),
             })
@@ -1378,37 +1397,62 @@ impl TickEngine {
             self.max_open,
         ))
     }
+}
 
-    /// The assignments by instance id. A compiled replay places every
-    /// rank once, in rank order, so one scatter through the rank table
-    /// sorts them. Any other history — a streaming engine's ids, which
-    /// may repeat, or a per-event caller that left the schedule — maps
-    /// each id and takes the stable sort, keeping repeats in arrival
-    /// order.
-    fn instance_assignments(&mut self) -> Vec<(ItemId, BinId)> {
-        let mut assignments = std::mem::take(&mut self.assignments);
-        let ids = &self.ids;
-        let rank_order = !ids.is_empty()
-            && assignments.len() == ids.len()
-            && assignments
-                .iter()
-                .enumerate()
-                .all(|(rank, &(item, _))| item.index() == rank);
-        if rank_order {
-            let mut by_id = vec![(ItemId(0), BinId(0)); ids.len()];
-            for (&id, &(_, bin)) in ids.iter().zip(&assignments) {
-                by_id[id.index()] = (id, bin);
-            }
-            return by_id;
-        }
-        if !ids.is_empty() {
-            for entry in &mut assignments {
-                entry.0 = self.instance_id(entry.0);
-            }
-        }
-        assignments.sort_by_key(|&(item, _)| item);
-        assignments
+/// Every bin's item log, indexed by bin id: the items placed in it,
+/// in arrival order. `assignments` lists every placement in arrival
+/// order, so one counting pass by bin sizes each log and a second
+/// fills it — one exactly-sized allocation per bin.
+fn item_logs(assignments: &[(ItemId, BinId)], bins: usize) -> Vec<Vec<ItemId>> {
+    let mut lens = vec![0u32; bins];
+    for &(_, bin) in assignments {
+        lens[bin.index()] += 1;
     }
+    let mut logs: Vec<Vec<ItemId>> = lens
+        .iter()
+        .map(|&len| Vec::with_capacity(len as usize))
+        .collect();
+    for &(item, bin) in assignments {
+        logs[bin.index()].push(item);
+    }
+    logs
+}
+
+/// `assignments` stably sorted by item id, so an id placed more than
+/// once keeps its placements in arrival order. Ids spanning at most
+/// `4·n + 64` values — a compiled replay's permutation of `0..n`, or a
+/// session's caller-minted ids when they are dense — take a counting
+/// sort over the span. Only sparse ids, which no counting array of
+/// that size covers, take a comparison sort.
+fn sort_by_item(mut assignments: Vec<(ItemId, BinId)>) -> Vec<(ItemId, BinId)> {
+    let n = assignments.len();
+    let (lo, hi) = assignments
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &(item, _)| {
+            (lo.min(item.0), hi.max(item.0))
+        });
+    if n == 0 || (hi - lo) as usize >= 4 * n + 64 {
+        assignments.sort_by_key(|&(item, _)| item);
+        return assignments;
+    }
+    // `next[k]` is where the next placement of id `lo + k` goes.
+    let mut next = vec![0u32; (hi - lo) as usize + 1];
+    for &(item, _) in &assignments {
+        next[(item.0 - lo) as usize] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        let len = *slot;
+        *slot = start;
+        start += len;
+    }
+    let mut sorted = vec![(ItemId(0), BinId(0)); n];
+    for &(item, bin) in &assignments {
+        let at = &mut next[(item.0 - lo) as usize];
+        sorted[*at as usize] = (item, bin);
+        *at += 1;
+    }
+    sorted
 }
 
 #[cfg(test)]
@@ -1807,6 +1851,118 @@ mod tests {
         }
         let out = eng.finish("FirstFit").unwrap();
         assert_eq!(out.bins_opened(), CYCLES as usize);
+    }
+
+    /// An id past [`DENSE_ID_LIMIT`] demotes a streaming engine's
+    /// active set, once, from the flat table to the hashed map, and
+    /// leaves `finish` ids too sparse for a counting sort. With ids
+    /// `3` (placed twice, into different bins), `2^21` and
+    /// `u32::MAX − 7`, the engine and a tick session must finish equal
+    /// to the exact session: assignments by id, the repeat in arrival
+    /// order.
+    #[test]
+    fn sparse_ids_demote_the_active_set_and_finish_by_id() {
+        use crate::session::{Backend, Session, TickGrid};
+        const FAR: u32 = 1 << 21;
+        const LAST: u32 = u32::MAX - 7;
+        // (id, Some(quarters) to arrive | None to depart, time)
+        let script: [(u32, Option<i128>, i128); 9] = [
+            (3, Some(2), 0),   // bin 0
+            (FAR, Some(2), 0), // bin 0, demotes
+            (3, None, 1),
+            (LAST, Some(3), 1), // bin 1
+            (3, Some(3), 1),    // bin 2
+            (FAR, None, 2),
+            (3, None, 2),
+            (LAST, None, 2),
+            (7, Some(1), 3), // bin 3, after every bin closed
+        ];
+        let mut eng = TickEngine::with_grid(TickPolicy::FirstFit, Rational::ZERO, 1, 4);
+        let mut tick = Session::builder(FirstFit::new())
+            .backend(Backend::Tick)
+            .grid(TickGrid::new(1, 4))
+            .build()
+            .unwrap();
+        let mut exact = Session::builder(FirstFit::new())
+            .backend(Backend::Exact)
+            .build()
+            .unwrap();
+        let mut demoted = false;
+        for &(id, quarters, t) in &script {
+            let (item, time) = (ItemId(id), rat(t, 1));
+            match quarters {
+                Some(q) => {
+                    let bin = eng.arrive(item, q as u64, t as u64).unwrap();
+                    assert_eq!(tick.arrive(item, rat(q, 4), time).unwrap(), bin);
+                    assert_eq!(exact.arrive(item, rat(q, 4), time).unwrap(), bin);
+                }
+                None => {
+                    eng.depart(item, t as u64).unwrap();
+                    tick.depart(item, time).unwrap();
+                    exact.depart(item, time).unwrap();
+                }
+            }
+            // Flat until the first far id, hashed from then on.
+            demoted |= id as usize >= DENSE_ID_LIMIT;
+            assert_eq!(matches!(eng.active, ActiveSet::Sparse(_)), demoted);
+        }
+        eng.depart(ItemId(7), 4).unwrap();
+        tick.depart(ItemId(7), rat(4, 1)).unwrap();
+        exact.depart(ItemId(7), rat(4, 1)).unwrap();
+        let reference = exact.finish().unwrap();
+        assert_eq!(eng.finish("FirstFit").unwrap(), reference);
+        assert_eq!(tick.finish().unwrap(), reference);
+        assert_eq!(
+            reference.assignments(),
+            &[
+                (ItemId(3), BinId(0)),
+                (ItemId(3), BinId(2)),
+                (ItemId(7), BinId(3)),
+                (ItemId(FAR), BinId(0)),
+                (ItemId(LAST), BinId(1)),
+            ]
+        );
+    }
+
+    /// Both paths of `sort_by_item` — the counting sort over dense ids
+    /// and the comparison sort over sparse ones — equal a stable sort
+    /// by id. Bin ids count arrivals, so any reordering of a repeated
+    /// id shows.
+    #[test]
+    fn sort_by_item_is_a_stable_sort_by_id_on_every_path() {
+        let mut cases: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![7],
+            vec![2, 0, 1],                     // dense permutation: counting
+            vec![1, 1, 3],                     // dense repeats: counting
+            vec![5, 3, 5, 4, 3, 9],            // dense repeats: counting
+            vec![3, u32::MAX - 7, 3, 1 << 21], // sparse: comparison
+        ];
+        let mut x = 0x9E37_79B9u32;
+        for len in [10u32, 100, 1000] {
+            for span in [len, 2 * len, 8 * len] {
+                cases.push(
+                    (0..len)
+                        .map(|_| {
+                            x ^= x << 13;
+                            x ^= x >> 17;
+                            x ^= x << 5;
+                            1000 + x % span
+                        })
+                        .collect(),
+                );
+            }
+        }
+        for ids in cases {
+            let assignments: Vec<(ItemId, BinId)> = ids
+                .iter()
+                .enumerate()
+                .map(|(k, &id)| (ItemId(id), BinId(k as u32)))
+                .collect();
+            let mut expected = assignments.clone();
+            expected.sort_by_key(|&(item, _)| item);
+            assert_eq!(sort_by_item(assignments), expected, "ids {ids:?}");
+        }
     }
 
     /// The burst-batched batch replay must match per-event
