@@ -27,7 +27,12 @@
 //! * `BENCH_stream.json` — streaming-session overhead: the snapshot-2
 //!   batch replayed through one-event-at-a-time `Session`s (tick and
 //!   exact) against the batch tick rate measured in the same run,
-//!   with `stream_vs_batch_ratio` as the gated headline;
+//!   with `stream_vs_batch_ratio` as the gated headline. A second
+//!   arm prices the checkpoint log: one long-lived tick session
+//!   ingests a 1M-event Poisson stream (serve-single's shape) with
+//!   and without checkpoints in interleaved best-of rounds;
+//!   `perf_check` gates `checkpointed_vs_plain_session_ratio ≥ 0.80`
+//!   same-run;
 //! * `BENCH_opt_solver.json` — the exact repacking adversary: the
 //!   same random event profiles solved through the incremental
 //!   warm-started branch-and-bound sweep (`opt_profile`, fresh
@@ -255,6 +260,72 @@ fn stream_rate(
         }
     }
     (events * reps as i128) as f64 / start.elapsed().as_secs_f64()
+}
+
+/// Items in the checkpoint-log arm's stream (two events each).
+const CHECKPOINT_ITEMS: usize = 500_000;
+
+/// Best-of rounds of the checkpoint-log arm; one round ingests the
+/// whole stream once per arm.
+const CHECKPOINT_ROUNDS: usize = 8;
+
+/// Events per slice of the checkpoint-log arm. Within a round the two
+/// sessions take the stream in alternating slices, so both arms see
+/// the same stretches of host speed: on a shared VM the speed drifts
+/// within a second, and a whole-stream window per arm can leave one
+/// arm without a fast window.
+const CHECKPOINT_SLICE: usize = 16_384;
+
+/// The checkpoint-log arm's stream, shaped like the repo benchmark's
+/// serve-single workload: sizes and times on a 1/1024 grid, durations
+/// uniform on [1, 4], arrivals `1/160` apart on average, so ~280 First
+/// Fit bins are open at a time.
+fn long_lived_stream() -> Vec<Event> {
+    events_of(
+        &RandomWorkload {
+            n: CHECKPOINT_ITEMS,
+            seed: 1,
+            grid: 1024,
+            sizes: SizeDist::Uniform { max: rat(1, 1) },
+            durations: DurationDist::Uniform {
+                min: rat(1, 1),
+                max: rat(4, 1),
+            },
+            arrivals: ArrivalDist::Poissonish {
+                mean_gap: rat(1, 160),
+            },
+        }
+        .generate(),
+    )
+}
+
+/// Rates at which two long-lived First Fit sessions on the 1024×1024
+/// tick grid, one with its checkpoint log and one without, ingest
+/// `events` in alternating slices, in events/second: `[checkpointed,
+/// plain]`.
+fn long_lived_session_rates(events: &[Event]) -> [f64; 2] {
+    let mut sessions = [true, false].map(|checkpoints| {
+        let mut builder = Session::builder(FirstFit::new()).grid(TickGrid::new(1024, 1024));
+        if !checkpoints {
+            builder = builder.without_checkpoints();
+        }
+        builder.build().expect("session builds")
+    });
+    let mut secs = [0f64; 2];
+    for (i, slice) in events.chunks(CHECKPOINT_SLICE).enumerate() {
+        for arm in [i % 2, 1 - i % 2] {
+            let start = Instant::now();
+            sessions[arm]
+                .ingest(slice)
+                .expect("canonical stream is valid");
+            secs[arm] += start.elapsed().as_secs_f64();
+        }
+    }
+    assert!(
+        sessions.iter().all(Session::tick_active),
+        "the stream stays on the grid"
+    );
+    secs.map(|s| events.len() as f64 / s)
 }
 
 /// Batch passes per timed window of the observability-overhead
@@ -657,13 +728,16 @@ fn main() {
     // grids are rendered outside the timers (wire decoding is the
     // producer's cost, not the session's). The streaming contract in
     // CI: sessions keep at least 70% of the batch tick rate
-    // (perf_check gates the ratio and the absolute rate).
+    // (perf_check gates the ratio and the absolute rate). The same
+    // snapshot prices the checkpoint log on one long-lived session:
+    // logging must keep at least 80% of the plain session's rate.
     let streams: Vec<Vec<Event>> = insts.iter().map(events_of).collect();
     let grids: Vec<Option<TickGrid>> = insts
         .iter()
         .map(|inst| Some(TickGrid::for_instance(inst).expect("random workloads compile")))
         .collect();
     let no_grids: Vec<Option<TickGrid>> = vec![None; insts.len()];
+    let long_lived = long_lived_stream();
     let (rates, snap) = measure("stream", || {
         // Calibrate each arm to a ≥ HEAD_WINDOW_SECS window, then
         // interleave best-of rounds so the gated ratio compares
@@ -680,14 +754,27 @@ fn main() {
             best[1] = best[1].max(stream_rate(&streams, &grids, total_events, stream_reps));
             best[2] = best[2].max(stream_rate(&streams, &no_grids, total_events, exact_reps));
         }
-        best
+        // The checkpoint log's cost: the same long-lived session with
+        // and without it.
+        let mut logged = [0f64; 2];
+        for _ in 0..CHECKPOINT_ROUNDS {
+            let rates = long_lived_session_rates(&long_lived);
+            logged = [0, 1].map(|arm| logged[arm].max(rates[arm]));
+        }
+        (best, logged)
     });
-    let [batch_eps, stream_eps, exact_stream_eps] = rates;
+    let ([batch_eps, stream_eps, exact_stream_eps], [checkpointed_eps, plain_eps]) = rates;
     let ratio = stream_eps / batch_eps;
+    let checkpoint_ratio = checkpointed_eps / plain_eps;
     println!(
         "  stream: batch tick={batch_eps:>12.0} ev/s session tick={stream_eps:>12.0} ev/s \
          ({:.0}% of batch) exact session={exact_stream_eps:>12.0} ev/s",
         100.0 * ratio
+    );
+    println!(
+        "  checkpoint log: long-lived tick session, {} events: checkpointed={checkpointed_eps:>12.0} \
+         ev/s plain={plain_eps:>12.0} ev/s (ratio {checkpoint_ratio:.3})",
+        long_lived.len()
     );
     let snap = snap
         .with_metric("algorithm", Value::Str("Session(FirstFit)".into()))
@@ -702,7 +789,25 @@ fn main() {
             "stream_exact_events_per_sec",
             Value::Float(exact_stream_eps),
         )
-        .with_metric("stream_vs_batch_ratio", Value::Float(ratio));
+        .with_metric("stream_vs_batch_ratio", Value::Float(ratio))
+        .with_metric(
+            "checkpoint_session_events",
+            Value::Int(long_lived.len() as i128),
+        )
+        .with_metric(
+            "checkpoint_best_of_rounds",
+            Value::Int(CHECKPOINT_ROUNDS as i128),
+        )
+        .with_metric(
+            "checkpointed_session_events_per_sec",
+            Value::Float(checkpointed_eps),
+        )
+        .with_metric("plain_session_events_per_sec", Value::Float(plain_eps))
+        .with_metric(
+            "checkpointed_vs_plain_session_ratio",
+            Value::Float(checkpoint_ratio),
+        );
+    drop(long_lived);
     let path = snap.write_to(dir).expect("write snapshot");
     println!("wrote {} ({:.1} ms)", path.display(), snap.wall_ms());
 

@@ -984,7 +984,8 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
         for _ in 0..shards {
             let mut builder = Session::builder(make_algo(algo_name)?)
                 .backend(backend)
-                .telemetry();
+                .telemetry()
+                .without_checkpoints();
             if let Some(g) = grid {
                 builder = builder.grid(g);
             }
@@ -1111,6 +1112,10 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
                 .telemetry();
             if let Some(g) = grid {
                 builder = builder.grid(g);
+            }
+            // Only `--checkpoint` reads the session's log.
+            if opts.get("checkpoint").is_none() {
+                builder = builder.without_checkpoints();
             }
             builder
                 .build()

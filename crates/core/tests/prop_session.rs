@@ -10,7 +10,7 @@
 use dbp_core::prelude::*;
 use dbp_core::session::{Session, SessionSnapshot};
 use dbp_core::{event_schedule, CompiledInstance, PackingAlgorithm, TickPolicy, SCAN_CROSSOVER};
-use dbp_numeric::rat;
+use dbp_numeric::{rat, Rational};
 use dbp_simcore::EventClass;
 use proptest::prelude::*;
 
@@ -435,5 +435,260 @@ fn tree_mode_sessions_match_batch_and_exact_references() {
             exact,
             "{name}: snapshot→resume at {cut}"
         );
+    }
+}
+
+// ---------------------------------------------------------------
+// Checkpoint logs. A tick session logs each event its tick engine
+// applies as a compact `(id, units, tick)` record and rebuilds the
+// events at `snapshot`; an exact-engine event is logged as is. These
+// properties stream contract-violating input through grid sessions
+// and check, after every event, that the snapshot lists exactly the
+// events the session accepted, in order.
+// ---------------------------------------------------------------
+
+/// One scripted stream event and whether the session contract
+/// accepts it.
+type Step = (Event, bool);
+
+/// A model of the session contract that labels scripted events.
+#[derive(Default)]
+struct Contract {
+    steps: Vec<Step>,
+    now: Option<Rational>,
+    arrival_at_now: bool,
+    active: Vec<ItemId>,
+    departed: Vec<ItemId>,
+    next_id: u32,
+}
+
+impl Contract {
+    fn fresh(&mut self) -> ItemId {
+        self.next_id += 1;
+        ItemId(self.next_id - 1)
+    }
+
+    /// The `k`-th active item, if any.
+    fn active_at(&self, k: u8) -> Option<ItemId> {
+        (!self.active.is_empty()).then(|| self.active[k as usize % self.active.len()])
+    }
+
+    /// Labels `event` (`reject` forces a rejection, as strict tick
+    /// sessions reject off-grid events) and applies it if accepted.
+    fn push(&mut self, event: Event, reject: bool) {
+        let id = event.id();
+        let time = event.time();
+        let ok = !reject
+            && match event {
+                Event::Arrive { .. } => {
+                    self.now.is_none_or(|now| time >= now) && !self.active.contains(&id)
+                }
+                Event::Depart { .. } => {
+                    self.now
+                        .is_none_or(|now| time > now || (time == now && !self.arrival_at_now))
+                        && self.active.contains(&id)
+                }
+            };
+        if ok {
+            self.now = Some(time);
+            match event {
+                Event::Arrive { .. } => {
+                    self.active.push(id);
+                    self.departed.retain(|&d| d != id);
+                    self.arrival_at_now = true;
+                }
+                Event::Depart { .. } => {
+                    self.active.retain(|&a| a != id);
+                    self.departed.push(id);
+                    self.arrival_at_now = false;
+                }
+            }
+        }
+        self.steps.push((event, ok));
+    }
+}
+
+/// Renders random `ops` into a labelled stream on the
+/// `TickGrid::new(4, 8)` grid (quarter-unit times, sizes in eighths)
+/// that starts `start` quarters in. Valid arrivals (fresh and
+/// re-arriving ids), departures and clock advances are interleaved
+/// with events the contract rejects: duplicate arrivals, unknown
+/// departures, time regressions and departures after an arrival at
+/// the same instant. `off_grid = Some((i, variant))` adds one valid
+/// off-grid event before op `i`: an arrival sized in thirds, an
+/// arrival at a third of a unit, or a departure at a third of a unit.
+/// Under `strict` the off-grid event is labelled rejected. Every item
+/// still active at the end departs.
+fn script(
+    ops: &[(u8, u8, u8)],
+    start: i128,
+    off_grid: Option<(usize, u8)>,
+    strict: bool,
+) -> Vec<Step> {
+    let arrive = |id, eighths: u8, time| Event::Arrive {
+        id,
+        size: rat(eighths as i128 % 8 + 1, 8),
+        time,
+    };
+    let depart = |id, time| Event::Depart { id, time };
+    let mut c = Contract::default();
+    let mut t = rat(start, 4);
+    for (i, &(kind, a, b)) in ops.iter().enumerate() {
+        if let Some((_, variant)) = off_grid.filter(|&(at, _)| at.min(ops.len() - 1) == i) {
+            let third = t + rat(1, 3);
+            let event = match (variant % 3, c.active_at(a)) {
+                (2, Some(id)) => depart(id, third),
+                (1, _) => arrive(c.fresh(), b, third),
+                _ => Event::Arrive {
+                    id: c.fresh(),
+                    size: rat(1 + variant as i128 % 2, 3),
+                    time: t,
+                },
+            };
+            c.push(event, strict);
+            t += rat(1, 2);
+        }
+        match kind {
+            0 => t += rat(a as i128 % 4, 4),
+            1 => {
+                let id = c.fresh();
+                c.push(arrive(id, b, t), false);
+            }
+            2 => {
+                // Re-arrive a departed id when there is one.
+                let id = if c.departed.is_empty() {
+                    c.fresh()
+                } else {
+                    c.departed[a as usize % c.departed.len()]
+                };
+                c.push(arrive(id, b, t), false);
+            }
+            3 => match c.active_at(a) {
+                Some(id) => c.push(depart(id, t), false),
+                None => {
+                    let id = c.fresh();
+                    c.push(arrive(id, b, t), false);
+                }
+            },
+            // Duplicate arrival.
+            4 => {
+                let id = c.active_at(a).unwrap_or_else(|| c.fresh());
+                c.push(arrive(id, b, t), false);
+            }
+            // Unknown departure: an id that never arrived.
+            5 => {
+                let id = ItemId(c.next_id + 1000 + a as u32);
+                c.push(depart(id, t), false);
+            }
+            // Time regression.
+            6 => {
+                let id = c.fresh();
+                let before = c.now.map_or(t, |now| now - rat(a as i128 % 3 + 1, 4));
+                c.push(arrive(id, b, before), false);
+            }
+            // An arrival, then a departure at the same instant.
+            _ => {
+                let id = c.fresh();
+                c.push(arrive(id, b, t), false);
+                let id = c.active_at(a).expect("an item just arrived");
+                c.push(depart(id, t), false);
+            }
+        }
+    }
+    t += rat(1, 1);
+    for id in c.active.clone() {
+        c.push(depart(id, t), false);
+    }
+    c.steps
+}
+
+/// Streams `steps` through a session from `make`: each event must be
+/// accepted or rejected as labelled, and after every event the
+/// snapshot must list exactly the accepted events so far. The session
+/// ends on the tick engine iff `ends_on_tick`. Each snapshot, resumed
+/// and fed the rest of the stream, must finish bit-identical to the
+/// uninterrupted run.
+fn check_checkpoints(
+    steps: &[Step],
+    ends_on_tick: bool,
+    make: impl Fn() -> Session<'static>,
+) -> Result<(), TestCaseError> {
+    let mut session = make();
+    let mut accepted = Vec::new();
+    let mut snapshots = vec![session.snapshot().unwrap()];
+    for (i, (event, ok)) in steps.iter().enumerate() {
+        let result = session.apply(event);
+        prop_assert_eq!(result.is_ok(), *ok, "event {} {:?}: {:?}", i, event, result);
+        if *ok {
+            accepted.push(*event);
+        }
+        let snapshot = session.snapshot().unwrap();
+        prop_assert_eq!(&snapshot.events, &accepted, "snapshot after event {}", i);
+        snapshots.push(snapshot);
+    }
+    prop_assert_eq!(session.tick_active(), ends_on_tick);
+    let full = session.finish().unwrap();
+    for (cut, snapshot) in snapshots.iter().enumerate() {
+        let mut resumed = Session::resume(snapshot).unwrap();
+        for (event, ok) in &steps[cut..] {
+            prop_assert_eq!(resumed.apply(event).is_ok(), *ok, "resumed at {}", cut);
+        }
+        prop_assert_eq!(
+            resumed.finish().unwrap(),
+            full.clone(),
+            "resumed at {}",
+            cut
+        );
+    }
+    Ok(())
+}
+
+const POLICIES: [TickPolicy; 3] = [
+    TickPolicy::FirstFit,
+    TickPolicy::BestFit,
+    TickPolicy::WorstFit,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `Backend::Auto` grid sessions, some promoted to the exact
+    /// engine mid-run by one off-grid event: a snapshot lists exactly
+    /// the accepted events, whichever engine applied them.
+    #[test]
+    fn auto_grid_snapshots_list_exactly_the_accepted_events(
+        ops in prop::collection::vec((0u8..8, 0u8..16, 0u8..16), 1..40),
+        start in 0i128..=40,
+        off_grid in (0u8..2, 0usize..40, 0u8..6),
+        policy in 0usize..3,
+    ) {
+        let (promote, at, variant) = off_grid;
+        let off_grid = (promote == 1).then_some((at, variant));
+        let steps = script(&ops, start, off_grid, false);
+        check_checkpoints(&steps, off_grid.is_none(), || {
+            Session::builder(linear_algo(POLICIES[policy]))
+                .grid(TickGrid::new(4, 8))
+                .build()
+                .unwrap()
+        })?;
+    }
+
+    /// Strict `Backend::Tick` grid sessions reject the off-grid event,
+    /// and their snapshots leave it out.
+    #[test]
+    fn strict_tick_snapshots_leave_out_the_off_grid_event(
+        ops in prop::collection::vec((0u8..8, 0u8..16, 0u8..16), 1..40),
+        start in 0i128..=40,
+        off_grid in (0usize..40, 0u8..6),
+        policy in 0usize..3,
+    ) {
+        let steps = script(&ops, start, Some(off_grid), true);
+        check_checkpoints(&steps, true, || {
+            Session::builder(linear_algo(POLICIES[policy]))
+                .backend(Backend::Tick)
+                .grid(TickGrid::new(4, 8))
+                .build()
+                .unwrap()
+        })?;
     }
 }

@@ -95,8 +95,11 @@ pub struct ServerConfig {
     pub auth: TokenPolicy,
     /// Quotas applied to every tenant.
     pub quotas: Quotas,
-    /// Journal directory; `None` disables durability (snapshots and
-    /// recovery) server-wide.
+    /// Journal directory; `None` disables durability (journal files
+    /// and crash recovery) server-wide. Snapshots do not depend on it:
+    /// a single-session tenant whose hello asks for journaling keeps
+    /// its session's checkpoint log and answers `snapshot` from it
+    /// either way.
     pub journal_dir: Option<PathBuf>,
     /// Rebuild the exposition page every this many accepted events
     /// (hellos, finishes, and metrics requests always rebuild).

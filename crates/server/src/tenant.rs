@@ -105,10 +105,12 @@ impl Tenant {
             if hello.telemetry {
                 builder = builder.telemetry();
             }
-            if !hello.journal {
-                // Journal-less tenants run with flat memory: the
-                // session does not record events, so `snapshot`
-                // becomes a typed Unavailable error.
+            if !hello.journal || hello.shards > 1 {
+                // Only a journaling single-session tenant answers
+                // `snapshot` from its session's log. Journal-less
+                // tenants get a typed Unavailable error instead, and
+                // sharded tenants refuse `snapshot` and recover from
+                // the on-disk journal, so neither keeps a log.
                 builder = builder.without_checkpoints();
             }
             builder.build()

@@ -574,6 +574,101 @@ fn snapshot_without_journal_is_typed_unavailable() {
     }
 }
 
+/// `wave_stream` moved `by` time units later, so a tick session's
+/// origin is not zero.
+fn shifted(events: &[Event], by: i128) -> Vec<Event> {
+    events
+        .iter()
+        .map(|ev| match *ev {
+            Event::Arrive { id, size, time } => Event::Arrive {
+                id,
+                size,
+                time: time + rat(by, 1),
+            },
+            Event::Depart { id, time } => Event::Depart {
+                id,
+                time: time + rat(by, 1),
+            },
+        })
+        .collect()
+}
+
+/// The checkpoint an in-process First Fit session on the served grid
+/// takes after `events`.
+fn session_snapshot(events: &[Event]) -> dbp_proto::SessionSnapshot {
+    let mut session = Session::builder(by_name("FirstFit").unwrap())
+        .grid(TickGrid::new(1, 32))
+        .build()
+        .unwrap();
+    session.ingest(events).unwrap();
+    session.snapshot().unwrap()
+}
+
+/// A journaled tenant's `snapshot` over the socket equals an
+/// in-process session's over the same events, from the live tenant
+/// and from the tenant recovered after a restart, and resuming it
+/// finishes exactly as the tenant does.
+#[test]
+fn wire_snapshots_match_in_process_sessions_across_a_restart() {
+    let dir = test_dir("snapshot");
+    let config = || ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let connect = |server: &DbpServer| {
+        Client::builder("firstfit")
+            .tenant("acme")
+            .grid(TickGrid::new(1, 32))
+            .connect(server.local_addr())
+            .unwrap()
+    };
+    let events = shifted(&wave_stream(6, 4), 3);
+    let (head, tail) = events.split_at(events.len() / 2);
+    let (middle, rest) = tail.split_at(tail.len() / 2);
+
+    let server = DbpServer::start(config()).unwrap();
+    let mut client = connect(&server);
+    client.ingest(head).unwrap();
+    assert!(client.metrics().unwrap().active_items > 0);
+    let snapshot = client.snapshot().unwrap();
+    assert_eq!(snapshot, session_snapshot(head));
+    server.stop();
+    drop(client);
+
+    let server = DbpServer::start(config()).unwrap();
+    let mut client = connect(&server);
+    assert_eq!(client.resumed_events(), head.len() as u64);
+    assert_eq!(client.snapshot().unwrap(), snapshot);
+    client.ingest(middle).unwrap();
+    assert!(client.metrics().unwrap().active_items > 0);
+    let snapshot = client.snapshot().unwrap();
+    let applied = head.len() + middle.len();
+    assert_eq!(snapshot, session_snapshot(&events[..applied]));
+
+    let mut resumed = Session::resume(&snapshot).unwrap();
+    resumed.ingest(rest).unwrap();
+    client.ingest(rest).unwrap();
+    assert_eq!(client.finish().unwrap(), vec![resumed.finish().unwrap()]);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Snapshots need no journal directory: a tenant whose hello asks for
+/// journaling answers `snapshot` from its session's log.
+#[test]
+fn journaling_tenant_snapshots_without_a_journal_dir() {
+    let server = DbpServer::start(ServerConfig::default()).unwrap();
+    let mut client = Client::builder("firstfit")
+        .tenant("logged")
+        .grid(TickGrid::new(1, 32))
+        .connect(server.local_addr())
+        .unwrap();
+    let events = shifted(&wave_stream(6, 4), 3);
+    let head = &events[..events.len() / 2];
+    client.ingest(head).unwrap();
+    assert_eq!(client.snapshot().unwrap(), session_snapshot(head));
+}
+
 #[test]
 fn metrics_page_carries_server_and_prefixed_tenant_series() {
     let server = DbpServer::start(ServerConfig {
