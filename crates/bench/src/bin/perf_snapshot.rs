@@ -23,7 +23,12 @@
 //!   generated and renumbered in arrival order, in interleaved
 //!   best-of rounds; `perf_check` gates
 //!   `shuffled_vs_ordered_ids_ratio ≥ 0.85`, so replay speed must
-//!   not depend on how an instance numbers its items;
+//!   not depend on how an instance numbers its items. The same crowd,
+//!   as generated, is compiled and replayed once each per round in
+//!   interleaved best-of rounds; `perf_check` gates
+//!   `compile_vs_replay_ratio` (one First Fit replay's time over one
+//!   compile's) same-run, so compiling must stay a fraction of the
+//!   replay it prepares;
 //! * `BENCH_stream.json` — streaming-session overhead: the snapshot-2
 //!   batch replayed through one-event-at-a-time `Session`s (tick and
 //!   exact) against the batch tick rate measured in the same run,
@@ -117,6 +122,12 @@ const ID_ORDER_ITEMS: usize = 60_000;
 
 /// Items per arrival wave of the id-order arm's flash crowd.
 const ID_ORDER_WAVE: usize = 3_000;
+
+/// Interleaved compile/replay rounds of the flash crowd; each side
+/// keeps its fastest. One round is one compile and one replay (~20 ms
+/// on a 2-core VM), so the rounds are cheap enough to take as many as
+/// [`OBS_ROUNDS`].
+const COMPILE_ROUNDS: usize = 16;
 
 /// The id-order arm's instance: a flash crowd (sizes and times on a
 /// 1/1024 grid, durations uniform on [1, 4] so µ ≤ 4, 3,000 items per
@@ -696,13 +707,34 @@ fn main() {
             best[0] = best[0].max(tick_replay_rate(&shuffled, events, reps));
             best[1] = best[1].max(tick_replay_rate(&ordered, events, reps));
         }
-        (series, best)
+        // Compile against replay: the crowd as generated, compiled
+        // and replayed once each per round, fastest of each side.
+        let mut fastest = [f64::INFINITY; 2];
+        for _ in 0..COMPILE_ROUNDS {
+            let start = Instant::now();
+            let compiled = CompiledInstance::compile(&crowd).expect("flash crowds compile");
+            fastest[0] = fastest[0].min(start.elapsed().as_secs_f64());
+            drop(compiled);
+            let start = Instant::now();
+            shuffled[0]
+                .run(TickPolicy::FirstFit)
+                .expect("tick replay succeeds");
+            fastest[1] = fastest[1].min(start.elapsed().as_secs_f64());
+        }
+        (series, best, fastest)
     });
-    let (series, [shuffled_eps, ordered_eps]) = payload;
+    let (series, [shuffled_eps, ordered_eps], [compile_s, replay_s]) = payload;
     let id_ratio = shuffled_eps / ordered_eps;
+    let compile_ratio = replay_s / compile_s;
     println!(
         "  id order: flash crowd {ID_ORDER_ITEMS} items as generated={shuffled_eps:>12.0} ev/s \
          in arrival order={ordered_eps:>12.0} ev/s (ratio {id_ratio:.3})"
+    );
+    println!(
+        "  compile: flash crowd {ID_ORDER_ITEMS} items compile={:.2} ms replay={:.2} ms \
+         (ratio {compile_ratio:.2})",
+        compile_s * 1e3,
+        replay_s * 1e3
     );
     let snap = snap
         .with_metric("algorithms", Value::Str("FirstFit vs TickEngine".into()))
@@ -716,7 +748,11 @@ fn main() {
         .with_metric("best_of_rounds", Value::Int(HEAD_ROUNDS as i128))
         .with_metric("shuffled_ids_events_per_sec", Value::Float(shuffled_eps))
         .with_metric("ordered_ids_events_per_sec", Value::Float(ordered_eps))
-        .with_metric("shuffled_vs_ordered_ids_ratio", Value::Float(id_ratio));
+        .with_metric("shuffled_vs_ordered_ids_ratio", Value::Float(id_ratio))
+        .with_metric("compile_rounds", Value::Int(COMPILE_ROUNDS as i128))
+        .with_metric("flash_crowd_compile_ms", Value::Float(compile_s * 1e3))
+        .with_metric("flash_crowd_replay_ms", Value::Float(replay_s * 1e3))
+        .with_metric("compile_vs_replay_ratio", Value::Float(compile_ratio));
     let path = snap.write_to(dir).expect("write snapshot");
     println!("wrote {} ({:.1} ms)", path.display(), snap.wall_ms());
 

@@ -60,7 +60,7 @@ use crate::hash::BuildIdHasher;
 use crate::item::{Instance, ItemId};
 use crate::observe::{EngineObserver, NoopObserver};
 use crate::probe::PhaseProbe;
-use crate::tick::{CompileError, CompiledInstance, TickEngine, TickPolicy};
+use crate::tick::{CompileError, CompiledInstance, Grid, TickEngine, TickPolicy};
 use dbp_numeric::Rational;
 use dbp_simcore::{EventClass, EventSchedule, StreamEvent};
 use serde::{Deserialize, Serialize};
@@ -116,12 +116,19 @@ impl TickGrid {
     }
 
     /// The exact grid of a complete instance (its denominator LCMs),
-    /// or the reason the instance does not fit tick space.
+    /// or the reason the instance does not fit tick space: the scales
+    /// [`CompiledInstance::compile`] would use, or its
+    /// [`CompileError`], from the same folds and horizon checks but
+    /// without building a schedule.
     pub fn for_instance(instance: &Instance) -> Result<TickGrid, CompileError> {
-        let compiled = CompiledInstance::compile(instance)?;
+        let grid = Grid::of(instance)?;
+        for item in instance.items() {
+            grid.ticks(item.arrival())?;
+            grid.ticks(item.departure())?;
+        }
         Ok(TickGrid {
-            time_scale: compiled.time_scale() as u32,
-            size_scale: compiled.size_scale() as u32,
+            time_scale: grid.time_scale,
+            size_scale: grid.size_scale,
         })
     }
 
@@ -898,10 +905,17 @@ impl<'s> Session<'s> {
         );
         let den = value.denom();
         if memo.0 != den {
+            // Both are positive and the scale fits `u32`: a larger
+            // denominator cannot divide it, and any other pair takes
+            // one 32-bit division instead of two `i128` libcalls.
+            if den > scale {
+                return None;
+            }
+            let (scale, den) = (scale as u32, den as u32);
             if scale % den != 0 {
                 return None;
             }
-            *memo = (den, scale / den);
+            *memo = (i128::from(den), i128::from(scale / den));
         }
         // The quotient is below 2^32 (grid scales are u32-bounded),
         // so any numerator below 2^63 multiplies without overflow on
@@ -1101,7 +1115,8 @@ impl<'s> Session<'s> {
                 };
                 // `route` only returns `TickFirst` after
                 // `grid.aligned(t)`, so the origin is on the grid.
-                self.origin_ticks = t.scaled_to(grid.time_scale as i128);
+                self.origin_ticks =
+                    Self::memo_scaled(&mut self.time_quot_memo, t, grid.time_scale as i128);
                 self.core = Core::Tick(engine);
                 (bin, Some((units, 0)))
             }
@@ -2207,5 +2222,71 @@ mod tests {
         assert_eq!(m.lower_bound(), None);
         assert_eq!(m.mu_estimate(), None);
         assert_eq!(m.ratio_upper_estimate(), None);
+    }
+
+    /// The per-axis divisor memo is `Rational::scaled_to` with a
+    /// cache. On a cold memo, on a memo primed by the same value and
+    /// on one primed by another denominator, it returns what
+    /// `scaled_to` returns: denominators below, at and above each
+    /// scale and across the `u32` and `u64` boundaries, numerators
+    /// past ±2⁶³ (where the product leaves the inlined multiply) and
+    /// near the `i128` limits (where it overflows).
+    #[test]
+    fn memo_scaled_matches_scaled_to() {
+        const U32: i128 = u32::MAX as i128;
+        const U64: i128 = u64::MAX as i128;
+        const TWO_63: i128 = 1 << 63;
+        let scales = [1, 2, 3, 1024, 3 << 20, 1 << 31, U32 - 1, U32];
+        let dens = [
+            1,
+            2,
+            3,
+            5,
+            1024,
+            3 << 20,
+            1 << 31,
+            U32 - 1,
+            U32,
+            U32 + 1,
+            U32 + 2,
+            U64,
+            U64 + 1,
+            U64 + 2,
+        ];
+        let nums = [
+            0,
+            1,
+            -1,
+            7,
+            -7,
+            TWO_63 - 1,
+            TWO_63,
+            TWO_63 + 1,
+            1 - TWO_63,
+            -TWO_63,
+            -TWO_63 - 1,
+            i128::MAX / 5,
+            i128::MIN / 5,
+        ];
+        for scale in scales {
+            for den in dens {
+                for num in nums {
+                    let value = Rational::new(num, den);
+                    let expected = value.scaled_to(scale);
+                    let mut cold = (0, 0);
+                    let mut other = (0, 0);
+                    Session::memo_scaled(&mut other, Rational::ONE, scale);
+                    for memo in [&mut cold, &mut other] {
+                        for pass in ["first", "again"] {
+                            assert_eq!(
+                                Session::memo_scaled(memo, value, scale),
+                                expected,
+                                "{value} on scale {scale}, {pass} call"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -48,6 +48,15 @@
 //! id order. Only a session whose item ids are sparse pays a
 //! comparison sort, for its assignments.
 //!
+//! Compilation is linear on every grid the experiments replay. After
+//! a pass for the origin, one pass folds both denominator LCMs, where
+//! a denominator that already divides its running scale costs one
+//! 32-bit remainder. The next converts the items and lays out their
+//! events, which a stable counting sort on the packed `(tick, class)`
+//! key puts in schedule order; only a key span of `4·m + 64` or more,
+//! for `m` events, takes a stable comparison sort instead. `finish`
+//! orders its assignments with the same helper.
+//!
 //! Compilation is checked end to end: if either LCM, any scaled
 //! quantity, or the tick horizon leaves the supported range (scales
 //! and horizon each capped at `u32::MAX`, which bounds every interim
@@ -116,6 +125,104 @@ impl std::fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
+
+/// An instance's tick grid: the origin and the two LCM scales, which
+/// [`CompiledInstance::compile`] derives before it converts an item
+/// and [`crate::session::TickGrid::for_instance`] reads on its own.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Grid {
+    /// The earliest arrival, subtracted before scaling.
+    origin: Rational,
+    /// `origin · time_scale`, when the product fits `i128`.
+    origin_ticks: Option<i128>,
+    /// Ticks per time unit (`T`, the timestamp-denominator LCM).
+    pub(crate) time_scale: u32,
+    /// Units per bin capacity (`S`, the size-denominator LCM).
+    pub(crate) size_scale: u32,
+}
+
+impl Grid {
+    /// Folds every denominator of `instance` into the two scales, item
+    /// by item and in the order arrival, departure, size (the origin's
+    /// first), so the first fold to leave range names the error.
+    pub(crate) fn of(instance: &Instance) -> Result<Grid, CompileError> {
+        let origin = instance
+            .items()
+            .iter()
+            .map(|it| it.arrival())
+            .min()
+            .unwrap_or(Rational::ZERO);
+        let (mut time_scale, mut size_scale) = (1, 1);
+        fold_lcm(
+            &mut time_scale,
+            origin.denom(),
+            CompileError::TimeScaleOverflow,
+        )?;
+        for item in instance.items() {
+            for den in [item.arrival().denom(), item.departure().denom()] {
+                fold_lcm(&mut time_scale, den, CompileError::TimeScaleOverflow)?;
+            }
+            fold_lcm(
+                &mut size_scale,
+                item.size.denom(),
+                CompileError::SizeScaleOverflow,
+            )?;
+        }
+        Ok(Grid {
+            origin,
+            origin_ticks: origin.scaled_to(i128::from(time_scale)),
+            time_scale,
+            size_scale,
+        })
+    }
+
+    /// `(t − t₀)·T` in ticks, or [`CompileError::TickOverflow`] past
+    /// the `u32::MAX` horizon. Computed as `t·T − t₀·T`: `T` folds in
+    /// every timestamp denominator, so both products are integers and
+    /// no rational subtraction is needed. A product past `i128` takes
+    /// the rational route.
+    #[inline]
+    pub(crate) fn ticks(&self, t: Rational) -> Result<u64, CompileError> {
+        let time_scale = i128::from(self.time_scale);
+        self.origin_ticks
+            .and_then(|o| t.scaled_to(time_scale)?.checked_sub(o))
+            .or_else(|| (t - self.origin).scaled_to(time_scale))
+            .filter(|&n| (0..=MAX_SCALE).contains(&n))
+            .map(|n| n as u64)
+            .ok_or(CompileError::TickOverflow)
+    }
+
+    /// A validated size in units: the size LCM folds in its
+    /// denominator, and sizes in `(0, 1]` scale into `1..=S`.
+    #[inline]
+    fn units(&self, size: Rational) -> u64 {
+        let units = size
+            .scaled_to(i128::from(self.size_scale))
+            .expect("size denominator divides the size LCM");
+        debug_assert!(
+            units >= 1 && units <= i128::from(self.size_scale),
+            "validated size in (0,1]"
+        );
+        units as u64
+    }
+}
+
+/// Folds a (positive, reduced) denominator into a running LCM scale.
+/// After the first few items nearly every denominator already divides
+/// the scale, and that case costs one 32-bit remainder; only a new
+/// factor pays the checked `i128` LCM and the [`MAX_SCALE`] check.
+#[inline]
+fn fold_lcm(scale: &mut u32, den: i128, overflow: CompileError) -> Result<(), CompileError> {
+    // A denominator above the scale cannot divide it; any other fits
+    // `u32`, as the scale does.
+    if den <= i128::from(*scale) && scale.is_multiple_of(den as u32) {
+        return Ok(());
+    }
+    *scale = checked_lcm(i128::from(*scale), den)
+        .filter(|&l| l <= MAX_SCALE)
+        .ok_or(overflow)? as u32;
+    Ok(())
+}
 
 /// An item rescaled to integer ticks and size units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,76 +313,53 @@ pub struct CompiledInstance {
 impl CompiledInstance {
     /// Rescales `instance` to tick space, or reports why it does not
     /// fit the supported integer range.
+    ///
+    /// Linear in the item count whenever the schedule's packed
+    /// `(tick, class)` keys span fewer than `4·m + 64` values for `m`
+    /// events, as on every grid the experiments and the benchmark
+    /// replay: the schedule then takes a stable counting sort, and only
+    /// a wider span takes a stable comparison sort. A denominator that
+    /// already divides its running LCM costs one 32-bit remainder, so
+    /// only a new factor pays a checked `i128` LCM.
     pub fn compile(instance: &Instance) -> Result<CompiledInstance, CompileError> {
-        let origin = instance
-            .items()
-            .iter()
-            .map(|it| it.arrival())
-            .min()
-            .unwrap_or(Rational::ZERO);
-        let mut time_scale: i128 = origin.denom();
-        let mut size_scale: i128 = 1;
-        for item in instance.items() {
-            time_scale = checked_lcm(time_scale, item.arrival().denom())
-                .filter(|&l| l <= MAX_SCALE)
-                .ok_or(CompileError::TimeScaleOverflow)?;
-            time_scale = checked_lcm(time_scale, item.departure().denom())
-                .filter(|&l| l <= MAX_SCALE)
-                .ok_or(CompileError::TimeScaleOverflow)?;
-            size_scale = checked_lcm(size_scale, item.size.denom())
-                .filter(|&l| l <= MAX_SCALE)
-                .ok_or(CompileError::SizeScaleOverflow)?;
-        }
-        // `(t − t₀)·T` as `t·T − t₀·T`: `T` folds in every timestamp
-        // denominator, so both products are integers and no rational
-        // subtraction is needed. A product past `i128` takes the
-        // rational route.
-        let origin_ticks = origin.scaled_to(time_scale);
-        let ticks = |t: Rational| {
-            origin_ticks
-                .and_then(|o| t.scaled_to(time_scale)?.checked_sub(o))
-                .or_else(|| (t - origin).scaled_to(time_scale))
-                .filter(|&n| (0..=MAX_SCALE).contains(&n))
-                .ok_or(CompileError::TickOverflow)
-        };
+        let grid = Grid::of(instance)?;
         let mut by_id = Vec::with_capacity(instance.len());
         let mut entries = Vec::with_capacity(instance.len() * 2);
         for item in instance.items() {
-            let arrival = ticks(item.arrival())?;
-            let departure = ticks(item.departure())?;
-            let size = item
-                .size
-                .scaled_to(size_scale)
-                .expect("size denominator divides the size LCM");
-            debug_assert!(size >= 1 && size <= size_scale, "validated size in (0,1]");
+            let arrival = grid.ticks(item.arrival())?;
+            let departure = grid.ticks(item.departure())?;
             by_id.push(TickItem {
-                size: size as u64,
-                arrival: arrival as u64,
-                departure: departure as u64,
+                size: grid.units(item.size),
+                arrival,
+                departure,
             });
             entries.push(TickEvent {
-                tick: arrival as u64,
+                tick: arrival,
                 class: EventClass::Arrival,
                 item: item.id,
             });
             entries.push(TickEvent {
-                tick: departure as u64,
+                tick: departure,
                 class: EventClass::Departure,
                 item: item.id,
             });
         }
-        // Stable sort: full `(tick, class)` ties keep insertion (item)
+        // Stable: full `(tick, class)` ties keep insertion (item)
         // order — the same total order the seq-numbered heap produces.
-        // Ticks stay below 2³², so `(tick, class)` packs into one
-        // `u64` key.
-        entries.sort_by_key(|e| e.tick << 2 | e.class as u64);
+        // Ticks stay below 2³² and the schedule holds only departures
+        // (0) and arrivals (1), so `(tick, class)` packs into one
+        // `u64` key of at most twice the horizon.
+        let mut schedule = stable_sort_by_key(entries, |e| {
+            debug_assert!(e.class != EventClass::Control);
+            e.tick << 1 | e.class as u64
+        });
         // Renumber in place by arrival rank. An item departs strictly
         // after it arrives, so its rank is known by the time its
         // departure is rewritten; the event order itself is untouched.
         let mut items = Vec::with_capacity(by_id.len());
         let mut ids = Vec::with_capacity(by_id.len());
         let mut rank_of = vec![0u32; by_id.len()];
-        for ev in &mut entries {
+        for ev in &mut schedule {
             let id = ev.item;
             let rank = match ev.class {
                 EventClass::Arrival => {
@@ -290,12 +374,12 @@ impl CompiledInstance {
             ev.item = ItemId(rank);
         }
         Ok(CompiledInstance {
-            origin,
-            time_scale,
-            size_scale,
-            capacity: size_scale as u64,
+            origin: grid.origin,
+            time_scale: i128::from(grid.time_scale),
+            size_scale: i128::from(grid.size_scale),
+            capacity: u64::from(grid.size_scale),
             items,
-            schedule: entries,
+            schedule,
             ids: ids.into(),
         })
     }
@@ -327,9 +411,12 @@ impl CompiledInstance {
     }
 
     /// The pre-sorted replay schedule (two events per item), by
-    /// `(tick, class)` with ties in instance-id order. Events name
-    /// items by arrival rank, so arrivals count `0, 1, 2, …` and
-    /// [`item_ids`](Self::item_ids) maps a rank back to its [`ItemId`].
+    /// `(tick, class)` with ties in instance-id order. Sorted once, by
+    /// [`compile`](Self::compile): a stable counting sort on the packed
+    /// key, or a stable comparison sort when the key span is too wide
+    /// for a counting array. Events name items by arrival rank, so
+    /// arrivals count `0, 1, 2, …` and [`item_ids`](Self::item_ids)
+    /// maps a rank back to its [`ItemId`].
     pub fn schedule(&self) -> &[TickEvent] {
         &self.schedule
     }
@@ -1419,26 +1506,40 @@ fn item_logs(assignments: &[(ItemId, BinId)], bins: usize) -> Vec<Vec<ItemId>> {
 }
 
 /// `assignments` stably sorted by item id, so an id placed more than
-/// once keeps its placements in arrival order. Ids spanning at most
-/// `4·n + 64` values — a compiled replay's permutation of `0..n`, or a
-/// session's caller-minted ids when they are dense — take a counting
-/// sort over the span. Only sparse ids, which no counting array of
-/// that size covers, take a comparison sort.
-fn sort_by_item(mut assignments: Vec<(ItemId, BinId)>) -> Vec<(ItemId, BinId)> {
-    let n = assignments.len();
-    let (lo, hi) = assignments
-        .iter()
-        .fold((u32::MAX, 0), |(lo, hi), &(item, _)| {
-            (lo.min(item.0), hi.max(item.0))
-        });
-    if n == 0 || (hi - lo) as usize >= 4 * n + 64 {
-        assignments.sort_by_key(|&(item, _)| item);
-        return assignments;
+/// once keeps its placements in arrival order. A compiled replay's
+/// ranks, and a session's caller-minted ids when they are dense, take
+/// the counting path of [`stable_sort_by_key`].
+fn sort_by_item(assignments: Vec<(ItemId, BinId)>) -> Vec<(ItemId, BinId)> {
+    stable_sort_by_key(assignments, |&(item, _)| u64::from(item.0))
+}
+
+/// `v` sorted by `key`, stably: equal keys keep their order in `v`.
+/// The one sort of the tick path, behind both
+/// [`CompiledInstance::compile`]'s schedule and
+/// [`TickEngine::finish`]'s assignments.
+///
+/// Keys spanning fewer than `4·n + 64` values for `n` elements take a
+/// counting sort over the span: one pass for the key range, one to
+/// count, one to scatter in order, so ties land in input order. Only a
+/// wider span, which no counting array of that size covers, takes a
+/// stable comparison sort (`sort_by_key`).
+fn stable_sort_by_key<T: Copy>(mut v: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<T> {
+    let n = v.len();
+    let Some(&first) = v.first() else {
+        return v;
+    };
+    let (lo, hi) = v.iter().fold((u64::MAX, 0), |(lo, hi), x| {
+        let k = key(x);
+        (lo.min(k), hi.max(k))
+    });
+    if n > u32::MAX as usize || hi - lo >= 4 * n as u64 + 64 {
+        v.sort_by_key(key);
+        return v;
     }
-    // `next[k]` is where the next placement of id `lo + k` goes.
+    // `next[k]` is where the next element of key `lo + k` goes.
     let mut next = vec![0u32; (hi - lo) as usize + 1];
-    for &(item, _) in &assignments {
-        next[(item.0 - lo) as usize] += 1;
+    for x in &v {
+        next[(key(x) - lo) as usize] += 1;
     }
     let mut start = 0;
     for slot in &mut next {
@@ -1446,10 +1547,10 @@ fn sort_by_item(mut assignments: Vec<(ItemId, BinId)>) -> Vec<(ItemId, BinId)> {
         *slot = start;
         start += len;
     }
-    let mut sorted = vec![(ItemId(0), BinId(0)); n];
-    for &(item, bin) in &assignments {
-        let at = &mut next[(item.0 - lo) as usize];
-        sorted[*at as usize] = (item, bin);
+    let mut sorted = vec![first; n];
+    for x in &v {
+        let at = &mut next[(key(x) - lo) as usize];
+        sorted[*at as usize] = *x;
         *at += 1;
     }
     sorted
@@ -1921,6 +2022,78 @@ mod tests {
                 (ItemId(FAR), BinId(0)),
                 (ItemId(LAST), BinId(1)),
             ]
+        );
+    }
+
+    /// `TickGrid::for_instance` reads the grid without compiling a
+    /// schedule, and must still answer exactly as `compile` does: the
+    /// same two scales, or the same error. Pinned on pseudo-random
+    /// instances — mixed and growing denominators, negative origins,
+    /// horizons on both sides of the tick cap — and on the three
+    /// overflow shapes.
+    #[test]
+    fn tick_grid_for_instance_matches_compile() {
+        use crate::session::TickGrid;
+        let mut cases = vec![
+            Instance::new(Vec::new()).unwrap(),
+            scenario(),
+            // The three overflow shapes: time LCM, size LCM, horizon.
+            Instance::builder()
+                .item(rat(1, 2), rat(1, 99991), rat(2, 1))
+                .item(rat(1, 2), rat(1, 99989), rat(2, 1))
+                .build()
+                .unwrap(),
+            Instance::builder()
+                .item(rat(1, 99991), rat(0, 1), rat(1, 1))
+                .item(rat(1, 99989), rat(0, 1), rat(1, 1))
+                .build()
+                .unwrap(),
+            Instance::builder()
+                .item(rat(1, 2), rat(0, 1), rat(5_000_000_000, 1))
+                .item(rat(1, 2), rat(1, 2), rat(1, 1))
+                .build()
+                .unwrap(),
+        ];
+        const DENS: [i128; 10] = [1, 2, 3, 4, 5, 7, 12, 1000, 65521, 65519];
+        let mut x = 0x2545_F491u64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % bound) as i128
+        };
+        for n in [1, 3, 10, 40] {
+            for _ in 0..40 {
+                let mut b = Instance::builder();
+                for _ in 0..n {
+                    let (sden, aden, dden) = (
+                        DENS[next(10) as usize],
+                        DENS[next(8) as usize],
+                        DENS[next(10) as usize],
+                    );
+                    let arrival = rat(next(2_000_001) - 1_000_000, aden);
+                    let far = if next(4) == 0 { 1 << 22 } else { 1 };
+                    let departure = arrival + rat((1 + next(1000)) * far, dden);
+                    b = b.item(rat(1 + next(sden as u64), sden), arrival, departure);
+                }
+                cases.push(b.build().unwrap());
+            }
+        }
+        let mut outcomes = [0; 4];
+        for inst in &cases {
+            let compiled = CompiledInstance::compile(inst)
+                .map(|c| TickGrid::new(c.time_scale() as u32, c.size_scale() as u32));
+            outcomes[match compiled {
+                Ok(_) => 0,
+                Err(CompileError::TimeScaleOverflow) => 1,
+                Err(CompileError::SizeScaleOverflow) => 2,
+                Err(CompileError::TickOverflow) => 3,
+            }] += 1;
+            assert_eq!(TickGrid::for_instance(inst), compiled, "{inst:?}");
+        }
+        assert!(
+            outcomes.iter().all(|&k| k > 0),
+            "every outcome covered: {outcomes:?}"
         );
     }
 

@@ -17,12 +17,13 @@
 //! transparently. Another renames every item and
 //! requires tick-vs-tick outcomes equal up to the renaming, which
 //! pins the compiled arrival-rank numbering and its map back to
-//! instance ids.
+//! instance ids. A last property pins `CompiledInstance::compile`
+//! itself, table for table, to the comparison-sort compile it replaced.
 
 use dbp_core::prelude::*;
-use dbp_core::tick::{CompiledInstance, TickEngine, TickPolicy};
+use dbp_core::tick::{CompileError, CompiledInstance, TickEngine, TickEvent, TickItem, TickPolicy};
 use dbp_core::{BinRecord, PackingAlgorithm, PackingError, PackingOutcome};
-use dbp_numeric::rat;
+use dbp_numeric::{checked_lcm, rat, Rational};
 use dbp_simcore::EventClass;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
@@ -467,6 +468,218 @@ proptest! {
                 prop_assert_eq!(original.algorithm(), run.algorithm());
             }
         }
+    }
+}
+
+/// Denominators whose running LCM grows as items are added.
+const COMPILE_DENS: [i128; 8] = [1, 2, 3, 4, 5, 6, 8, 12];
+
+/// Strategy: an item of a tie-heavy instance. It arrives at one of
+/// three integer instants and departs one to three units later, on
+/// the integer or just past it; sizes and fractional departures take
+/// denominators from [`COMPILE_DENS`].
+fn tie_item() -> impl Strategy<Value = (Rational, Rational, Rational)> {
+    (
+        1i128..=12,
+        0usize..8,
+        0i128..3,
+        1i128..=3,
+        0usize..8,
+        0i128..2,
+    )
+        .prop_map(|(num, sden, slot, hold, dden, frac)| {
+            let (sden, dden) = (COMPILE_DENS[sden], COMPILE_DENS[dden]);
+            let arrival = rat(slot, 1);
+            (
+                rat(1 + (num - 1) % sden, sden),
+                arrival,
+                arrival + rat(hold, 1) + rat(frac, dden),
+            )
+        })
+}
+
+/// Strategy: instances for the compile reference, in three shapes that
+/// between them take both sort paths of `compile`:
+/// * ties: 2–80 [`tie_item`]s listed in random order, so long runs of
+///   equal `(tick, class)` keys name items out of arrival order, and
+///   later items raise both LCMs (the counting path);
+/// * wide: 2–60 items arriving at instants 10⁵ apart (still tied) and
+///   departing on 1/7 or 1/1000 grids, so the key span is far above
+///   `4·m + 64` for `m` events (the comparison path);
+/// * short: zero or one item.
+///
+/// Every instance is then shifted by a random, possibly negative,
+/// offset with its own denominator, which moves the origin off zero.
+fn compile_strategy() -> impl Strategy<Value = Instance> {
+    let wide = (1i128..=8, 0i128..6, 1i128..=3000, 0usize..3).prop_map(|(num, far, dur, fine)| {
+        let arrival = rat(far * 100_000, 1);
+        (rat(num, 8), arrival, arrival + rat(dur, [1, 7, 1000][fine]))
+    });
+    let specs = prop_oneof![
+        prop::collection::vec(tie_item(), 2..80),
+        prop::collection::vec(wide, 2..60),
+        prop::collection::vec(tie_item(), 0..2),
+    ];
+    (specs, -50_000i128..50_000, 0usize..8).prop_map(|(specs, shift, den)| {
+        let shift = rat(shift, COMPILE_DENS[den]);
+        let specs = specs
+            .into_iter()
+            .map(|(size, arrival, departure)| (size, arrival + shift, departure + shift))
+            .collect();
+        Instance::new(specs).expect("strategy produces valid specs")
+    })
+}
+
+/// Everything `compile` produces, for whole-table comparison.
+#[derive(Debug, PartialEq)]
+struct Tables {
+    origin: Rational,
+    time_scale: i128,
+    size_scale: i128,
+    items: Vec<TickItem>,
+    schedule: Vec<TickEvent>,
+    item_ids: Vec<ItemId>,
+}
+
+/// The tables `compile` built, or its error.
+fn tables_of(compiled: Result<CompiledInstance, CompileError>) -> Result<Tables, CompileError> {
+    compiled.map(|c| Tables {
+        origin: c.origin(),
+        time_scale: c.time_scale(),
+        size_scale: c.size_scale(),
+        items: c.items().to_vec(),
+        schedule: c.schedule().to_vec(),
+        item_ids: c.item_ids().to_vec(),
+    })
+}
+
+/// The comparison-sort compile, step for step: the origin, both LCMs
+/// folded through `checked_lcm` item by item from the origin's
+/// denominator, the tick conversion, a stable `sort_by_key` on
+/// `tick << 2 | class`, then the arrival-rank pass.
+fn reference_compile(instance: &Instance) -> Result<Tables, CompileError> {
+    const MAX_SCALE: i128 = u32::MAX as i128;
+    let origin = instance
+        .items()
+        .iter()
+        .map(|it| it.arrival())
+        .min()
+        .unwrap_or(Rational::ZERO);
+    let mut time_scale = origin.denom();
+    let mut size_scale = 1;
+    for item in instance.items() {
+        for den in [item.arrival().denom(), item.departure().denom()] {
+            time_scale = checked_lcm(time_scale, den)
+                .filter(|&l| l <= MAX_SCALE)
+                .ok_or(CompileError::TimeScaleOverflow)?;
+        }
+        size_scale = checked_lcm(size_scale, item.size.denom())
+            .filter(|&l| l <= MAX_SCALE)
+            .ok_or(CompileError::SizeScaleOverflow)?;
+    }
+    let origin_ticks = origin.scaled_to(time_scale);
+    let ticks = |t: Rational| {
+        origin_ticks
+            .and_then(|o| t.scaled_to(time_scale)?.checked_sub(o))
+            .or_else(|| (t - origin).scaled_to(time_scale))
+            .filter(|&n| (0..=MAX_SCALE).contains(&n))
+            .map(|n| n as u64)
+            .ok_or(CompileError::TickOverflow)
+    };
+    let mut by_id = Vec::new();
+    let mut schedule = Vec::new();
+    for item in instance.items() {
+        let (arrival, departure) = (ticks(item.arrival())?, ticks(item.departure())?);
+        let size = item.size.scaled_to(size_scale).expect("on the size grid") as u64;
+        by_id.push(TickItem {
+            size,
+            arrival,
+            departure,
+        });
+        for (tick, class) in [
+            (arrival, EventClass::Arrival),
+            (departure, EventClass::Departure),
+        ] {
+            schedule.push(TickEvent {
+                tick,
+                class,
+                item: item.id,
+            });
+        }
+    }
+    schedule.sort_by_key(|e| e.tick << 2 | e.class as u64);
+    let (mut items, mut item_ids) = (Vec::new(), Vec::new());
+    let mut rank_of = vec![0u32; by_id.len()];
+    for ev in &mut schedule {
+        let id = ev.item;
+        if ev.class == EventClass::Arrival {
+            rank_of[id.index()] = item_ids.len() as u32;
+            items.push(by_id[id.index()]);
+            item_ids.push(id);
+        }
+        ev.item = ItemId(rank_of[id.index()]);
+    }
+    Ok(Tables {
+        origin,
+        time_scale,
+        size_scale,
+        items,
+        schedule,
+        item_ids,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `compile` equals the comparison-sort compile table for table —
+    /// origin, scales, items, schedule and rank map — or fails with
+    /// the same error, on both sort paths and on instances that
+    /// overflow the time LCM.
+    #[test]
+    fn compile_equals_the_comparison_sort_compile(
+        inst in prop_oneof![compile_strategy(), instance_strategy(), overflow_strategy()]
+    ) {
+        prop_assert_eq!(
+            tables_of(CompiledInstance::compile(&inst)),
+            reference_compile(&inst)
+        );
+    }
+}
+
+/// The reference on the edge shapes: no items, one item (on a
+/// negative, fractional origin), and the three overflow shapes (time
+/// LCM, size LCM, horizon).
+#[test]
+fn compile_equals_the_comparison_sort_compile_on_edge_shapes() {
+    let shapes = [
+        vec![],
+        vec![(rat(2, 3), rat(-7, 4), rat(5, 6))],
+        vec![
+            (rat(1, 2), rat(1, 99991), rat(2, 1)),
+            (rat(1, 2), rat(1, 99989), rat(2, 1)),
+        ],
+        vec![
+            (rat(1, 99991), rat(0, 1), rat(1, 1)),
+            (rat(1, 99989), rat(0, 1), rat(1, 1)),
+        ],
+        vec![
+            (rat(1, 2), rat(0, 1), rat(5_000_000_000, 1)),
+            (rat(1, 2), rat(1, 2), rat(1, 1)),
+        ],
+    ];
+    let errors = [
+        None,
+        None,
+        Some(CompileError::TimeScaleOverflow),
+        Some(CompileError::SizeScaleOverflow),
+        Some(CompileError::TickOverflow),
+    ];
+    for (specs, error) in shapes.into_iter().zip(errors) {
+        let inst = Instance::new(specs).unwrap();
+        let compiled = tables_of(CompiledInstance::compile(&inst));
+        assert_eq!(compiled.as_ref().err(), error.as_ref());
+        assert_eq!(compiled, reference_compile(&inst));
     }
 }
 
