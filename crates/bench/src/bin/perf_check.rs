@@ -54,7 +54,11 @@
 //!   request ids, echo verification, request-span recording — against
 //!   its untraced pass, back to back in the same run) must reach
 //!   0.90: request tracing may cost at most 10% of serving
-//!   throughput;
+//!   throughput. Its `finish_fast_vs_generic_ratio` (one wave tenant's
+//!   finish frame encoded by the generic `Value` codec over the same
+//!   frame from the canonical fast writer, interleaved best-of rounds)
+//!   must reach 6 whenever the baseline records the metric: a finish
+//!   frame routed back through a `Value` tree reads near 1;
 //! * `tick_compile` — **absolute** same-run floors only: the fresh
 //!   snapshot's `shuffled_vs_ordered_ids_ratio` (one flash crowd
 //!   replayed as generated against the same crowd renumbered in
@@ -149,6 +153,13 @@ const TICK_ID_ORDER_FLOOR: f64 = 0.85;
 /// and folded every denominator through `checked_lcm` read 1.36–1.74.
 const TICK_COMPILE_FLOOR: f64 = 2.4;
 
+/// Fixed same-run floor for `finish_fast_vs_generic_ratio`: the
+/// canonical fast writer must encode a wave tenant's finish frame at
+/// least 6× faster than the generic `Value` codec. Nine loadgen runs
+/// on a 2-core VM read 6.10–8.85; a finish frame written through a
+/// `Value` tree reads about 1.
+const SERVER_FINISH_FRAME_FLOOR: f64 = 6.0;
+
 /// Baseline-relative throughput metrics gated per experiment, named
 /// as [`metric`] paths.
 fn gated_metrics(experiment: &str) -> &'static [&'static str] {
@@ -191,6 +202,7 @@ fn same_run_floors(experiment: &str) -> &'static [(&'static str, f64)] {
 fn later_same_run_floors(experiment: &str) -> &'static [(&'static str, f64)] {
     match experiment {
         "tick_compile" => &[("compile_vs_replay_ratio", TICK_COMPILE_FLOOR)],
+        "server" => &[("finish_fast_vs_generic_ratio", SERVER_FINISH_FRAME_FLOOR)],
         _ => &[],
     }
 }
@@ -464,6 +476,29 @@ mod tests {
         let mut old = server(2.5e6, 0.0);
         old.metrics = Value::Object(vec![("server_events_per_sec".into(), Value::Float(2.5e6))]);
         assert_eq!(check_pair(&old, &server(2.5e6, 1e6), 0.70), (2, false));
+    }
+
+    #[test]
+    fn finish_frame_ratio_is_a_same_run_floor_once_the_baseline_records_it() {
+        let with_ratio = |finish: Option<f64>| {
+            let mut snap = server(2.5e6, 4e6);
+            if let (Some(r), Value::Object(metrics)) = (finish, &mut snap.metrics) {
+                metrics.push(("finish_fast_vs_generic_ratio".into(), Value::Float(r)));
+            }
+            snap
+        };
+        let base = with_ratio(Some(SERVER_FINISH_FRAME_FLOOR + 2.0));
+        let above = with_ratio(Some(SERVER_FINISH_FRAME_FLOOR + 0.5));
+        assert_eq!(check_pair(&base, &above, 0.70), (4, false));
+        // The finish frame through a `Value` tree again: about 1. The
+        // floor ignores --tolerance, and a fresh run without the metric
+        // fails.
+        assert_eq!(check_pair(&base, &with_ratio(Some(1.0)), 0.70), (4, true));
+        assert_eq!(check_pair(&base, &with_ratio(Some(1.0)), 0.10), (4, true));
+        assert!(check_pair(&base, &with_ratio(None), 0.70).1);
+        // A baseline from before the metric leaves it ungated.
+        let old = with_ratio(None);
+        assert_eq!(check_pair(&old, &with_ratio(Some(1.0)), 0.70), (3, false));
     }
 
     fn tick_compile(ratio: Option<f64>) -> Snapshot {

@@ -20,7 +20,7 @@
 //! `trace_is_optional_and_never_breaks_untraced_frames` pins this
 //! down.
 
-use crate::line::{strip_version, tag_version};
+use crate::line::{event_from_payload, strip_version, tag_version, Payload};
 use crate::{Backend, BinId, Event, PackingOutcome, SessionMetrics, SessionSnapshot, TickGrid};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
@@ -156,24 +156,24 @@ fn attach_trace(frame: Value, trace: Option<u64>) -> Value {
 }
 
 /// Removes a `trace` entry (if any) from a version-stripped payload,
-/// returning the remaining payload and the request id. A present
+/// returning the remaining entries and the request id. A present
 /// `trace` must be a non-negative integer.
-fn split_trace(payload: Value, context: &str) -> Result<(Value, Option<u64>), Error> {
-    let Value::Object(entries) = payload else {
-        return Ok((payload, None));
-    };
+fn split_trace<'a>(
+    payload: Payload<'a>,
+    context: &str,
+) -> Result<(Payload<'a>, Option<u64>), Error> {
     let mut trace = None;
-    let mut rest = Vec::with_capacity(entries.len());
-    for (k, v) in entries {
-        if k == "trace" {
-            trace = Some(u64::from_value(&v).map_err(|_| {
+    let mut rest = Vec::with_capacity(payload.len());
+    for entry in payload {
+        if entry.0 == "trace" {
+            trace = Some(u64::from_value(&entry.1).map_err(|_| {
                 Error::custom(format!("{context}: `trace` must be a non-negative integer"))
             })?);
         } else {
-            rest.push((k, v));
+            rest.push(entry);
         }
     }
-    Ok((Value::Object(rest), trace))
+    Ok((rest, trace))
 }
 
 /// A client-to-server frame.
@@ -246,17 +246,14 @@ impl Request {
         Ok((Request::from_stripped(&payload)?, trace))
     }
 
-    fn from_stripped(payload: &Value) -> Result<Request, Error> {
-        let obj = payload
-            .as_object()
-            .ok_or_else(|| Error::expected("object", payload))?;
-        let [(tag, body)] = obj else {
+    fn from_stripped(payload: &[&(String, Value)]) -> Result<Request, Error> {
+        let [(tag, body)] = payload else {
             return Err(Error::custom(
                 "request: expected exactly one frame tag next to `v`",
             ));
         };
         match tag.as_str() {
-            "arrive" | "depart" => Ok(Request::Event(Event::from_value(payload)?)),
+            "arrive" | "depart" => Ok(Request::Event(event_from_payload(payload)?)),
             "hello" => Ok(Request::Hello(Hello::from_value(body)?)),
             "batch" => Ok(Request::Batch(Vec::from_value(body)?)),
             "snapshot" => Ok(Request::Snapshot),
@@ -482,11 +479,8 @@ impl Response {
         Ok((Response::from_stripped(&payload)?, trace))
     }
 
-    fn from_stripped(payload: &Value) -> Result<Response, Error> {
-        let obj = payload
-            .as_object()
-            .ok_or_else(|| Error::expected("object", payload))?;
-        let [(tag, body)] = obj else {
+    fn from_stripped(payload: &[&(String, Value)]) -> Result<Response, Error> {
+        let [(tag, body)] = payload else {
             return Err(Error::custom(
                 "response: expected exactly one frame tag next to `v`",
             ));

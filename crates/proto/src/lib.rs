@@ -22,7 +22,8 @@
 //! * [`write_frame`] / [`read_frame`] — the length-prefixed framing
 //!   (`<byte-len>\n<json>\n`) spoken over the socket. The [`fast`]
 //!   module adds byte-identical canonical writers and a strict parser
-//!   for the placement hot path; non-canonical frames fall back to the
+//!   for the placement hot path, plus a writer for the finish
+//!   response's outcomes; non-canonical frames fall back to the
 //!   generic codec, so the format is unchanged.
 //!
 //! Everything is plain serde over the workspace's exact data model:

@@ -8,17 +8,20 @@
 use crate::{Event, Request, SessionSnapshot, WIRE_VERSION};
 use serde::{Deserialize, Serialize, Value};
 
+/// A parsed frame's entries after the version check, borrowed from it.
+pub(crate) type Payload<'a> = Vec<&'a (String, Value)>;
+
 /// Checks a parsed object's `"v"` entry (if any) and returns the
-/// object with the version entry stripped. `Err` on a version this
-/// reader does not speak.
-pub(crate) fn strip_version(value: &Value) -> Result<Value, String> {
+/// object's other entries. `Err` on a version this reader does not
+/// speak.
+pub(crate) fn strip_version(value: &Value) -> Result<Payload<'_>, String> {
     let Some(entries) = value.as_object() else {
         return Err(format!("expected a JSON object, got {}", value.kind()));
     };
     let mut rest = Vec::with_capacity(entries.len());
-    for (key, val) in entries {
-        if key == "v" {
-            match val.as_int() {
+    for entry in entries {
+        if entry.0 == "v" {
+            match entry.1.as_int() {
                 Some(v) if v == WIRE_VERSION => {}
                 Some(v) => {
                     return Err(format!(
@@ -28,18 +31,30 @@ pub(crate) fn strip_version(value: &Value) -> Result<Value, String> {
                 None => return Err("wire version is not an integer".to_string()),
             }
         } else {
-            rest.push((key.clone(), val.clone()));
+            rest.push(entry);
         }
     }
-    Ok(Value::Object(rest))
+    Ok(rest)
+}
+
+/// Decodes a version-stripped event payload. `Event`'s decoder reads a
+/// one-entry `{tag: body}` object, so only a lone entry (an event's
+/// handful of nodes) is copied into one; any other payload reaches the
+/// decoder as an empty object, which it refuses with the same error.
+pub(crate) fn event_from_payload(payload: &[&(String, Value)]) -> Result<Event, serde::Error> {
+    let entry = match payload {
+        [entry] => vec![(*entry).clone()],
+        _ => Vec::new(),
+    };
+    Event::from_value(&Value::Object(entry))
 }
 
 /// Wraps a payload `Value` in the versioned envelope: the `"v"` entry
-/// first, then the payload's own entries.
+/// first, then the payload's own entries, moved.
 pub(crate) fn tag_version(payload: Value) -> Value {
     let mut entries = vec![("v".to_string(), Value::Int(WIRE_VERSION))];
-    if let Some(obj) = payload.as_object() {
-        entries.extend(obj.iter().cloned());
+    if let Value::Object(obj) = payload {
+        entries.extend(obj);
     }
     Value::Object(entries)
 }
@@ -86,7 +101,7 @@ pub fn parse_event_line(line: &str) -> Option<Result<Event, String>> {
         Ok(p) => p,
         Err(e) => return Some(Err(e)),
     };
-    Some(Event::from_value(&payload).map_err(|e| e.to_string()))
+    Some(event_from_payload(&payload).map_err(|e| e.to_string()))
 }
 
 /// Renders a session checkpoint as a versioned JSON document:
@@ -96,7 +111,7 @@ pub fn checkpoint_to_json(snapshot: &SessionSnapshot) -> String {
         "checkpoint".to_string(),
         snapshot.to_value(),
     )]));
-    serde_json::to_string(&envelope).expect("checkpoints always serialize")
+    serde_json::value_to_string(&envelope)
 }
 
 /// Parses a checkpoint document. Accepts the versioned
@@ -105,10 +120,12 @@ pub fn checkpoint_to_json(snapshot: &SessionSnapshot) -> String {
 pub fn checkpoint_from_json(text: &str) -> Result<SessionSnapshot, String> {
     let parsed = serde_json::parse(text).map_err(|e| e.to_string())?;
     let payload = strip_version(&parsed)?;
-    if let Some(inner) = payload.get("checkpoint") {
-        return SessionSnapshot::from_value(inner).map_err(|e| e.to_string());
-    }
-    SessionSnapshot::from_value(&payload).map_err(|e| e.to_string())
+    let inner = payload
+        .iter()
+        .find_map(|(key, value)| (key == "checkpoint").then_some(value));
+    // A bare document decodes as parsed: the snapshot's decoder reads
+    // its fields by name, and the checked `"v"` entry is none of them.
+    SessionSnapshot::from_value(inner.unwrap_or(&parsed)).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

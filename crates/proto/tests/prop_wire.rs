@@ -6,14 +6,15 @@
 //! bit-identity guarantees (wire-driven outcomes == in-process runs)
 //! rest on the wire never rounding anything.
 
-use dbp_core::ItemId;
-use dbp_numeric::rat;
+use dbp_core::session::Session;
+use dbp_core::{FirstFit, ItemId};
+use dbp_numeric::{rat, Rational};
 use dbp_proto::{
     checkpoint_from_json, checkpoint_to_json, event_to_line, parse_event_line, Backend, Event,
-    Hello, Request, Response, SessionSnapshot, TickGrid,
+    Hello, PackingOutcome, Request, Response, SessionSnapshot, TickGrid,
 };
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 // The vendored proptest stand-in has no `any`/string/option
 // strategies; everything is built from ranges, `Just`, and maps.
@@ -163,6 +164,90 @@ fn hello_strategy() -> impl Strategy<Value = Hello> {
         )
 }
 
+/// Drives `(arrival, departure, size)` items through `session`,
+/// departures before arrivals at equal times, and finishes it.
+fn finished(
+    mut session: Session<'static>,
+    items: &[(Rational, Rational, Rational)],
+) -> PackingOutcome {
+    let mut events = Vec::with_capacity(2 * items.len());
+    for (i, &(arrive, depart, size)) in items.iter().enumerate() {
+        let id = ItemId(i as u32);
+        events.push(Event::Arrive {
+            id,
+            size,
+            time: arrive,
+        });
+        events.push(Event::Depart { id, time: depart });
+    }
+    events.sort_by_key(|ev| (ev.time(), ev.is_arrival(), ev.id()));
+    for ev in &events {
+        session.apply(ev).unwrap();
+    }
+    session.finish().unwrap()
+}
+
+/// Algorithm names holding every character class the string writer
+/// treats differently: quotes, backslashes, control characters with
+/// and without a short escape, DEL, and two-, three- and four-byte
+/// UTF-8.
+fn escaped_name_strategy() -> impl Strategy<Value = String> {
+    const CHARS: &[char] = &[
+        '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}', '/', ' ', 'a',
+        'Z', 'é', '→', '𝄞',
+    ];
+    prop::collection::vec(0..CHARS.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+}
+
+/// One shard's finish outcome: a tick session on quarter times and
+/// sixteenth sizes, an exact session whose times all share one odd
+/// denominator above 2⁶⁴ (so both legs of every usage period pass it),
+/// or a tick outcome renamed through `PackingOutcome::from_value`.
+fn outcome_strategy() -> impl Strategy<Value = PackingOutcome> {
+    let items = || prop::collection::vec((0i128..40, 1i128..12, 1i128..=16), 0..12);
+    let tick = || {
+        items().prop_map(|items| {
+            let session = Session::builder(FirstFit::new())
+                .backend(Backend::Tick)
+                .grid(TickGrid::new(4, 16))
+                .build()
+                .unwrap();
+            let items: Vec<_> = items
+                .into_iter()
+                .map(|(at, stay, size)| (rat(at, 4), rat(at + stay, 4), rat(size, 16)))
+                .collect();
+            finished(session, &items)
+        })
+    };
+    let exact = (items(), (1i128 << 63)..(1i128 << 65)).prop_map(|(items, half)| {
+        let den = 2 * half + 1;
+        let session = Session::builder(FirstFit::new())
+            .backend(Backend::Exact)
+            .build()
+            .unwrap();
+        let items: Vec<_> = items
+            .into_iter()
+            .map(|(at, stay, size)| {
+                (
+                    rat(at * den + 1, den),
+                    rat((at + stay) * den + 2, den),
+                    rat(size, 16),
+                )
+            })
+            .collect();
+        finished(session, &items)
+    });
+    let renamed = (tick(), escaped_name_strategy()).prop_map(|(outcome, name)| {
+        let Value::Object(mut fields) = outcome.to_value() else {
+            unreachable!("outcomes serialize as objects")
+        };
+        fields[0] = ("algorithm".to_string(), Value::Str(name));
+        PackingOutcome::from_value(&Value::Object(fields)).unwrap()
+    });
+    prop_oneof![tick(), exact, renamed]
+}
+
 fn request_strategy() -> impl Strategy<Value = Request> {
     prop_oneof![
         hello_strategy().prop_map(Request::Hello),
@@ -277,10 +362,18 @@ proptest! {
     }
 
     /// Traced responses echo ids through both codecs the same way.
+    /// Finish frames (0–4 outcomes, as sharded tenants send) have a
+    /// fast writer but no strict parser: the generic codec reads them.
     #[test]
     fn traced_responses_round_trip(
         bins in prop::collection::vec(0u32..=u32::MAX, 0..16),
-        trace in prop_oneof![Just(None), (0u64..=u64::MAX).prop_map(Some)],
+        outcomes in prop::collection::vec(outcome_strategy(), 0..=4),
+        trace in prop_oneof![
+            Just(None),
+            Just(Some(0)),
+            Just(Some(u64::MAX)),
+            (0u64..=u64::MAX).prop_map(Some),
+        ],
     ) {
         use dbp_core::BinId;
         use dbp_proto::fast;
@@ -289,6 +382,7 @@ proptest! {
         for resp in [
             Response::Bin(bins.first().copied().unwrap_or(BinId(0))),
             Response::Bins(bins),
+            Response::Outcomes(outcomes),
         ] {
             let plain = serde_json::to_string(&resp.to_value()).unwrap();
             let untraced = serde_json::to_string(&resp.to_traced_value(None)).unwrap();
@@ -304,10 +398,17 @@ proptest! {
             match &resp {
                 Response::Bin(bin) => fast::write_bin_response_traced(&mut buf, *bin, trace),
                 Response::Bins(bins) => fast::write_bins_response_traced(&mut buf, bins, trace),
+                Response::Outcomes(outcomes) => {
+                    fast::write_outcomes_response_traced(&mut buf, outcomes, trace)
+                }
                 _ => unreachable!(),
-            }
+            };
             prop_assert_eq!(std::str::from_utf8(&buf).unwrap(), text.as_str());
-            prop_assert_eq!(fast::parse_response_traced(&buf), Some((resp, trace)));
+            let expected = match resp {
+                Response::Outcomes(_) => None,
+                placement => Some((placement, trace)),
+            };
+            prop_assert_eq!(fast::parse_response_traced(&buf), expected);
         }
     }
 

@@ -24,7 +24,13 @@
 //! * the durable-restart rate (`journal_replay_events_per_sec`): one
 //!   tenant's stream journaled with `Journal::create` and one
 //!   `append` per batch, then read back and rebuilt the way a restart
-//!   does it (`read_journal` + `Tenant::recover`), best of five.
+//!   does it (`read_journal` + `Tenant::recover`), best of five;
+//! * the finish-frame encode (`finish_frame_fast_ms`,
+//!   `finish_frame_generic_ms` and their ratio
+//!   `finish_fast_vs_generic_ratio`, a same-run gate): one wave
+//!   tenant's outcome, built in process, encoded by the canonical fast
+//!   writer the daemon answers `finish` with and by the generic `Value`
+//!   codec, interleaved, best of [`FINISH_ROUNDS`] each.
 //!
 //! The workload is the serving analogue of the bench suite's wave
 //! pattern: at each integer step, the items that arrived two steps ago
@@ -32,9 +38,11 @@
 //! every shared instant, sizes cycling on a 1/128 grid so the tick
 //! engine carries the whole stream.
 
+use dbp_core::session::Session;
+use dbp_core::FirstFit;
 use dbp_numeric::rat;
 use dbp_obs::Histogram;
-use dbp_proto::{Backend, Event, ItemId, TickGrid};
+use dbp_proto::{fast, Backend, Event, ItemId, Response, TickGrid};
 use dbp_server::journal::{journal_path, read_journal, Journal, JournalHeader};
 use dbp_server::span::PHASE_NAMES;
 use dbp_server::tenant::Tenant;
@@ -46,6 +54,10 @@ use std::time::Instant;
 /// single untraced-then-traced pair read ratios of 0.87–1.37; ten
 /// medians of five alternating pairs read 0.94–1.12.
 const PAIRS: usize = 5;
+
+/// Rounds of the finish-frame encode comparison, each timing both
+/// encoders once.
+const FINISH_ROUNDS: usize = 5;
 
 struct Args {
     threads: usize,
@@ -228,6 +240,59 @@ fn journal_replay_rate(args: &Args) -> f64 {
     events as f64 / best
 }
 
+/// Times one wave tenant's finish frame, the response a `finish`
+/// request gets: the tenant's stream runs through an in-process session
+/// (its last waves departing two steps after the stream ends), and
+/// the outcome is encoded by the canonical fast writer the daemon uses
+/// and by the generic `Value` codec, each into a fresh buffer,
+/// interleaved, best of [`FINISH_ROUNDS`]. Returns milliseconds as
+/// `(fast, generic)` and the frame's length.
+fn finish_frame_ms(args: &Args) -> (f64, f64, usize) {
+    let mut session = Session::builder(FirstFit::new())
+        .grid(TickGrid::new(1, 128))
+        .without_checkpoints()
+        .build()
+        .expect("wave session builds");
+    let mut live = std::collections::HashSet::new();
+    let mut end = rat(0, 1);
+    for event in wave_batches(args.events_per_tenant, args.batch)
+        .iter()
+        .flatten()
+    {
+        session.apply(event).expect("wave events apply");
+        match *event {
+            Event::Arrive { id, .. } => live.insert(id),
+            Event::Depart { id, .. } => live.remove(&id),
+        };
+        end = event.time();
+    }
+    let mut live: Vec<ItemId> = live.into_iter().collect();
+    live.sort_unstable();
+    for id in live {
+        session
+            .depart(id, end + rat(2, 1))
+            .expect("live items depart");
+    }
+    let response = Response::Outcomes(vec![session.finish().expect("wave session finishes")]);
+    let Response::Outcomes(outcomes) = &response else {
+        unreachable!("built as outcomes")
+    };
+    let (mut fast_best, mut generic_best) = (f64::INFINITY, f64::INFINITY);
+    let mut frame_len = 0;
+    for _ in 0..FINISH_ROUNDS {
+        let started = Instant::now();
+        let mut frame = Vec::new();
+        fast::write_outcomes_response_traced(&mut frame, outcomes, None);
+        fast_best = fast_best.min(started.elapsed().as_secs_f64());
+        let started = Instant::now();
+        let generic = serde_json::value_to_string(&response.to_traced_value(None));
+        generic_best = generic_best.min(started.elapsed().as_secs_f64());
+        assert_eq!(frame, generic.as_bytes(), "finish frame encoders disagree");
+        frame_len = frame.len();
+    }
+    (fast_best * 1e3, generic_best * 1e3, frame_len)
+}
+
 fn quantile_or_zero(h: &Histogram, q: f64) -> f64 {
     h.quantile(q).unwrap_or(0.0)
 }
@@ -375,6 +440,13 @@ fn main() {
         args.events_per_tenant
     );
 
+    let (finish_fast_ms, finish_generic_ms, finish_frame_len) = finish_frame_ms(&args);
+    let finish_ratio = finish_generic_ms / finish_fast_ms;
+    eprintln!(
+        "loadgen: one wave tenant's finish frame ({finish_frame_len} bytes): fast writer \
+         {finish_fast_ms:.2} ms, generic codec {finish_generic_ms:.2} ms, ratio {finish_ratio:.1}"
+    );
+
     if let Some(out) = &args.out {
         if let Some(dir) = std::path::Path::new(out).parent() {
             std::fs::create_dir_all(dir).expect("create output directory");
@@ -398,7 +470,9 @@ fn main() {
              \"p99_server_latency_us\": {:.2},\n    \"phase_share_decode\": {:.4},\n    \
              \"phase_share_quota\": {:.4},\n    \"phase_share_apply\": {:.4},\n    \
              \"phase_share_journal\": {:.4},\n    \"phase_share_encode\": {:.4},\n    \
-             \"journal_replay_events_per_sec\": {:.0}\n  }}\n}}\n",
+             \"journal_replay_events_per_sec\": {:.0},\n    \
+             \"finish_frame_fast_ms\": {:.3},\n    \"finish_frame_generic_ms\": {:.3},\n    \
+             \"finish_fast_vs_generic_ratio\": {:.2}\n  }}\n}}\n",
             args.threads,
             args.tenants,
             args.events_per_tenant,
@@ -423,6 +497,9 @@ fn main() {
             phase_ns[3] as f64 / spent as f64,
             phase_ns[4] as f64 / spent as f64,
             journal_replay_events_per_sec,
+            finish_fast_ms,
+            finish_generic_ms,
+            finish_ratio,
         );
         let mut file = std::fs::File::create(out).expect("create output file");
         file.write_all(json.as_bytes()).expect("write snapshot");

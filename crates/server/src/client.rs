@@ -214,8 +214,7 @@ impl Client {
                 fast::write_batch_request_traced(&mut self.out, events, trace)
             }
             _ => {
-                let payload = serde_json::to_string(&request.to_traced_value(trace))
-                    .expect("requests always serialize");
+                let payload = serde_json::value_to_string(&request.to_traced_value(trace));
                 self.out.extend_from_slice(payload.as_bytes());
             }
         }

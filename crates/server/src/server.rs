@@ -402,15 +402,18 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 // Serializes `response` into `out`, echoing the request's `trace` id
 // when there is one. Placement answers take the canonical fast
-// writer; cold frames go through the generic codec.
+// writers, and so do finish outcomes, whose frame grows with the
+// tenant's history and whose `Value` tree would take several times
+// the frame's size in heap; the other cold frames go through the
+// generic codec.
 fn encode_response(out: &mut Vec<u8>, response: &Response, trace: Option<u64>) {
     out.clear();
     match response {
         Response::Bin(bin) => fast::write_bin_response_traced(out, *bin, trace),
         Response::Bins(bins) => fast::write_bins_response_traced(out, bins, trace),
+        Response::Outcomes(outcomes) => fast::write_outcomes_response_traced(out, outcomes, trace),
         _ => {
-            let payload = serde_json::to_string(&response.to_traced_value(trace))
-                .expect("responses always serialize");
+            let payload = serde_json::value_to_string(&response.to_traced_value(trace));
             out.extend_from_slice(payload.as_bytes());
         }
     }
