@@ -1013,22 +1013,17 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
                 }
             };
             let shard = event.id().index() % shards;
-            if let Err(errors) = fleet.dispatch(&[(shard, event)]) {
-                let e = &errors[0];
+            if let Err(e) = fleet.session_mut(shard).apply(&event) {
                 if strict {
                     return Err(err(format!(
-                        "line {}: shard {} rejected event: {}",
-                        lineno + 1,
-                        e.shard,
-                        e.error
+                        "line {}: shard {shard} rejected event: {e}",
+                        lineno + 1
                     )));
                 }
                 let _ = writeln!(
                     progress,
-                    "line {}: shard {} rejected event: {} — skipped",
-                    lineno + 1,
-                    e.shard,
-                    e.error
+                    "line {}: shard {shard} rejected event: {e} — skipped",
+                    lineno + 1
                 );
                 skipped += 1;
                 continue;
@@ -1740,6 +1735,22 @@ mod tests {
         assert!(out.contains("usage 4"), "{out}");
         let e = run(&args(&["stream", "--input", &path, "--strict", "true"])).unwrap_err();
         assert!(e.0.contains("line 2"), "{e}");
+        // Sharded, the note also names the shard that rejected the
+        // line: id 3 never arrived.
+        let unknown = "{\"depart\": {\"id\": 3, \"time\": {\"num\": 4, \"den\": 1}}}\n";
+        std::fs::write(&path, format!("{STREAM_JSONL}{unknown}")).unwrap();
+        let (out, progress) = run_capturing(&["stream", "--input", &path, "--shards", "2"]);
+        let rejection = "line 6: shard 1 rejected event: departure of unknown item r3";
+        assert!(
+            progress.contains(&format!("{rejection} — skipped")),
+            "{progress}"
+        );
+        assert!(out.unwrap().contains("fleet usage 4"));
+        let e = run(&args(&[
+            "stream", "--input", &path, "--shards", "2", "--strict", "true",
+        ]))
+        .unwrap_err();
+        assert_eq!(e.0, rejection);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -131,19 +131,6 @@ impl TickGrid {
             size_scale: grid.size_scale,
         })
     }
-
-    /// Size in units, if `size` lies on the size grid.
-    fn units_of(self, size: Rational) -> Option<u64> {
-        // Sizes are pre-validated in (0, 1], so an on-grid size is
-        // automatically in 1..=size_scale.
-        size.scaled_to(self.size_scale as i128).map(|u| u as u64)
-    }
-
-    /// `true` iff `t` itself lies on the time grid (used for the
-    /// first event, which fixes the session origin).
-    fn aligned(self, t: Rational) -> bool {
-        t.scaled_to(self.time_scale as i128).is_some()
-    }
 }
 
 /// Errors surfaced by sessions and the unified [`Runner`].
@@ -562,7 +549,12 @@ impl CheckpointLog {
     }
 }
 
-/// The engine a session is currently running on.
+/// The engine a session is currently running on. Every event on a
+/// tick core goes through one grid conversion
+/// ([`Session::grid_point`]): on the grid it reaches the tick engine,
+/// built at the first on-grid event; off it, the session rejects the
+/// event ([`Backend::Tick`]) or moves to the exact engine for good
+/// ([`Backend::Auto`]).
 // Not boxed: a session owns exactly one `Core` (never collections of
 // them), so the variant size gap costs a few hundred bytes per
 // session, while boxing would put a pointer hop on the per-event hot
@@ -571,39 +563,12 @@ impl CheckpointLog {
 enum Core {
     /// Exact Rational engine.
     Exact(PackingEngine),
-    /// Tick backend selected but no event applied yet: the engine is
-    /// created at the first event, whose timestamp fixes the origin.
-    TickIdle,
+    /// Tick backend selected but no event applied yet: the engine for
+    /// this policy is created at the first event, whose timestamp
+    /// fixes the origin.
+    TickIdle(TickPolicy),
     /// Live integer engine.
     Tick(TickEngine),
-}
-
-/// Where the next event must be dispatched (computed with the books
-/// borrowed immutably, so promotion can mutate the session freely).
-enum Route {
-    /// Exact engine, as-is.
-    Exact,
-    /// First event of a tick session: build the engine at this
-    /// origin.
-    TickFirst {
-        /// Size in units (0 for departures, unused).
-        units: u64,
-    },
-    /// Live tick engine.
-    Tick {
-        /// Event tick relative to the session origin.
-        tick: u64,
-        /// Size in units (0 for departures, unused).
-        units: u64,
-    },
-    /// The event is off the grid: promote to exact (or error under
-    /// strict tick).
-    Promote {
-        /// Which quantity was off the grid.
-        what: &'static str,
-        /// The offending value.
-        value: Rational,
-    },
 }
 
 /// Configures and builds a [`Session`] (see [`Session::builder`]).
@@ -684,15 +649,12 @@ impl<'s> SessionBuilder<'s> {
         let name = self.algo.name();
         self.algo.reset();
         let policy = self.algo.tick_policy();
-        let (core, tick_policy) = match self.backend {
-            Backend::Exact => (Core::Exact(PackingEngine::new()), None),
-            Backend::Auto => {
-                if policy.is_some() && self.grid.is_some() && self.observer.is_none() {
-                    (Core::TickIdle, policy)
-                } else {
-                    (Core::Exact(PackingEngine::new()), None)
-                }
-            }
+        let core = match self.backend {
+            Backend::Exact => Core::Exact(PackingEngine::new()),
+            Backend::Auto => match policy {
+                Some(p) if self.grid.is_some() && self.observer.is_none() => Core::TickIdle(p),
+                _ => Core::Exact(PackingEngine::new()),
+            },
             Backend::Tick => {
                 if self.observer.is_some() {
                     return Err(SessionError::TickUnavailable(
@@ -705,7 +667,7 @@ impl<'s> SessionBuilder<'s> {
                 if self.grid.is_none() {
                     return Err(SessionError::TickUnavailable("no tick grid declared"));
                 }
-                (Core::TickIdle, Some(p))
+                Core::TickIdle(p)
             }
         };
         Ok(Session {
@@ -714,9 +676,7 @@ impl<'s> SessionBuilder<'s> {
             probe: self.probe,
             noop: NoopObserver,
             backend: self.backend,
-            strict: self.backend == Backend::Tick,
             grid: self.grid,
-            tick_policy,
             core,
             origin_ticks: None,
             time_quot_memo: (0, 0),
@@ -741,11 +701,7 @@ pub struct Session<'s> {
     probe: Option<&'s mut dyn PhaseProbe>,
     noop: NoopObserver,
     backend: Backend,
-    strict: bool,
     grid: Option<TickGrid>,
-    /// `Some` while the session may run (or is running) on the tick
-    /// engine; cleared permanently on promotion.
-    tick_policy: Option<TickPolicy>,
     core: Core,
     /// First event's timestamp on the tick grid (tick sessions
     /// only): `origin.scaled_to(time_scale)`, cached so the per-event
@@ -875,7 +831,7 @@ impl<'s> Session<'s> {
         match &self.core {
             Core::Exact(e) => e.is_active(id),
             Core::Tick(e) => e.is_active(id),
-            Core::TickIdle => false,
+            Core::TickIdle(_) => false,
         }
     }
 
@@ -928,102 +884,92 @@ impl<'s> Session<'s> {
         num.checked_mul(memo.1)
     }
 
-    /// Plans the dispatch of an event at `t` (size `Some` for
-    /// arrivals); only the divisor memos are mutated.
-    #[inline]
-    fn route(&mut self, t: Rational, size: Option<Rational>) -> Route {
-        let grid = match self.grid {
-            Some(g) => g,
-            None => return Route::Exact,
+    /// The event at `t` (of `size`, for an arrival) on the session's
+    /// grid: its tick measured from the origin, tick 0 for the first
+    /// event (which fixes the origin), and its size in units, 0 for a
+    /// departure. Off the grid, the quantity that is off and its
+    /// value; the time is checked before the size, and a tick past the
+    /// `u32` horizon counts as an off-grid time. Only the divisor memos
+    /// are mutated. Always inlined: under a plain `#[inline]` the
+    /// compiler kept it a call, which returns its `Result` through
+    /// memory, and a tick session's ingest ran ~5% slower.
+    #[inline(always)]
+    fn grid_point(
+        &mut self,
+        t: Rational,
+        size: Option<Rational>,
+    ) -> Result<(u64, u64), (&'static str, Rational)> {
+        let grid = self.grid.expect("a tick core implies a grid");
+        // Monotonicity (checked first) puts `t` at or after the
+        // origin, so the subtraction and the conversion fail only past
+        // the horizon.
+        let tick = Self::memo_scaled(&mut self.time_quot_memo, t, grid.time_scale as i128)
+            .and_then(|ticks| ticks.checked_sub(self.origin_ticks.unwrap_or(ticks)))
+            .and_then(|tick| u32::try_from(tick).ok())
+            .ok_or(("time", t))?;
+        let units = match size {
+            // Sizes are pre-validated in (0, 1], so an on-grid size is
+            // automatically in 1..=size_scale.
+            Some(size) => {
+                Self::memo_scaled(&mut self.size_quot_memo, size, grid.size_scale as i128)
+                    .ok_or(("size", size))? as u64
+            }
+            None => 0,
         };
-        match &self.core {
-            Core::Exact(_) => Route::Exact,
-            Core::TickIdle => {
-                if !grid.aligned(t) {
-                    return Route::Promote {
-                        what: "time",
-                        value: t,
-                    };
-                }
-                let units = match size {
-                    Some(s) => match grid.units_of(s) {
-                        Some(u) => u,
-                        None => {
-                            return Route::Promote {
-                                what: "size",
-                                value: s,
-                            }
-                        }
-                    },
-                    None => 0,
-                };
-                Route::TickFirst { units }
-            }
-            Core::Tick(_) => {
-                let origin = self
-                    .origin_ticks
-                    .expect("live tick engine has an origin tick");
-                // Monotonicity (checked before routing) puts `t` at
-                // or after the origin, so the offset is non-negative.
-                let on_grid =
-                    Self::memo_scaled(&mut self.time_quot_memo, t, grid.time_scale as i128);
-                let tick = match on_grid {
-                    Some(on_grid) if on_grid - origin <= u32::MAX as i128 => {
-                        debug_assert!(on_grid >= origin, "events routed before the origin");
-                        (on_grid - origin) as u64
-                    }
-                    _ => {
-                        return Route::Promote {
-                            what: "time",
-                            value: t,
-                        }
-                    }
-                };
-                let units = match size {
-                    // Sizes are pre-validated in (0, 1], so an
-                    // on-grid size is automatically in 1..=size_scale.
-                    Some(s) => match Self::memo_scaled(
-                        &mut self.size_quot_memo,
-                        s,
-                        grid.size_scale as i128,
-                    ) {
-                        Some(u) => u as u64,
-                        None => {
-                            return Route::Promote {
-                                what: "size",
-                                value: s,
-                            }
-                        }
-                    },
-                    None => 0,
-                };
-                Route::Tick { tick, units }
-            }
-        }
+        Ok((u64::from(tick), units))
     }
 
-    /// Converts the tick books to exact Rationals and continues on
-    /// the exact engine (the `Backend::Auto` off-grid path).
-    fn promote(&mut self) {
-        let core = std::mem::replace(&mut self.core, Core::TickIdle);
-        let engine = match core {
-            // No event applied yet: the original algorithm is still
-            // fresh, keep driving it directly.
-            Core::TickIdle => PackingEngine::new(),
+    /// An event of `id` on a tick core is off the grid in `what`, as
+    /// [`grid_point`](Self::grid_point) named it. A duplicate arrival
+    /// or an unknown departure is rejected as such first, so it never
+    /// promotes; then strict [`Backend::Tick`] rejects the event as
+    /// [`SessionError::OffGrid`], and [`Backend::Auto`] converts the
+    /// tick books to exact Rationals, for good, so the exact engine
+    /// applies it.
+    #[cold]
+    fn leave_grid(
+        &mut self,
+        id: ItemId,
+        arriving: bool,
+        (what, value): (&'static str, Rational),
+    ) -> Result<(), SessionError> {
+        match (arriving, self.is_active(id)) {
+            (true, true) => return Err(SessionError::Packing(PackingError::DuplicateItem(id))),
+            (false, false) => return Err(SessionError::Packing(PackingError::UnknownItem(id))),
+            _ => {}
+        }
+        if self.backend == Backend::Tick {
+            return Err(SessionError::OffGrid { what, value });
+        }
+        // Before the first event the stored algorithm is still fresh,
+        // so the new exact engine drives it directly.
+        let core = std::mem::replace(&mut self.core, Core::Exact(PackingEngine::new()));
+        if let Core::Tick(engine) = core {
             // Mid-run: the tick engine embodied the policy and never
             // drove the stored algorithm, which may be any algorithm
             // that claims the policy. Swap in the linear equivalent,
-            // which keeps no placement state and so decides
-            // correctly from any books.
-            Core::Tick(engine) => {
-                let policy = self.tick_policy.expect("tick core implies a policy");
-                self.algo = policy.linear_algo();
-                engine.into_exact()
-            }
-            Core::Exact(engine) => engine,
-        };
-        self.core = Core::Exact(engine);
-        self.tick_policy = None;
+            // which keeps no placement state and so decides correctly
+            // from any books.
+            self.algo = engine.policy().linear_algo();
+            self.core = Core::Exact(engine.into_exact());
+        }
+        Ok(())
+    }
+
+    /// Builds the tick engine for `policy` at the first on-grid event,
+    /// whose time `t` becomes the origin. That event is an arrival,
+    /// which an empty engine cannot reject, so a rejected event never
+    /// builds the engine.
+    #[cold]
+    fn start_tick(&mut self, policy: TickPolicy, t: Rational) {
+        let grid = self.grid.expect("a tick core implies a grid");
+        self.origin_ticks = Self::memo_scaled(&mut self.time_quot_memo, t, grid.time_scale as i128);
+        self.core = Core::Tick(TickEngine::with_grid(
+            policy,
+            t,
+            grid.time_scale as i128,
+            grid.size_scale as i128,
+        ));
     }
 
     /// Applies an arrival: `id` of `size` at time `t`. Returns the
@@ -1041,98 +987,37 @@ impl<'s> Session<'s> {
         if size.numer() <= 0 || size.numer() > size.denom() {
             return Err(SessionError::InvalidSize { id, size });
         }
-        // Hot path: a live tick engine fed an on-grid event. The
-        // conversion and dispatch run straight through here; the
-        // general `Route` machinery below only handles the cold
-        // cases (exact core, first event, off-grid promotion).
-        if let (Core::Tick(_), Some(grid)) = (&self.core, self.grid) {
-            let origin = self
-                .origin_ticks
-                .expect("a live tick engine always has an origin tick");
-            let on_grid = Self::memo_scaled(&mut self.time_quot_memo, t, grid.time_scale as i128);
-            let units = Self::memo_scaled(&mut self.size_quot_memo, size, grid.size_scale as i128);
-            if let (Some(on_grid), Some(units)) = (on_grid, units) {
-                if on_grid - origin <= u32::MAX as i128 {
-                    debug_assert!(
-                        on_grid >= origin,
-                        "monotone events never precede the origin"
-                    );
-                    let tick = (on_grid - origin) as u64;
+        if !matches!(self.core, Core::Exact(_)) {
+            match self.grid_point(t, Some(size)) {
+                Ok((tick, units)) => {
+                    if let Core::TickIdle(policy) = self.core {
+                        self.start_tick(policy, t);
+                    }
                     let Core::Tick(engine) = &mut self.core else {
-                        unreachable!("core variant checked above");
+                        unreachable!("an on-grid event runs on the tick engine");
                     };
                     let bin = match self.probe.as_deref_mut() {
-                        Some(p) => engine.arrive_probed(p, id, units as u64, tick)?,
-                        None => engine.arrive(id, units as u64, tick)?,
+                        Some(p) => engine.arrive_probed(p, id, units, tick)?,
+                        None => engine.arrive(id, units, tick)?,
                     };
-                    self.note_arrival(id, size, t, Some((units as u64, tick)));
+                    self.note_arrival(id, size, t, Some((units, tick)));
                     return Ok(bin);
                 }
+                Err(off) => self.leave_grid(id, true, off)?,
             }
         }
-        // Duplicate arrivals surface from the engines themselves on
-        // the on-grid paths (both validate before dispatching to any
-        // observer); only the off-grid arm needs the explicit check,
-        // to keep `DuplicateItem` ranked above off-grid handling.
-        let mut route = self.route(t, Some(size));
-        if let Route::Promote { what, value } = route {
-            if self.is_active(id) {
-                return Err(SessionError::Packing(PackingError::DuplicateItem(id)));
-            }
-            if self.strict {
-                return Err(SessionError::OffGrid { what, value });
-            }
-            self.promote();
-            route = Route::Exact;
-        }
-        let (bin, on_grid) = match route {
-            Route::Exact => {
-                let Core::Exact(engine) = &mut self.core else {
-                    unreachable!("exact route implies exact core");
-                };
-                let obs: &mut dyn EngineObserver = match self.observer.as_deref_mut() {
-                    Some(o) => o,
-                    None => &mut self.noop,
-                };
-                let bin = match self.probe.as_deref_mut() {
-                    Some(p) => engine.arrive_probed(self.algo.as_mut(), obs, p, id, size, t)?,
-                    None => engine.arrive_observed(self.algo.as_mut(), obs, id, size, t)?,
-                };
-                (bin, None)
-            }
-            Route::TickFirst { units } => {
-                let grid = self.grid.expect("tick route implies a grid");
-                let policy = self.tick_policy.expect("tick route implies a policy");
-                let mut engine = TickEngine::with_grid(
-                    policy,
-                    t,
-                    grid.time_scale as i128,
-                    grid.size_scale as i128,
-                );
-                let bin = match self.probe.as_deref_mut() {
-                    Some(p) => engine.arrive_probed(p, id, units, 0)?,
-                    None => engine.arrive(id, units, 0)?,
-                };
-                // `route` only returns `TickFirst` after
-                // `grid.aligned(t)`, so the origin is on the grid.
-                self.origin_ticks =
-                    Self::memo_scaled(&mut self.time_quot_memo, t, grid.time_scale as i128);
-                self.core = Core::Tick(engine);
-                (bin, Some((units, 0)))
-            }
-            Route::Tick { tick, units } => {
-                let Core::Tick(engine) = &mut self.core else {
-                    unreachable!("tick route implies tick core");
-                };
-                let bin = match self.probe.as_deref_mut() {
-                    Some(p) => engine.arrive_probed(p, id, units, tick)?,
-                    None => engine.arrive(id, units, tick)?,
-                };
-                (bin, Some((units, tick)))
-            }
-            Route::Promote { .. } => unreachable!("promotion handled above"),
+        let Core::Exact(engine) = &mut self.core else {
+            unreachable!("an off-grid event leaves the tick core");
         };
-        self.note_arrival(id, size, t, on_grid);
+        let obs: &mut dyn EngineObserver = match self.observer.as_deref_mut() {
+            Some(o) => o,
+            None => &mut self.noop,
+        };
+        let bin = match self.probe.as_deref_mut() {
+            Some(p) => engine.arrive_probed(self.algo.as_mut(), obs, p, id, size, t)?,
+            None => engine.arrive_observed(self.algo.as_mut(), obs, id, size, t)?,
+        };
+        self.note_arrival(id, size, t, None);
         Ok(bin)
     }
 
@@ -1170,23 +1055,14 @@ impl<'s> Session<'s> {
         if self.now == Some(t) && self.arrival_at_now {
             return Err(SessionError::DepartureAfterArrival { time: t });
         }
-        // Hot path: live tick engine, on-grid departure — mirrors the
-        // fused arrival path above.
-        if let (Core::Tick(_), Some(grid)) = (&self.core, self.grid) {
-            let origin = self
-                .origin_ticks
-                .expect("a live tick engine always has an origin tick");
-            if let Some(on_grid) =
-                Self::memo_scaled(&mut self.time_quot_memo, t, grid.time_scale as i128)
-            {
-                if on_grid - origin <= u32::MAX as i128 {
-                    debug_assert!(
-                        on_grid >= origin,
-                        "monotone events never precede the origin"
-                    );
-                    let tick = (on_grid - origin) as u64;
+        match self.core {
+            Core::Exact(_) => {}
+            // Nothing has arrived yet, so the item cannot be active.
+            Core::TickIdle(_) => return Err(SessionError::Packing(PackingError::UnknownItem(id))),
+            Core::Tick(_) => match self.grid_point(t, None) {
+                Ok((tick, _)) => {
                     let Core::Tick(engine) = &mut self.core else {
-                        unreachable!("core variant checked above");
+                        unreachable!("core variant matched above");
                     };
                     let bin = match self.probe.as_deref_mut() {
                         Some(p) => engine.depart_probed(p, id, tick)?,
@@ -1195,55 +1071,21 @@ impl<'s> Session<'s> {
                     self.note_departure(id, t, Some(tick));
                     return Ok(bin);
                 }
-            }
+                Err(off) => self.leave_grid(id, false, off)?,
+            },
         }
-        // Unknown departures surface from the engines themselves on
-        // the on-grid paths; only the off-grid arm needs the explicit
-        // check, to keep `UnknownItem` ranked above off-grid handling.
-        let mut route = self.route(t, None);
-        if let Route::Promote { what, value } = route {
-            if !self.is_active(id) {
-                return Err(SessionError::Packing(PackingError::UnknownItem(id)));
-            }
-            if self.strict {
-                return Err(SessionError::OffGrid { what, value });
-            }
-            self.promote();
-            route = Route::Exact;
-        }
-        let (bin, on_grid) = match route {
-            Route::Exact => {
-                let Core::Exact(engine) = &mut self.core else {
-                    unreachable!("exact route implies exact core");
-                };
-                let obs: &mut dyn EngineObserver = match self.observer.as_deref_mut() {
-                    Some(o) => o,
-                    None => &mut self.noop,
-                };
-                let bin = match self.probe.as_deref_mut() {
-                    Some(p) => engine.depart_probed(self.algo.as_mut(), obs, p, id, t)?,
-                    None => engine.depart_observed(self.algo.as_mut(), obs, id, t)?,
-                };
-                (bin, None)
-            }
-            Route::Tick { tick, .. } => {
-                let Core::Tick(engine) = &mut self.core else {
-                    unreachable!("tick route implies tick core");
-                };
-                let bin = match self.probe.as_deref_mut() {
-                    Some(p) => engine.depart_probed(p, id, tick)?,
-                    None => engine.depart(id, tick)?,
-                };
-                (bin, Some(tick))
-            }
-            // Nothing has arrived yet, so the departing item cannot
-            // be active.
-            Route::TickFirst { .. } => {
-                return Err(SessionError::Packing(PackingError::UnknownItem(id)));
-            }
-            Route::Promote { .. } => unreachable!("promotion handled above"),
+        let Core::Exact(engine) = &mut self.core else {
+            unreachable!("an off-grid event leaves the tick core");
         };
-        self.note_departure(id, t, on_grid);
+        let obs: &mut dyn EngineObserver = match self.observer.as_deref_mut() {
+            Some(o) => o,
+            None => &mut self.noop,
+        };
+        let bin = match self.probe.as_deref_mut() {
+            Some(p) => engine.depart_probed(self.algo.as_mut(), obs, p, id, t)?,
+            None => engine.depart_observed(self.algo.as_mut(), obs, id, t)?,
+        };
+        self.note_departure(id, t, None);
         Ok(bin)
     }
 
@@ -1306,7 +1148,7 @@ impl<'s> Session<'s> {
                     e.load(),
                     e.usage_accrued(),
                 ),
-                Core::TickIdle => (0, 0, 0, 0, Rational::ZERO, Rational::ZERO),
+                Core::TickIdle(_) => (0, 0, 0, 0, Rational::ZERO, Rational::ZERO),
             };
         let tele = self.telemetry.as_ref();
         SessionMetrics {
@@ -1365,7 +1207,7 @@ impl<'s> Session<'s> {
             }
             Core::Tick(engine) => Ok(engine.finish(&name)?),
             // No event was ever applied: an empty run.
-            Core::TickIdle => {
+            Core::TickIdle(_) => {
                 let obs: &mut dyn EngineObserver = match observer {
                     Some(o) => o,
                     None => &mut noop,
@@ -1779,6 +1621,64 @@ mod tests {
         // Still on the tick engine and still usable on-grid.
         assert!(s.tick_active());
         s.arrive(ItemId(1), rat(1, 2), rat(1, 1)).unwrap();
+    }
+
+    /// How the contract's rejections and the grid rank: a duplicate
+    /// arrival or unknown departure is named before `OffGrid` and
+    /// never promotes an `Auto` session; an event off the grid in both
+    /// time and size names the time, on the first event and mid-run; a
+    /// departure as the first event is unknown, on or off the grid;
+    /// and `u32::MAX` ticks past the origin is the last on-grid tick.
+    #[test]
+    fn rejections_outrank_off_grid_and_time_is_named_first() {
+        let unknown = |id| Err(SessionError::Packing(PackingError::UnknownItem(ItemId(id))));
+        let duplicate = |id| {
+            Err(SessionError::Packing(PackingError::DuplicateItem(ItemId(
+                id,
+            ))))
+        };
+        let off_time = |value| {
+            Err(SessionError::OffGrid {
+                what: "time",
+                value,
+            })
+        };
+        let third = rat(1, 3);
+        let horizon = rat(u32::MAX as i128, 1);
+        for backend in [Backend::Auto, Backend::Tick] {
+            let strict = backend == Backend::Tick;
+            let mut s = Session::builder(FirstFit::new())
+                .backend(backend)
+                .grid(TickGrid::new(1, 4))
+                .build()
+                .unwrap();
+            assert_eq!(s.depart(ItemId(0), rat(0, 1)), unknown(0));
+            assert_eq!(s.depart(ItemId(0), third), unknown(0));
+            if strict {
+                assert_eq!(s.arrive(ItemId(0), third, third), off_time(third));
+            }
+            s.arrive(ItemId(0), rat(1, 4), rat(0, 1)).unwrap();
+            let before = (s.metrics(), s.snapshot().unwrap());
+            for (size, time) in [(third, rat(0, 1)), (rat(1, 4), third), (third, third)] {
+                assert_eq!(s.arrive(ItemId(0), size, time), duplicate(0));
+            }
+            assert_eq!(s.depart(ItemId(9), third), unknown(9));
+            if strict {
+                assert_eq!(s.arrive(ItemId(1), third, third), off_time(third));
+            }
+            assert!(s.tick_active());
+            assert_eq!((s.metrics(), s.snapshot().unwrap()), before);
+            s.arrive(ItemId(1), rat(1, 4), horizon).unwrap();
+            assert!(s.tick_active());
+            let past = horizon + Rational::ONE;
+            let result = s.arrive(ItemId(2), rat(1, 4), past);
+            if strict {
+                assert_eq!(result, off_time(past));
+            } else {
+                assert_eq!(result, Ok(BinId(0)));
+            }
+            assert_eq!(s.tick_active(), strict);
+        }
     }
 
     #[test]

@@ -815,6 +815,11 @@ impl TickEngine {
         }
     }
 
+    /// The Any-Fit policy this engine places by.
+    pub(crate) fn policy(&self) -> TickPolicy {
+        self.policy
+    }
+
     /// Test-only override of the linear→tree promotion threshold.
     #[doc(hidden)]
     pub fn set_scan_crossover(&mut self, crossover: usize) {

@@ -455,6 +455,9 @@ type Step = (Event, bool);
 #[derive(Default)]
 struct Contract {
     steps: Vec<Step>,
+    /// The index of the step `script` moved off the grid, with the
+    /// [`SessionError::OffGrid`] a strict session returns for it.
+    off_grid: Option<(usize, SessionError)>,
     now: Option<Rational>,
     arrival_at_now: bool,
     active: Vec<ItemId>,
@@ -518,13 +521,14 @@ impl Contract {
 /// off-grid event before op `i`: an arrival sized in thirds, an
 /// arrival at a third of a unit, or a departure at a third of a unit.
 /// Under `strict` the off-grid event is labelled rejected. Every item
-/// still active at the end departs.
+/// still active at the end departs. Returns the steps and, with
+/// `off_grid`, the off-grid step's index and `OffGrid` error.
 fn script(
     ops: &[(u8, u8, u8)],
     start: i128,
     off_grid: Option<(usize, u8)>,
     strict: bool,
-) -> Vec<Step> {
+) -> (Vec<Step>, Option<(usize, SessionError)>) {
     let arrive = |id, eighths: u8, time| Event::Arrive {
         id,
         size: rat(eighths as i128 % 8 + 1, 8),
@@ -536,15 +540,16 @@ fn script(
     for (i, &(kind, a, b)) in ops.iter().enumerate() {
         if let Some((_, variant)) = off_grid.filter(|&(at, _)| at.min(ops.len() - 1) == i) {
             let third = t + rat(1, 3);
-            let event = match (variant % 3, c.active_at(a)) {
-                (2, Some(id)) => depart(id, third),
-                (1, _) => arrive(c.fresh(), b, third),
-                _ => Event::Arrive {
-                    id: c.fresh(),
-                    size: rat(1 + variant as i128 % 2, 3),
-                    time: t,
-                },
+            let (event, what, value) = match (variant % 3, c.active_at(a)) {
+                (2, Some(id)) => (depart(id, third), "time", third),
+                (1, _) => (arrive(c.fresh(), b, third), "time", third),
+                _ => {
+                    let size = rat(1 + variant as i128 % 2, 3);
+                    let id = c.fresh();
+                    (Event::Arrive { id, size, time: t }, "size", size)
+                }
             };
+            c.off_grid = Some((c.steps.len(), SessionError::OffGrid { what, value }));
             c.push(event, strict);
             t += rat(1, 2);
         }
@@ -599,26 +604,45 @@ fn script(
     for id in c.active.clone() {
         c.push(depart(id, t), false);
     }
-    c.steps
+    (c.steps, c.off_grid)
 }
 
 /// Streams `steps` through a session from `make`: each event must be
-/// accepted or rejected as labelled, and after every event the
+/// accepted or rejected as labelled, with the error a
+/// `Backend::Exact` twin under `policy`, fed the same accepted
+/// events, returns, except that the off-grid step (`off_grid`), when
+/// rejected, must be that `OffGrid` error. After every event the
 /// snapshot must list exactly the accepted events so far. The session
 /// ends on the tick engine iff `ends_on_tick`. Each snapshot, resumed
-/// and fed the rest of the stream, must finish bit-identical to the
-/// uninterrupted run.
+/// and fed the rest of the stream, must return the same errors and
+/// finish bit-identical to the uninterrupted run.
 fn check_checkpoints(
     steps: &[Step],
+    off_grid: Option<(usize, SessionError)>,
     ends_on_tick: bool,
+    policy: TickPolicy,
     make: impl Fn() -> Session<'static>,
 ) -> Result<(), TestCaseError> {
     let mut session = make();
+    let mut twin = Session::builder(linear_algo(policy))
+        .backend(Backend::Exact)
+        .without_checkpoints()
+        .build()
+        .unwrap();
     let mut accepted = Vec::new();
+    let mut errors = Vec::with_capacity(steps.len());
     let mut snapshots = vec![session.snapshot().unwrap()];
     for (i, (event, ok)) in steps.iter().enumerate() {
         let result = session.apply(event);
         prop_assert_eq!(result.is_ok(), *ok, "event {} {:?}: {:?}", i, event, result);
+        let error = result.err();
+        match &off_grid {
+            Some((at, off)) if *at == i && !*ok => {
+                prop_assert_eq!(error.as_ref(), Some(off), "off-grid event {}", i)
+            }
+            _ => prop_assert_eq!(&error, &twin.apply(event).err(), "event {} vs exact", i),
+        }
+        errors.push(error);
         if *ok {
             accepted.push(*event);
         }
@@ -630,8 +654,10 @@ fn check_checkpoints(
     let full = session.finish().unwrap();
     for (cut, snapshot) in snapshots.iter().enumerate() {
         let mut resumed = Session::resume(snapshot).unwrap();
-        for (event, ok) in &steps[cut..] {
-            prop_assert_eq!(resumed.apply(event).is_ok(), *ok, "resumed at {}", cut);
+        for ((event, ok), error) in steps[cut..].iter().zip(&errors[cut..]) {
+            let result = resumed.apply(event);
+            prop_assert_eq!(result.is_ok(), *ok, "resumed at {}", cut);
+            prop_assert_eq!(&result.err(), error, "resumed at {}", cut);
         }
         prop_assert_eq!(
             resumed.finish().unwrap(),
@@ -664,8 +690,8 @@ proptest! {
     ) {
         let (promote, at, variant) = off_grid;
         let off_grid = (promote == 1).then_some((at, variant));
-        let steps = script(&ops, start, off_grid, false);
-        check_checkpoints(&steps, off_grid.is_none(), || {
+        let (steps, off) = script(&ops, start, off_grid, false);
+        check_checkpoints(&steps, off, off_grid.is_none(), POLICIES[policy], || {
             Session::builder(linear_algo(POLICIES[policy]))
                 .grid(TickGrid::new(4, 8))
                 .build()
@@ -682,8 +708,9 @@ proptest! {
         off_grid in (0usize..40, 0u8..6),
         policy in 0usize..3,
     ) {
-        let steps = script(&ops, start, Some(off_grid), true);
-        check_checkpoints(&steps, true, || {
+        let (steps, off) = script(&ops, start, Some(off_grid), true);
+        prop_assert!(off.is_some());
+        check_checkpoints(&steps, off, true, POLICIES[policy], || {
             Session::builder(linear_algo(POLICIES[policy]))
                 .backend(Backend::Tick)
                 .grid(TickGrid::new(4, 8))
