@@ -46,9 +46,10 @@
 //!   tenants; the recorded p50/p99 placement latencies ride along
 //!   uncompared — latency floors are machine noise on shared CI) and
 //!   `journal_replay_events_per_sec` (a durable restart: one tenant's
-//!   journal read back with `read_journal` and rebuilt with
-//!   `Tenant::recover`; journal lines decoded through the generic
-//!   `Value` codec instead of the strict fast parser show here),
+//!   journal streamed straight into its tenant by
+//!   `Tenant::recover_all`, the path `DbpServer::start` runs; journal
+//!   lines decoded through the generic `Value` codec instead of the
+//!   strict fast parser show here),
 //!   plus an **absolute** same-run floor: the fresh snapshot's
 //!   `traced_vs_untraced_ratio` (loadgen's traced pass — per-frame
 //!   request ids, echo verification, request-span recording — against

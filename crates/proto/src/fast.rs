@@ -33,8 +33,9 @@
 //!
 //! The same strict parser is the first reader of stream and journal
 //! lines: [`crate::parse_event_line`] tries it before the generic path,
-//! so journal recovery and `mindbp stream` input decode canonical lines
-//! without building a `Value` tree.
+//! so `mindbp stream` input decodes canonical lines without building a
+//! `Value` tree, and journal recovery reads each line in place in its
+//! read buffer with [`read_event_line`] before anything else.
 
 use crate::frame::{Request, Response};
 use crate::{BinId, Event, ItemId, PackingOutcome};
@@ -327,6 +328,25 @@ pub fn parse_request_traced(payload: &[u8]) -> Option<(Request, Option<u64>)> {
     }
 }
 
+/// Reads one canonical event line where it lies: the bytes
+/// [`crate::event_to_line`] writes, then `\n`, at the start of
+/// `bytes` (whatever follows the newline is left alone). Returns the
+/// event and the line's length, newline included.
+///
+/// `None` defers to [`crate::parse_event_line`], which then decides the
+/// line exactly as it always did. Only an untraced single-event frame
+/// with its `\n` right after the closing brace is read here — no trace
+/// or batch probes, no trimming — so every line this accepts is one
+/// [`parse_request_traced`] reads as the same untraced event. The
+/// journal reader tries it first on every line.
+pub fn read_event_line(bytes: &[u8]) -> Option<(Event, usize)> {
+    let mut c = Cursor::new(bytes);
+    c.lit(b"{\"v\":1,")?;
+    let ev = parse_tagged_event(&mut c)?;
+    c.lit(b"}\n")?;
+    Some((ev, c.pos))
+}
+
 /// Parses a canonical placement response (`Bin` or `Bins`); `None`
 /// means "fall back to the generic parser".
 pub fn parse_response(payload: &[u8]) -> Option<Response> {
@@ -597,6 +617,37 @@ mod tests {
         buf.clear();
         write_bins_response(&mut buf, &bins);
         assert_eq!(parse_response(&buf), Some(Response::Bins(bins)));
+    }
+
+    #[test]
+    fn in_place_line_reader_reads_canonical_lines_up_to_their_newline() {
+        for ev in sample_events() {
+            let mut buf = Vec::new();
+            write_event_request(&mut buf, &ev);
+            let len = buf.len() + 1;
+            buf.extend_from_slice(b"\n{\"v\":1,garbage after the line");
+            assert_eq!(read_event_line(&buf), Some((ev, len)));
+            // The newline must follow the closing brace at once, and
+            // the line must start at the first byte.
+            for damaged in [
+                &buf[..len - 1],
+                &[&buf[..len - 1], b"\r\n".as_slice()].concat(),
+                &[&buf[..len - 1], b" \n".as_slice()].concat(),
+                &[b" ".as_slice(), &buf].concat(),
+            ] {
+                assert_eq!(read_event_line(damaged), None);
+            }
+        }
+        // Traced and batch frames are stream-line input the generic
+        // path owns; the in-place reader never probes for them.
+        let mut buf = Vec::new();
+        write_event_request_traced(&mut buf, &sample_events()[0], Some(3));
+        buf.push(b'\n');
+        assert_eq!(read_event_line(&buf), None);
+        buf.clear();
+        write_batch_request(&mut buf, &sample_events()[..1]);
+        buf.push(b'\n');
+        assert_eq!(read_event_line(&buf), None);
     }
 
     #[test]

@@ -677,7 +677,93 @@ fn check_against_generic(bytes: &[u8]) -> Result<usize, String> {
             return Err(format!("line: fast-first {line:?}, generic {oracle:?}"));
         }
     }
+    accepted += check_in_place_line(bytes)?;
     Ok(accepted)
+}
+
+/// Checks the journal reader's in-place entry on a read buffer that
+/// starts at a line: when it claims a line, that line ends at the
+/// first `\n`, `parse_request_traced` reads it as the same untraced
+/// event, and `parse_event_line` and the generic-only reader return
+/// that event too. Returns 1 when it claimed a line.
+fn check_in_place_line(bytes: &[u8]) -> Result<usize, String> {
+    use dbp_proto::fast;
+
+    let Some((event, len)) = fast::read_event_line(bytes) else {
+        return Ok(0);
+    };
+    let line = &bytes[..len];
+    if line.iter().position(|&b| b == b'\n') != Some(len - 1) {
+        return Err(format!("in place: claimed {len} bytes, not one line"));
+    }
+    let strict = fast::parse_request_traced(&line[..len - 1]);
+    if strict != Some((Request::Event(event), None)) {
+        return Err(format!(
+            "in place: read {event:?}, strict parser {strict:?}"
+        ));
+    }
+    let text = std::str::from_utf8(line).map_err(|_| "in place: accepted non-UTF-8 bytes")?;
+    let (fast_first, generic) = (parse_event_line(text), generic_event_line(text));
+    if fast_first != Some(Ok(event)) || generic != Some(Some(event)) {
+        return Err(format!(
+            "in place: read {event:?}, line parser {fast_first:?}, generic {generic:?}"
+        ));
+    }
+    Ok(1)
+}
+
+/// A journal read buffer at a line start: one canonical event line,
+/// its `\n`, then some leading bytes of the next line.
+fn journal_buffer_strategy() -> impl Strategy<Value = Vec<u8>> {
+    (any_event_strategy(), any_event_strategy(), 0usize..160).prop_map(|(ev, next, keep)| {
+        let mut buf = event_to_line(&ev).into_bytes();
+        buf.push(b'\n');
+        let next = event_to_line(&next);
+        buf.extend_from_slice(&next.as_bytes()[..keep.min(next.len())]);
+        buf
+    })
+}
+
+/// The journal reader's in-place entry (`fast::read_event_line`) on
+/// canonical read buffers and on their mutants (0–3 flips, inserts,
+/// deletes, truncations or splices): it reads every untouched
+/// canonical line, and whatever it reads is exactly what
+/// `parse_event_line` returns for that line; otherwise it defers. It
+/// never claims a line that `parse_request_traced` refuses.
+#[test]
+fn in_place_line_reader_agrees_with_the_line_parser_or_defers() {
+    use proptest::test_runner::TestRng;
+
+    let cases = ProptestConfig::with_cases(8192).effective_cases();
+    let mut rng = TestRng::for_test("prop_wire::in_place_line_reader");
+    let buffers = journal_buffer_strategy();
+    let mutations = prop::collection::vec(mutation_strategy(), 0..=3);
+    let mut accepted = 0;
+    for case in 0..cases {
+        let buffer = buffers.generate(&mut rng);
+        let other = buffers.generate(&mut rng);
+        let ops = mutations.generate(&mut rng);
+        let mutant = mutate(buffer.clone(), &other, &ops);
+        let claimed = check_in_place_line(&mutant).unwrap_or_else(|e| {
+            panic!(
+                "case {case}: {e}\n  buffer {}\n  ops    {ops:?}\n  mutant {}",
+                String::from_utf8_lossy(&buffer),
+                String::from_utf8_lossy(&mutant)
+            )
+        });
+        assert!(
+            claimed == 1 || !ops.is_empty(),
+            "case {case}: deferred on a canonical line: {}",
+            String::from_utf8_lossy(&buffer)
+        );
+        accepted += claimed;
+    }
+    // Not vacuous: the untouched buffers alone are about a quarter of
+    // the cases, and some mutants stay canonical.
+    assert!(
+        accepted * 5 >= cases as usize,
+        "only {accepted} of {cases} buffers had a line read in place"
+    );
 }
 
 /// 1–3 flips, inserts, deletes, truncations or cross-frame splices of

@@ -23,8 +23,9 @@
 //!   `tenant_<name>_request_<phase>_ns`);
 //! * the durable-restart rate (`journal_replay_events_per_sec`): one
 //!   tenant's stream journaled with `Journal::create` and one
-//!   `append` per batch, then read back and rebuilt the way a restart
-//!   does it (`read_journal` + `Tenant::recover`), best of five;
+//!   `append` per batch, then rebuilt the way `DbpServer::start` does
+//!   it (`Tenant::recover_all`, which streams the journal straight into
+//!   the tenant), best of five;
 //! * the finish-frame encode (`finish_frame_fast_ms`,
 //!   `finish_frame_generic_ms` and their ratio
 //!   `finish_fast_vs_generic_ratio`, a same-run gate): one wave
@@ -43,7 +44,7 @@ use dbp_core::FirstFit;
 use dbp_numeric::rat;
 use dbp_obs::Histogram;
 use dbp_proto::{fast, Backend, Event, ItemId, Response, TickGrid};
-use dbp_server::journal::{journal_path, read_journal, Journal, JournalHeader};
+use dbp_server::journal::{Journal, JournalHeader};
 use dbp_server::span::PHASE_NAMES;
 use dbp_server::tenant::Tenant;
 use dbp_server::{Client, DbpServer, Quotas, ServerConfig};
@@ -206,9 +207,9 @@ fn run_pass(args: &Args, addr: &str, prefix: &str, traced: bool) -> (u64, f64, H
 
 /// Journals one tenant's wave stream (one `append` per batch, as a
 /// durable tenant writes it) into a temporary directory, then times the
-/// restart path — `read_journal` plus `Tenant::recover` — best of
-/// five (the first repetitions also pay for growing the heap). Returns
-/// replayed events per second.
+/// restart path `DbpServer::start` runs — `Tenant::recover_all` over
+/// the directory — best of five (the first repetitions also pay for
+/// growing the heap). Returns replayed events per second.
 fn journal_replay_rate(args: &Args) -> f64 {
     let dir = std::env::temp_dir().join(format!("dbp-loadgen-journal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -227,14 +228,13 @@ fn journal_replay_rate(args: &Args) -> f64 {
         journal.append(batch).expect("append to journal");
     }
     drop(journal);
-    let path = journal_path(&dir, &header.tenant);
     let mut best = f64::INFINITY;
     for _ in 0..5 {
         let started = Instant::now();
-        let recovered = read_journal(&path).expect("read journal");
-        let tenant = Tenant::recover(recovered, Quotas::unlimited(), &dir).expect("recover");
+        let tenants = Tenant::recover_all(&dir, Quotas::unlimited()).expect("recover");
         best = best.min(started.elapsed().as_secs_f64());
-        assert_eq!(tenant.accepted(), events as u64, "replay lost events");
+        let accepted: Vec<u64> = tenants.iter().map(Tenant::accepted).collect();
+        assert_eq!(accepted, [events as u64], "replay lost events");
     }
     std::fs::remove_dir_all(&dir).expect("remove temporary journal");
     events as f64 / best
@@ -435,7 +435,7 @@ fn main() {
 
     let journal_replay_events_per_sec = journal_replay_rate(&args);
     eprintln!(
-        "loadgen: journal replay (read_journal + Tenant::recover) of {} events -> \
+        "loadgen: journal replay (Tenant::recover_all) of {} events -> \
          {journal_replay_events_per_sec:.0} events/sec",
         args.events_per_tenant
     );

@@ -16,16 +16,19 @@
 //! A crash in the middle of an append can leave the file ending in a
 //! partial line (one append may take several `write` calls). That
 //! line was never acknowledged, so recovery drops it,
-//! reports its length as [`RecoveredJournal::torn_bytes`], and
+//! reports its length as [`JournalEnd::torn_bytes`], and
 //! [`Journal::reopen`] cuts it off before appending again. A malformed
 //! line followed by more lines is corruption, not a torn append, and
-//! stays an error.
+//! stays an error naming the line's number and byte offset.
 //!
 //! Both directions run on the canonical fast codec: appends encode a
 //! whole batch with [`dbp_proto::fast`] into one reused buffer and
-//! hand it to the file in one `write_all`, and recovery decodes each
-//! line with [`parse_event_line`], which reads canonical lines with the
-//! strict parser and anything else through the generic one.
+//! hand it to the file in one `write_all`. Recovery streams the file
+//! through one fixed-size read buffer and decodes each canonical line
+//! in place with [`fast::read_event_line`]; any other line goes through
+//! [`parse_event_line`], the generic reader of stream lines. A restart
+//! replays each event into its tenant as it is read, so it never holds
+//! a journal's events in memory.
 
 use dbp_proto::{fast, parse_event_line, Backend, Event, TickGrid, WIRE_VERSION};
 use serde::{Deserialize, Serialize, Value};
@@ -140,17 +143,16 @@ impl Journal {
         })
     }
 
-    /// Reopens a recovered journal for appending. A torn final line
-    /// is cut off first, so the next append starts on a line boundary
-    /// instead of gluing onto the fragment.
-    pub fn reopen(dir: &Path, recovered: &RecoveredJournal) -> io::Result<Journal> {
-        let path = journal_path(dir, &recovered.header.tenant);
-        let file = OpenOptions::new().append(true).open(&path)?;
-        if recovered.torn_bytes > 0 {
-            file.set_len(recovered.complete_len)?;
+    /// Reopens the recovered journal at `path` for appending. A torn
+    /// final line is cut off first, so the next append starts on a line
+    /// boundary instead of gluing onto the fragment.
+    pub fn reopen(path: &Path, end: JournalEnd) -> io::Result<Journal> {
+        let file = OpenOptions::new().append(true).open(path)?;
+        if end.torn_bytes > 0 {
+            file.set_len(end.complete_len)?;
         }
         Ok(Journal {
-            path,
+            path: path.to_path_buf(),
             file,
             buf: Vec::new(),
         })
@@ -176,6 +178,20 @@ impl Journal {
     }
 }
 
+/// Bytes the journal reader asks the file for at a time.
+pub const BLOCK: usize = 64 * 1024;
+
+/// Where a journal's complete lines end, found when its bytes run out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalEnd {
+    /// Bytes of complete lines, header included: where the next
+    /// append must start.
+    pub complete_len: u64,
+    /// Length of the final line dropped because it had no `\n` (a
+    /// crash tore the append that wrote it); 0 for a clean journal.
+    pub torn_bytes: u64,
+}
+
 /// A parsed journal: the header plus every event it recorded.
 #[derive(Debug)]
 pub struct RecoveredJournal {
@@ -183,61 +199,27 @@ pub struct RecoveredJournal {
     pub header: JournalHeader,
     /// Events in acceptance order.
     pub events: Vec<Event>,
-    /// Length of the final line dropped because it had no `\n` (a
-    /// crash tore the append that wrote it); 0 for a clean journal.
-    pub torn_bytes: u64,
-    /// Bytes of complete lines, header included: where the next
-    /// append must start.
-    complete_len: u64,
+    /// Where the complete lines end.
+    pub end: JournalEnd,
 }
 
-/// Reads one journal file back. Only newline-terminated lines count:
-/// a final line without its `\n` is a torn append, dropped and
-/// reported in [`RecoveredJournal::torn_bytes`].
+/// Reads one journal file back into memory, through the same
+/// streaming reader a restart uses. Only newline-terminated lines
+/// count: a final line without its `\n` is a torn append, dropped and
+/// reported in [`JournalEnd::torn_bytes`].
 pub fn read_journal(path: &Path) -> io::Result<RecoveredJournal> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut line = Vec::new();
-    let mut complete_len = 0u64;
-    let mut header = None;
-    let mut events = Vec::new();
-    let torn_bytes = loop {
-        line.clear();
-        let n = reader.read_until(b'\n', &mut line)? as u64;
-        if line.last() != Some(&b'\n') {
-            break n; // 0 at a clean end of file
-        }
-        complete_len += n;
-        let text = std::str::from_utf8(&line)
-            .map_err(|e| bad(format!("{}: bad journal line: {e}", path.display())))?;
-        if header.is_none() {
-            let value = serde_json::parse(text)
-                .map_err(|e| bad(format!("{}: bad journal header: {e}", path.display())))?;
-            header = Some(
-                JournalHeader::from_value(&value)
-                    .map_err(|e| bad(format!("{}: bad journal header: {e}", path.display())))?,
-            );
-            continue;
-        }
-        match parse_event_line(text) {
-            Some(Ok(event)) => events.push(event),
-            Some(Err(e)) => return Err(bad(format!("{}: bad journal line: {e}", path.display()))),
-            None => {}
-        }
-    };
-    let header =
-        header.ok_or_else(|| bad(format!("{}: no complete journal header", path.display())))?;
+    let (header, mut reader) = JournalReader::open(path)?;
+    let events = reader.by_ref().collect::<io::Result<Vec<Event>>>()?;
     Ok(RecoveredJournal {
         header,
         events,
-        torn_bytes,
-        complete_len,
+        end: reader.end(),
     })
 }
 
-/// Every journal found under `dir`, in deterministic (path-sorted)
-/// order. Missing directory means no tenants to recover.
-pub fn scan_journals(dir: &Path) -> io::Result<Vec<RecoveredJournal>> {
+/// Every journal file under `dir`, path-sorted so that recovery runs in
+/// a deterministic order. A missing directory holds none.
+pub(crate) fn journal_paths(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut paths: Vec<PathBuf> = match fs::read_dir(dir) {
         Ok(entries) => entries
             .filter_map(|e| e.ok().map(|e| e.path()))
@@ -247,7 +229,133 @@ pub fn scan_journals(dir: &Path) -> io::Result<Vec<RecoveredJournal>> {
         Err(e) => return Err(e),
     };
     paths.sort();
-    paths.iter().map(|p| read_journal(p)).collect()
+    Ok(paths)
+}
+
+/// Streams one journal file: its header when opened, then its events
+/// one at a time as an iterator, then where its complete lines end.
+///
+/// The file is read through one [`BLOCK`]-byte [`BufReader`]. A
+/// canonical line that lies whole in the buffer is decoded there by
+/// [`fast::read_event_line`], which checks its `\n` too. Any other line
+/// (the one that crosses the end of a block included) is copied out
+/// with `read_until` and decoded by [`parse_event_line`], exactly as a
+/// line of `mindbp stream` input.
+pub(crate) struct JournalReader {
+    path: PathBuf,
+    file: BufReader<File>,
+    /// The last line copied out of the buffer.
+    text: Vec<u8>,
+    /// Bytes of complete lines read so far.
+    complete_len: u64,
+    /// Bytes after the last complete line, once the file has ended.
+    torn_bytes: u64,
+    /// 1-based number of the next line.
+    line: u64,
+}
+
+impl JournalReader {
+    /// Opens `path` and reads its header line, leaving the reader on
+    /// the first event line.
+    pub(crate) fn open(path: &Path) -> io::Result<(JournalHeader, JournalReader)> {
+        let mut reader = JournalReader {
+            path: path.to_path_buf(),
+            file: BufReader::with_capacity(BLOCK, File::open(path)?),
+            text: Vec::new(),
+            complete_len: 0,
+            torn_bytes: 0,
+            line: 1,
+        };
+        let bad = |msg: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {msg}", path.display()),
+            )
+        };
+        let bad_header = |e: &dyn std::fmt::Display| bad(format!("bad journal header: {e}"));
+        if !reader.copy_line()? {
+            return Err(bad("no complete journal header".to_string()));
+        }
+        let text = std::str::from_utf8(&reader.text).map_err(|e| bad_header(&e))?;
+        let value = serde_json::parse(text).map_err(|e| bad_header(&e))?;
+        let header = JournalHeader::from_value(&value).map_err(|e| bad_header(&e))?;
+        reader.advance(reader.text.len());
+        Ok((header, reader))
+    }
+
+    /// Where the complete lines end. Exact once the iterator has
+    /// returned `None`.
+    pub(crate) fn end(&self) -> JournalEnd {
+        JournalEnd {
+            complete_len: self.complete_len,
+            torn_bytes: self.torn_bytes,
+        }
+    }
+
+    fn advance(&mut self, len: usize) {
+        self.complete_len += len as u64;
+        self.line += 1;
+    }
+
+    /// Copies the next line, newline included, into `text`; `false`
+    /// when the file ends first, with the bytes read counted as torn.
+    fn copy_line(&mut self) -> io::Result<bool> {
+        self.text.clear();
+        self.file.read_until(b'\n', &mut self.text)?;
+        if self.text.last() == Some(&b'\n') {
+            return Ok(true);
+        }
+        self.torn_bytes += self.text.len() as u64;
+        Ok(false)
+    }
+
+    /// Decodes the copied line the way a stream line is decoded;
+    /// `Ok(None)` for a blank or comment line.
+    fn generic_line(&self) -> io::Result<Option<Event>> {
+        let bad = |e: &dyn std::fmt::Display| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: bad journal line {} at byte {}: {e}",
+                    self.path.display(),
+                    self.line,
+                    self.complete_len
+                ),
+            )
+        };
+        let text = std::str::from_utf8(&self.text).map_err(|e| bad(&e))?;
+        parse_event_line(text).transpose().map_err(|e| bad(&e))
+    }
+}
+
+impl Iterator for JournalReader {
+    type Item = io::Result<Event>;
+
+    fn next(&mut self) -> Option<io::Result<Event>> {
+        loop {
+            let buf = match self.file.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) => return Some(Err(e)),
+            };
+            if let Some((event, len)) = fast::read_event_line(buf) {
+                self.file.consume(len);
+                self.advance(len);
+                return Some(Ok(event));
+            }
+            match self.copy_line() {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
+            }
+            let event = self.generic_line();
+            self.advance(self.text.len());
+            match event {
+                Ok(Some(event)) => return Some(Ok(event)),
+                Ok(None) => {}
+                Err(e) => return Some(Err(e)),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -288,17 +396,21 @@ mod tests {
         // Reopen mid-life, as recovery does, and keep appending.
         drop(journal);
         let path = journal_path(&dir, "acme");
-        let mut journal = Journal::reopen(&dir, &read_journal(&path).unwrap()).unwrap();
+        let mut journal = Journal::reopen(&path, read_journal(&path).unwrap().end).unwrap();
         journal.append(&events[1..]).unwrap();
 
-        let recovered = scan_journals(&dir).unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].header, header());
-        assert_eq!(recovered[0].events, events);
-        assert_eq!(recovered[0].torn_bytes, 0);
+        assert_eq!(journal_paths(&dir).unwrap(), std::slice::from_ref(&path));
+        let recovered = read_journal(&path).unwrap();
+        assert_eq!(recovered.header, header());
+        assert_eq!(recovered.events, events);
+        assert_eq!(recovered.end.torn_bytes, 0);
+        assert_eq!(
+            recovered.end.complete_len,
+            fs::metadata(&path).unwrap().len()
+        );
 
         journal.remove().unwrap();
-        assert!(scan_journals(&dir).unwrap().is_empty());
+        assert!(journal_paths(&dir).unwrap().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -335,20 +447,21 @@ mod tests {
         let recovered = read_journal(&path).unwrap();
         assert_eq!(recovered.header, header());
         assert_eq!(recovered.events, prefix);
-        assert_eq!(recovered.torn_bytes, half.len() as u64);
+        assert_eq!(recovered.end.torn_bytes, half.len() as u64);
 
-        let mut journal = Journal::reopen(&dir, &recovered).unwrap();
+        let mut journal = Journal::reopen(&path, recovered.end).unwrap();
         journal.append(&more).unwrap();
         drop(journal);
         let recovered = read_journal(&path).unwrap();
         assert_eq!(recovered.events, [prefix, more].concat());
-        assert_eq!(recovered.torn_bytes, 0);
+        assert_eq!(recovered.end.torn_bytes, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
     /// Only the *final* line may be torn: a malformed line with more
-    /// lines after it is corruption and still refuses recovery, and so
-    /// does a journal without one complete header line.
+    /// lines after it is corruption and still refuses recovery, naming
+    /// its 1-based line number and byte offset, and so does a journal
+    /// without one complete header line.
     #[test]
     fn malformed_middle_line_and_torn_header_stay_errors() {
         let dir = std::env::temp_dir().join(format!("dbp-journal-bad-{}", std::process::id()));
@@ -357,11 +470,16 @@ mod tests {
         journal.append(&arrivals(0..2)).unwrap();
         drop(journal);
         let path = journal_path(&dir, "acme");
+        let offset = fs::metadata(&path).unwrap().len();
         append_raw(&path, b"{\"arrive\": garbage\n");
         append_raw(&path, (event_to_line(&arrivals(2..3)[0]) + "\n").as_bytes());
         let err = read_journal(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("bad journal line"), "{err}");
+        assert!(
+            err.to_string()
+                .contains(&format!("bad journal line 4 at byte {offset}:")),
+            "{err}"
+        );
 
         fs::write(&path, b"{\"v\":1,\"journal\":{").unwrap();
         let err = read_journal(&path).unwrap_err();
@@ -408,7 +526,7 @@ mod tests {
         for line in &foreign {
             append_raw(&path, format!("{line}\n").as_bytes());
         }
-        let mut journal = Journal::reopen(&dir, &read_journal(&path).unwrap()).unwrap();
+        let mut journal = Journal::reopen(&path, read_journal(&path).unwrap().end).unwrap();
         journal.append(&arrivals(5..7)).unwrap();
         drop(journal);
 
@@ -427,14 +545,15 @@ mod tests {
                 time: rat(5, 1),
             }
         );
-        assert_eq!(recovered.torn_bytes, 0);
+        assert_eq!(recovered.end.torn_bytes, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
     /// A canonical-looking line that is damaged in the middle of the
     /// journal — a truncated `"den":` value, or half a line with its
     /// newline — is refused by both parsers and fails recovery; it is
-    /// never mistaken for a torn tail.
+    /// never mistaken for a torn tail. The error names the damaged
+    /// line's number and byte offset.
     #[test]
     fn corrupt_canonical_line_mid_journal_fails_recovery() {
         let dir = std::env::temp_dir().join(format!("dbp-journal-corrupt-{}", std::process::id()));
@@ -447,13 +566,18 @@ mod tests {
             journal.append(&arrivals(0..3)).unwrap();
             drop(journal);
             let path = journal_path(&dir, "acme");
+            let offset = fs::metadata(&path).unwrap().len();
             append_raw(&path, format!("{damaged}\n").as_bytes());
             for event in arrivals(4..6) {
                 append_raw(&path, format!("{}\n", event_to_line(&event)).as_bytes());
             }
             let err = read_journal(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{damaged}");
-            assert!(err.to_string().contains("bad journal line"), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("bad journal line 5 at byte {offset}:")),
+                "{err}"
+            );
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -469,6 +593,53 @@ mod tests {
     #[test]
     fn missing_directory_scans_empty() {
         let dir = Path::new("/tmp/definitely-not-a-dbp-journal-dir-12345");
-        assert!(scan_journals(dir).unwrap().is_empty());
+        assert!(journal_paths(dir).unwrap().is_empty());
+    }
+
+    /// Lines straddle block boundaries, a comment line and a padded
+    /// line longer than a block sit among canonical ones, and the
+    /// file ends inside a line: the streamed read matches the lines
+    /// one by one through `parse_event_line`, and stops at the same
+    /// complete length.
+    #[test]
+    fn streamed_reads_match_line_by_line_parsing_across_blocks() {
+        let dir = std::env::temp_dir().join(format!("dbp-journal-blocks-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut journal = Journal::create(&dir, &header()).unwrap();
+        journal.append(&arrivals(0..700)).unwrap();
+        drop(journal);
+        let path = journal_path(&dir, "acme");
+        append_raw(&path, b"# a comment line\n");
+        let padded = format!(
+            "{}{}\n",
+            " ".repeat(BLOCK + 17),
+            event_to_line(&arrivals(700..701)[0])
+        );
+        append_raw(&path, padded.as_bytes());
+        let mut journal = Journal::reopen(&path, read_journal(&path).unwrap().end).unwrap();
+        journal.append(&arrivals(701..1500)).unwrap();
+        drop(journal);
+        append_raw(&path, b"{\"v\":1,\"arr");
+        let bytes = fs::read(&path).unwrap();
+        assert!(bytes.len() > 2 * BLOCK);
+
+        let complete = bytes.iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        let text = std::str::from_utf8(&bytes[..complete]).unwrap();
+        let expected: Vec<Event> = text
+            .lines()
+            .skip(1)
+            .filter_map(|line| parse_event_line(line).map(Result::unwrap))
+            .collect();
+        assert_eq!(expected, arrivals(0..1500));
+        let recovered = read_journal(&path).unwrap();
+        assert_eq!(recovered.events, expected);
+        assert_eq!(
+            recovered.end,
+            JournalEnd {
+                complete_len: complete as u64,
+                torn_bytes: (bytes.len() - complete) as u64,
+            }
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -9,7 +9,6 @@
 //! the shared registry, so many connections can drive one tenant and
 //! a restarted server rebuilds everything from journals.
 
-use crate::journal::scan_journals;
 use crate::quota::Quotas;
 use crate::span::{Phase, RequestSpan, SlowRequest, SlowRing};
 use crate::tenant::Tenant;
@@ -235,8 +234,7 @@ impl DbpServer {
         // first connection can attach.
         let mut tenants: HashMap<String, Arc<Mutex<Option<Tenant>>>> = HashMap::new();
         if let Some(dir) = &config.journal_dir {
-            for recovered in scan_journals(dir).map_err(ServerError::Io)? {
-                let tenant = Tenant::recover(recovered, config.quotas, dir)?;
+            for tenant in Tenant::recover_all(dir, config.quotas)? {
                 tenants.insert(
                     tenant.name().to_string(),
                     Arc::new(Mutex::new(Some(tenant))),

@@ -7,7 +7,9 @@
 //! exactly the accepted events, in acceptance order" lives in one
 //! place.
 
-use crate::journal::{Journal, JournalHeader, RecoveredJournal};
+use crate::journal::{
+    journal_path, journal_paths, Journal, JournalHeader, JournalReader, RecoveredJournal,
+};
 use crate::quota::{Quotas, RateLimiter};
 use crate::span::{Phase, RequestSpan, WireStats};
 use crate::ServerError;
@@ -153,16 +155,53 @@ impl Tenant {
         })
     }
 
-    /// Rebuilds a tenant from its recovered journal by replaying every
-    /// accepted event through the identical session machinery —
-    /// bit-identical to a tenant that never stopped. The journal is
-    /// reopened for appending, with any torn final line cut off.
+    /// Rebuilds every journaled tenant under `dir`, in path order, the
+    /// way [`crate::DbpServer::start`] does on a restart. Each journal
+    /// streams straight into its tenant through the replay loop, one
+    /// journal at a time, so a restart holds sessions rather than
+    /// journals. The journals are reopened for appending, their torn
+    /// tails cut, only once every one of them has replayed: a journal
+    /// that fails recovery leaves every file as it found it.
+    pub fn recover_all(dir: &Path, quotas: Quotas) -> Result<Vec<Tenant>, ServerError> {
+        let mut replayed = Vec::new();
+        for path in journal_paths(dir).map_err(ServerError::Io)? {
+            let (header, mut reader) = JournalReader::open(&path).map_err(ServerError::Io)?;
+            let tenant = Tenant::replay(&header, quotas, &mut reader)?;
+            replayed.push((tenant, path, reader.end()));
+        }
+        replayed
+            .into_iter()
+            .map(|(mut tenant, path, end)| {
+                tenant.journal = Some(Journal::reopen(&path, end).map_err(ServerError::Io)?);
+                Ok(tenant)
+            })
+            .collect()
+    }
+
+    /// Rebuilds a tenant from a journal already read into memory
+    /// ([`crate::journal::read_journal`]) through the same replay loop,
+    /// then reopens its journal under `journal_dir` for appending, with
+    /// any torn final line cut off.
     pub fn recover(
         recovered: RecoveredJournal,
         quotas: Quotas,
         journal_dir: &Path,
     ) -> Result<Tenant, ServerError> {
         let header = &recovered.header;
+        let mut tenant = Tenant::replay(header, quotas, recovered.events.into_iter().map(Ok))?;
+        let path = journal_path(journal_dir, &header.tenant);
+        tenant.journal = Some(Journal::reopen(&path, recovered.end).map_err(ServerError::Io)?);
+        Ok(tenant)
+    }
+
+    /// The replay loop: a fresh journal-less tenant of `header`'s shape
+    /// with every event applied through the identical session
+    /// machinery, bit-identical to a tenant that never stopped.
+    fn replay(
+        header: &JournalHeader,
+        quotas: Quotas,
+        events: impl IntoIterator<Item = std::io::Result<Event>>,
+    ) -> Result<Tenant, ServerError> {
         let hello = Hello {
             tenant: header.tenant.clone(),
             token: None,
@@ -176,8 +215,9 @@ impl Tenant {
         let mut tenant = Tenant::create(&hello, quotas, None)?;
         // Replay without quota admission: these events were already
         // admitted once; a restart must not re-charge them.
-        for event in &recovered.events {
-            tenant.apply_unchecked(event).map_err(|e| {
+        for event in events {
+            let event = event.map_err(ServerError::Io)?;
+            tenant.apply_unchecked(&event).map_err(|e| {
                 ServerError::Io(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!(
@@ -187,7 +227,6 @@ impl Tenant {
                 ))
             })?;
         }
-        tenant.journal = Some(Journal::reopen(journal_dir, &recovered).map_err(ServerError::Io)?);
         Ok(tenant)
     }
 

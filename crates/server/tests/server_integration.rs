@@ -11,13 +11,16 @@ use dbp_core::algo::by_name;
 use dbp_core::session::Session;
 use dbp_core::{ItemId, PackingOutcome};
 use dbp_numeric::rat;
-use dbp_proto::{ErrorKind, Event, TickGrid};
+use dbp_proto::{event_to_line, Backend, ErrorKind, Event, SessionSnapshot, TickGrid};
+use dbp_server::journal::{journal_path, read_journal, Journal, JournalEnd, JournalHeader, BLOCK};
+use dbp_server::tenant::Tenant;
 use dbp_server::{
-    Client, ClientBuilder, ClientError, DbpServer, Quotas, ServerConfig, TokenPolicy,
+    Client, ClientBuilder, ClientError, DbpServer, Quotas, RequestSpan, ServerConfig, TokenPolicy,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::path::PathBuf;
+use std::ops::RangeInclusive;
+use std::path::{Path, PathBuf};
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dbp-server-test-{tag}-{}", std::process::id()));
@@ -291,6 +294,55 @@ fn retired_fast_algorithm_names_still_load() {
     fresh.ingest(&events).unwrap();
     assert_eq!(fresh.finish().unwrap(), vec![expected]);
     server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The header of a First Fit tenant on the served grid.
+fn first_fit_header(tenant: &str) -> JournalHeader {
+    JournalHeader {
+        tenant: tenant.into(),
+        algo: "FirstFit".into(),
+        backend: Backend::Auto,
+        grid: Some(TickGrid::new(1, 32)),
+        shards: 1,
+        telemetry: false,
+    }
+}
+
+/// Recovery touches no journal until every journal has replayed: when
+/// a later journal (`b`) holds a corrupt middle line, the daemon does
+/// not start, and an earlier journal's (`a`) torn tail is still on
+/// disk, byte for byte.
+#[test]
+fn a_failing_journal_leaves_earlier_torn_tails_uncut() {
+    let dir = test_dir("fail-late");
+    let events = wave_stream(6, 4);
+    for tenant in ["a", "b"] {
+        let mut journal = Journal::create(&dir, &first_fit_header(tenant)).unwrap();
+        journal.append(&events[..8]).unwrap();
+    }
+    let append = |tenant: &str, bytes: &[u8]| {
+        let path = journal_path(&dir, tenant);
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        file.write_all(bytes).unwrap();
+    };
+    let line = dbp_proto::event_to_line(&events[8]);
+    append("a", &line.as_bytes()[..line.len() / 2]);
+    append("b", b"{\"v\":1,\"arrive\":{\"id\":}}\n");
+    append("b", format!("{line}\n").as_bytes());
+    let a = std::fs::read(journal_path(&dir, "a")).unwrap();
+
+    let err = DbpServer::start(ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .err()
+    .expect("a corrupt journal refuses the restart");
+    assert!(err.to_string().contains("bad journal line"), "{err}");
+    assert_eq!(std::fs::read(journal_path(&dir, "a")).unwrap(), a);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -904,4 +956,134 @@ fn wire_shutdown_stops_the_server() {
         }
     }
     server.stop();
+}
+
+/// Journals `events` with [`Journal::append`], except that event
+/// `padded` goes in as a non-canonical line ending at byte
+/// `padded_end`: whitespace between its version tag and its body,
+/// which the generic parser skips, and around the whole line, which it
+/// trims. Returns the file's bytes.
+fn journal_run(dir: &Path, events: &[Event], padded: usize, padded_end: usize) -> Vec<u8> {
+    let mut journal = Journal::create(dir, &first_fit_header("acme")).unwrap();
+    journal.append(&events[..padded]).unwrap();
+    drop(journal);
+    let path = journal_path(dir, "acme");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let line = event_to_line(&events[padded]);
+    let (tag, body) = line.split_at("{\"v\":1,".len());
+    let padding = padded_end - bytes.len() - line.len() - 4;
+    bytes.extend_from_slice(format!(" {tag}{}{body} \t\n", " ".repeat(padding)).as_bytes());
+    assert_eq!(bytes.len(), padded_end);
+    std::fs::write(&path, &bytes).unwrap();
+    let end = read_journal(&path).unwrap().end;
+    let mut journal = Journal::reopen(&path, end).unwrap();
+    journal.append(&events[padded + 1..]).unwrap();
+    drop(journal);
+    std::fs::read(&path).unwrap()
+}
+
+/// Crash points of a journal: a copy of a journaled run cut at a byte
+/// offset recovers exactly the complete lines before the cut.
+///
+/// The run spans three read blocks of the journal reader and holds one
+/// non-canonical line longer than a block. It is cut at every offset
+/// of its first lines and at every offset near each block boundary.
+/// Each cut copy is recovered the way a restart does it
+/// (`Tenant::recover_all`): the tenant's snapshot equals an in-process
+/// session's over the complete lines, the torn bytes are the cut's
+/// distance from the last complete line, and an event appended after
+/// the reopen reads back right after that prefix.
+#[test]
+fn every_cut_recovers_the_complete_lines_before_it() {
+    let dir = test_dir("crash-points");
+    // 40 canonical lines, one padded line over the first block
+    // boundary that ends just before the second, then canonical lines
+    // over the second boundary: the run spans three blocks.
+    let mut events = wave_stream(12, 4);
+    let padded = 40;
+    let mut run = journal_run(&dir, &events, padded, 2 * BLOCK - 100);
+    // `ends[i]` is where line i + 1 ends; every line after the
+    // header holds one event.
+    let mut ends: Vec<usize> = (0..run.len())
+        .filter(|&i| run[i] == b'\n')
+        .map(|i| i + 1)
+        .collect();
+    assert_eq!(ends.len(), events.len() + 1);
+    assert!(ends[padded + 1] - ends[padded] > BLOCK);
+    // End the run one line past the second boundary.
+    let line = ends[2] - ends[1];
+    let lines = ends.partition_point(|&end| end < 2 * BLOCK + line) + 1;
+    ends.truncate(lines);
+    events.truncate(lines - 1);
+    run.truncate(ends[lines - 1]);
+    assert!(run.len() > 2 * BLOCK);
+
+    // Every offset of the first lines, then every offset within two
+    // canonical lines of each block boundary: inside the long line at
+    // the first, around its end and the file's at the second.
+    let reach = 2 * line;
+    let mut windows: Vec<RangeInclusive<usize>> = vec![0..=ends[padded] + reach];
+    for boundary in (BLOCK..run.len()).step_by(BLOCK) {
+        windows.push(boundary - reach..=boundary + reach);
+    }
+    let mut cuts: Vec<usize> = windows
+        .into_iter()
+        .flatten()
+        .filter(|&cut| cut <= run.len())
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+
+    let extra = Event::Arrive {
+        id: ItemId(events.len() as u32),
+        size: rat(1, 32),
+        time: events.last().unwrap().time(),
+    };
+    let mut snapshots: HashMap<usize, SessionSnapshot> = HashMap::new();
+    let path = journal_path(&dir, "acme");
+    for &cut in &cuts {
+        std::fs::write(&path, &run[..cut]).unwrap();
+        let lines = ends.partition_point(|&end| end <= cut);
+        if lines == 0 {
+            let err = Tenant::recover_all(&dir, Quotas::unlimited())
+                .err()
+                .unwrap();
+            assert!(
+                err.to_string().contains("no complete journal header"),
+                "cut {cut}: {err}"
+            );
+            continue;
+        }
+        let complete = ends[lines - 1];
+        let prefix = &events[..lines - 1];
+        let recovered = read_journal(&path).unwrap();
+        assert_eq!(recovered.events, prefix, "cut {cut}");
+        let end = JournalEnd {
+            complete_len: complete as u64,
+            torn_bytes: (cut - complete) as u64,
+        };
+        assert_eq!(recovered.end, end, "cut {cut}");
+
+        let mut tenants = Tenant::recover_all(&dir, Quotas::unlimited()).unwrap();
+        assert_eq!(tenants.len(), 1, "cut {cut}");
+        let mut tenant = tenants.pop().unwrap();
+        assert_eq!(tenant.accepted(), prefix.len() as u64, "cut {cut}");
+        let expected = snapshots
+            .entry(prefix.len())
+            .or_insert_with(|| session_snapshot(prefix));
+        assert_eq!(&tenant.snapshot().unwrap(), expected, "cut {cut}");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            complete as u64,
+            "cut {cut}"
+        );
+
+        let mut span = RequestSpan::new("event", 1, None, 0);
+        tenant.apply(&extra, &mut span).unwrap();
+        drop(tenant);
+        let appended = read_journal(&path).unwrap();
+        assert_eq!(appended.events, [prefix, &[extra]].concat(), "cut {cut}");
+        assert_eq!(appended.end.torn_bytes, 0, "cut {cut}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
