@@ -25,14 +25,21 @@
 use crate::bb;
 use crate::units::{compile_sizes, UnitKey};
 use dbp_numeric::Rational;
-use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of memo shards; hashes spread keys uniformly, so a handful
 /// of shards removes essentially all cross-worker contention.
 const MEMO_SHARDS: usize = 16;
+
+/// Locks a memo table, recovering it from a poisoned lock: the memo
+/// only ever inserts whole entries, so a worker that panicked while
+/// holding the lock cannot have left a half-written one behind.
+fn locked<T>(memo: &Mutex<T>) -> MutexGuard<'_, T> {
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A reusable exact bin packing solver with a sharded memo table.
 ///
@@ -95,11 +102,11 @@ impl ExactBinPacking {
             None => {
                 let mut sorted: Vec<Rational> = sizes.to_vec();
                 sorted.sort_unstable_by(|a, b| b.cmp(a));
-                if let Some(&hit) = self.rational_memo.lock().get(&sorted) {
+                if let Some(&hit) = locked(&self.rational_memo).get(&sorted) {
                     return hit as usize;
                 }
                 let result = reference_search(&sorted);
-                self.rational_memo.lock().insert(sorted, result as u32);
+                locked(&self.rational_memo).insert(sorted, result as u32);
                 result
             }
         }
@@ -122,7 +129,7 @@ impl ExactBinPacking {
         budget: u64,
     ) -> bb::BbOutcome {
         let key = UnitKey::new(units_desc.to_vec(), capacity);
-        if let Some(&hit) = self.shard(&key).lock().get(&key) {
+        if let Some(&hit) = locked(self.shard(&key)).get(&key) {
             return bb::BbOutcome {
                 lower: hit as usize,
                 upper: hit as usize,
@@ -132,7 +139,7 @@ impl ExactBinPacking {
         }
         let out = bb::pack(units_desc, capacity, warm, floor, budget);
         if out.is_exact() {
-            self.shard(&key).lock().insert(key, out.upper as u32);
+            locked(self.shard(&key)).insert(key, out.upper as u32);
         }
         out
     }
@@ -145,15 +152,16 @@ impl ExactBinPacking {
 
     /// Number of memoized size multisets (diagnostics).
     pub fn memo_len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum::<usize>() + self.rational_memo.lock().len()
+        self.shards.iter().map(|s| locked(s).len()).sum::<usize>()
+            + locked(&self.rational_memo).len()
     }
 
     /// Clears the memo table.
     pub fn clear(&self) {
         for s in &self.shards {
-            s.lock().clear();
+            locked(s).clear();
         }
-        self.rational_memo.lock().clear();
+        locked(&self.rational_memo).clear();
     }
 }
 

@@ -866,9 +866,11 @@ impl StreamTelemetry {
         })
     }
 
-    /// Whether per-event metric checks are worth computing at all.
+    /// Whether per-event metric checks are worth computing at all:
+    /// only a watchdog reads them. The scrape endpoint gets its own
+    /// metrics every 256 lines and at report lines.
     fn live(&self) -> bool {
-        self.watchdog.is_some() || self.server.is_some()
+        self.watchdog.is_some()
     }
 
     /// Whether a scrape endpoint is up (publishing has a consumer).

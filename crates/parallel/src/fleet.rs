@@ -2,16 +2,11 @@
 //!
 //! A [`Fleet`] owns `N` independent [`Session`]s (shards) — e.g. one
 //! per tenant, availability zone, or server pool — and dispatches
-//! batched events to them on the crate's scoped worker threads. Each
-//! shard's events are always applied **by a single worker, in batch
-//! order**, so every shard's packing is exactly what a standalone
-//! session fed the same subsequence would produce: parallelism never
-//! changes results, only wall-clock time.
-//!
-//! Work distribution is the same fetch-add claim queue as
-//! [`crate::par_map`]: workers claim whole shard batches, so a fleet
-//! with a few hot shards and many idle ones load-balances without any
-//! cross-shard locking on the hot path.
+//! batched events to them in batch order, on the calling thread. Each
+//! shard sees its own events in batch order, so every shard's packing
+//! is exactly what a standalone session fed the same subsequence would
+//! produce. The paper's objective, total usage time, adds up over
+//! independent pools, so a fleet's usage is the sum of its shards'.
 //!
 //! ```
 //! use dbp_core::prelude::*;
@@ -38,9 +33,6 @@ use dbp_core::{BinId, PackingAlgorithm, PackingOutcome};
 use dbp_numeric::Rational;
 use dbp_obs::{telemetry_registry, MetricsRegistry};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// A rejected event, located by shard and by its index in the
 /// dispatched batch.
@@ -70,15 +62,12 @@ impl std::error::Error for FleetError {}
 ///
 /// Shards are fully isolated: each has its own algorithm state, bins,
 /// clock, and journal. The fleet adds routing ([`Fleet::dispatch`]
-/// (Self::dispatch) takes `(shard, event)` pairs), parallel batch
-/// application, aggregated [`metrics`](Self::metrics), and a
-/// collective [`finish`](Self::finish).
+/// (Self::dispatch) takes `(shard, event)` pairs), batch application
+/// with per-shard error isolation, aggregated
+/// [`metrics`](Self::metrics), and a collective
+/// [`finish`](Self::finish).
 pub struct Fleet<'s> {
     shards: Vec<Session<'s>>,
-    /// Wall-clock dispatch statistics (worker batches, dispatch
-    /// latency). Kept separate from `merged_metrics`, which must
-    /// stay deterministic.
-    runtime: MetricsRegistry,
 }
 
 impl fmt::Debug for Fleet<'_> {
@@ -94,10 +83,7 @@ impl<'s> Fleet<'s> {
     /// `sessions[i]`). Use this for heterogeneous fleets — different
     /// algorithms, backends, or grids per shard.
     pub fn new(sessions: Vec<Session<'s>>) -> Fleet<'s> {
-        Fleet {
-            shards: sessions,
-            runtime: MetricsRegistry::new(),
-        }
+        Fleet { shards: sessions }
     }
 
     /// Builds `n` shards running identical fresh algorithms with
@@ -140,141 +126,19 @@ impl<'s> Fleet<'s> {
         &mut self.shards[shard]
     }
 
-    /// Applies a batch of routed events, in parallel across shards.
+    /// Applies a batch of routed events, in batch order.
     ///
-    /// Events for the same shard are applied in slice order by a
-    /// single worker; events for different shards are independent, so
-    /// their relative order is irrelevant. A shard that rejects an
-    /// event stops processing *its* remaining events (the rejection
-    /// leaves that session unchanged, like any [`Session`] error);
-    /// other shards are unaffected and keep going. Errors come back
-    /// sorted by shard id, so failures are deterministic too.
+    /// A shard that rejects an event stops processing *its* remaining
+    /// events (the rejection leaves that session unchanged, like any
+    /// [`Session`] error); other shards are unaffected and keep going.
+    /// Errors come back sorted by shard id, then batch index.
     ///
     /// Routing is validated up front: an out-of-range shard id
     /// ([`SessionError::UnknownShard`]) aborts the whole dispatch
     /// before *any* event is applied, so a typo'd route never leaves
     /// the batch half-ingested.
     pub fn dispatch(&mut self, events: &[(usize, Event)]) -> Result<(), Vec<FleetError>> {
-        self.dispatch_inner(events, None)
-    }
-
-    /// Shared dispatch machinery: when `placements` is given, every
-    /// applied event's returned bin is recorded at its batch index.
-    fn dispatch_inner(
-        &mut self,
-        events: &[(usize, Event)],
-        placements: Option<&Mutex<Vec<BinId>>>,
-    ) -> Result<(), Vec<FleetError>> {
-        // Validate routing first: a typo'd shard id should not leave
-        // half the batch applied.
-        let routing: Vec<FleetError> = events
-            .iter()
-            .enumerate()
-            .filter(|(_, (shard, _))| *shard >= self.shards.len())
-            .map(|(index, (shard, _))| FleetError {
-                shard: *shard,
-                index,
-                error: SessionError::UnknownShard {
-                    shard: *shard,
-                    shards: self.shards.len(),
-                },
-            })
-            .collect();
-        if !routing.is_empty() {
-            return Err(routing);
-        }
-
-        // Group per shard: (shard, ordered event indices).
-        let mut batches: Vec<(usize, Vec<usize>)> = Vec::new();
-        {
-            let mut slot: Vec<Option<usize>> = vec![None; self.shards.len()];
-            for (index, (shard, _)) in events.iter().enumerate() {
-                match slot[*shard] {
-                    Some(b) => batches[b].1.push(index),
-                    None => {
-                        slot[*shard] = Some(batches.len());
-                        batches.push((*shard, vec![index]));
-                    }
-                }
-            }
-        }
-
-        // One mutex per *touched* shard. Uncontended by construction —
-        // every shard batch is claimed exactly once — the lock is just
-        // the safe handoff of `&mut Session` to whichever worker
-        // claimed it.
-        let mut errors: Vec<FleetError> = Vec::new();
-        let mut batch_stats: Vec<(usize, u128)> = Vec::new();
-        let dispatch_started = Instant::now();
-        {
-            let sessions: Vec<Mutex<(&mut Session<'s>, Vec<usize>)>> = {
-                let mut picked: Vec<(usize, Vec<usize>)> = batches;
-                picked.sort_unstable_by_key(|(shard, _)| *shard);
-                let mut out = Vec::with_capacity(picked.len());
-                let mut rest = self.shards.as_mut_slice();
-                let mut offset = 0usize;
-                for (shard, indices) in picked {
-                    let (_, tail) = rest.split_at_mut(shard - offset);
-                    let (head, tail) = tail.split_at_mut(1);
-                    out.push(Mutex::new((&mut head[0], indices)));
-                    rest = tail;
-                    offset = shard + 1;
-                }
-                out
-            };
-
-            let threads = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, sessions.len().max(1));
-            let next = AtomicUsize::new(0);
-            let sink = Mutex::new(&mut errors);
-            let stats = Mutex::new(&mut batch_stats);
-
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|_| loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= sessions.len() {
-                            break;
-                        }
-                        let mut guard = sessions[b].lock().unwrap();
-                        let (ref mut session, ref indices) = *guard;
-                        let started = Instant::now();
-                        let shard_errors: Vec<FleetError> =
-                            run_shard(session, indices, events, placements);
-                        let busy_ns = started.elapsed().as_nanos();
-                        stats.lock().unwrap().push((indices.len(), busy_ns));
-                        if !shard_errors.is_empty() {
-                            sink.lock().unwrap().extend(shard_errors);
-                        }
-                    });
-                }
-            })
-            .expect("fleet worker panicked");
-        }
-
-        // Absorb the worker reports (what `par_map_report` returns
-        // standalone) into the fleet's runtime registry.
-        self.runtime.inc("dispatches");
-        self.runtime
-            .inc_by("dispatched_events", events.len() as u64);
-        self.runtime.observe(
-            "dispatch_wall_ns",
-            dispatch_started.elapsed().as_nanos() as f64,
-        );
-        for (batch_events, busy_ns) in batch_stats {
-            self.runtime
-                .observe("shard_batch_events", batch_events as f64);
-            self.runtime.observe("shard_batch_busy_ns", busy_ns as f64);
-        }
-
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            errors.sort_by_key(|e| (e.shard, e.index));
-            Err(errors)
-        }
+        self.dispatch_each(events, |(shard, event)| (*shard, event), |_, _| {})
     }
 
     /// Routes a flat event stream through `router` and dispatches it:
@@ -283,8 +147,7 @@ impl<'s> Fleet<'s> {
     where
         F: Fn(&Event) -> usize,
     {
-        let routed: Vec<(usize, Event)> = events.iter().map(|e| (router(e), *e)).collect();
-        self.dispatch(&routed)
+        self.dispatch_each(events, |event| (router(event), event), |_, _| {})
     }
 
     /// Like [`dispatch`](Self::dispatch), but returns every event's
@@ -305,9 +168,66 @@ impl<'s> Fleet<'s> {
         &mut self,
         events: &[(usize, Event)],
     ) -> Result<Vec<BinId>, Vec<FleetError>> {
-        let placements = Mutex::new(vec![BinId(0); events.len()]);
-        self.dispatch_inner(events, Some(&placements))?;
-        Ok(placements.into_inner().unwrap())
+        let mut bins = Vec::with_capacity(events.len());
+        self.dispatch_each(
+            events,
+            |(shard, event)| (*shard, event),
+            |_, bin| bins.push(bin),
+        )?;
+        Ok(bins)
+    }
+
+    /// The dispatch loop behind every `dispatch*` method: `route` names
+    /// each batch item's shard and event, and `placed(index, bin)` runs
+    /// for every event a shard applied, in batch order.
+    ///
+    /// Error semantics match [`dispatch`](Self::dispatch) exactly: no
+    /// event applies when any route is out of range, and a shard that
+    /// rejects an event applies none of its later ones.
+    pub fn dispatch_each<T>(
+        &mut self,
+        batch: &[T],
+        route: impl Fn(&T) -> (usize, &Event),
+        mut placed: impl FnMut(usize, BinId),
+    ) -> Result<(), Vec<FleetError>> {
+        let shards = self.shards.len();
+        let routing: Vec<FleetError> = batch
+            .iter()
+            .enumerate()
+            .filter_map(|(index, item)| match route(item) {
+                (shard, _) if shard >= shards => Some(FleetError {
+                    shard,
+                    index,
+                    error: SessionError::UnknownShard { shard, shards },
+                }),
+                _ => None,
+            })
+            .collect();
+        if !routing.is_empty() {
+            return Err(routing);
+        }
+
+        let mut errors: Vec<FleetError> = Vec::new();
+        for (index, item) in batch.iter().enumerate() {
+            let (shard, event) = route(item);
+            if errors.iter().any(|e| e.shard == shard) {
+                continue;
+            }
+            match self.shards[shard].apply(event) {
+                Ok(bin) => placed(index, bin),
+                Err(error) => errors.push(FleetError {
+                    shard,
+                    index,
+                    error,
+                }),
+            }
+        }
+        if errors.is_empty() {
+            Ok(())
+        } else {
+            errors.sort_by_key(|e| (e.shard, e.index));
+            Err(errors)
+        }
     }
 
     /// Live per-shard metrics, indexed by shard.
@@ -324,34 +244,35 @@ impl<'s> Fleet<'s> {
     /// session without telemetry). `peak_open_bins` adds — the sum
     /// of per-shard peaks is the honest fleet-wide capacity bound,
     /// since shards pack independently and their peaks need not
-    /// coincide in time.
+    /// coincide in time. A fleet of one folds to its session's view.
     ///
     /// Deterministic like [`merged_metrics`](Self::merged_metrics):
-    /// depends only on what each shard absorbed, not on scheduling.
+    /// depends only on what each shard absorbed.
     pub fn folded_metrics(&self) -> SessionMetrics {
-        let per_shard = self.metrics();
-        let seeded = !per_shard.is_empty();
-        let mut folded = SessionMetrics {
-            now: None,
-            events: 0,
-            arrivals: 0,
-            departures: 0,
-            open_bins: 0,
-            active_items: 0,
-            bins_opened: 0,
-            peak_open_bins: 0,
-            load: Rational::ZERO,
-            usage_time: Rational::ZERO,
-            vol: seeded.then_some(Rational::ZERO),
-            span: seeded.then_some(Rational::ZERO),
-            min_lifetime: None,
-            max_lifetime: None,
+        let mut per_shard = self.shards.iter().map(Session::metrics);
+        let Some(mut folded) = per_shard.next() else {
+            return SessionMetrics {
+                now: None,
+                events: 0,
+                arrivals: 0,
+                departures: 0,
+                open_bins: 0,
+                active_items: 0,
+                bins_opened: 0,
+                peak_open_bins: 0,
+                load: Rational::ZERO,
+                usage_time: Rational::ZERO,
+                vol: None,
+                span: None,
+                min_lifetime: None,
+                max_lifetime: None,
+            };
         };
         let add = |a: Option<Rational>, b: Option<Rational>| match (a, b) {
             (Some(x), Some(y)) => Some(x + y),
             _ => None,
         };
-        for m in &per_shard {
+        for m in per_shard {
             folded.now = match (folded.now, m.now) {
                 (Some(a), Some(b)) => Some(a.max(b)),
                 (a, b) => a.or(b),
@@ -384,36 +305,23 @@ impl<'s> Fleet<'s> {
     /// [`telemetry_registry`] + [`MetricsRegistry::merge`].
     ///
     /// The result is **deterministic**: it depends only on the events
-    /// each shard has absorbed, never on worker scheduling or merge
-    /// order — counters and exact totals add, the `peak_open_bins`
-    /// histogram takes one sample per shard. For a single-shard
-    /// fleet it is exactly the standalone session's registry; for `N`
-    /// shards it equals merging the `N` standalone registries in any
-    /// order. The `vol`/`span` totals (present when the shard
-    /// sessions enable `SessionBuilder::telemetry`) sum the
-    /// per-shard lower bounds, so `usage_time / max(vol, span)` on
-    /// the merged registry (see `dbp_obs::set_ratio_gauge`) gauges
-    /// the fleet against the sum of per-shard optima — the right
-    /// baseline for a fleet that packs shards independently.
-    ///
-    /// Wall-clock dispatch statistics live in
-    /// [`runtime_metrics`](Self::runtime_metrics) instead, precisely
-    /// because they are *not* deterministic.
+    /// each shard has absorbed, never on merge order — counters and
+    /// exact totals add, the `peak_open_bins` histogram takes one
+    /// sample per shard. For a single-shard fleet it is exactly the
+    /// standalone session's registry; for `N` shards it equals merging
+    /// the `N` standalone registries in any order. The `vol`/`span`
+    /// totals (present when the shard sessions enable
+    /// `SessionBuilder::telemetry`) sum the per-shard lower bounds, so
+    /// `usage_time / max(vol, span)` on the merged registry (see
+    /// `dbp_obs::set_ratio_gauge`) gauges the fleet against the sum of
+    /// per-shard optima — the right baseline for a fleet that packs
+    /// shards independently.
     pub fn merged_metrics(&self) -> MetricsRegistry {
         let mut merged = MetricsRegistry::new();
         for shard in &self.shards {
             merged.merge(&telemetry_registry(&shard.metrics()));
         }
         merged
-    }
-
-    /// Wall-clock dispatch statistics: counters `dispatches` /
-    /// `dispatched_events`, histograms `dispatch_wall_ns`,
-    /// `shard_batch_events`, and `shard_batch_busy_ns` (one sample
-    /// per claimed shard batch — the fleet-side analogue of
-    /// [`crate::par_map_report`]'s `WorkerReport`).
-    pub fn runtime_metrics(&self) -> &MetricsRegistry {
-        &self.runtime
     }
 
     /// Finishes every shard, returning per-shard outcomes in shard
@@ -431,53 +339,6 @@ impl<'s> Fleet<'s> {
                 })
             })
             .collect()
-    }
-}
-
-/// Applies one shard's events in order, stopping at the first
-/// rejection. When `placements` is given, each applied event's bin
-/// lands at its batch index — a single lock per shard batch, not per
-/// event, keeps the hot path cheap.
-fn run_shard(
-    session: &mut Session<'_>,
-    indices: &[usize],
-    events: &[(usize, Event)],
-    placements: Option<&Mutex<Vec<BinId>>>,
-) -> Vec<FleetError> {
-    let mut local: Vec<BinId> = Vec::new();
-    if placements.is_some() {
-        local.reserve(indices.len());
-    }
-    for (n, &index) in indices.iter().enumerate() {
-        let (shard, ref event) = events[index];
-        match session.apply(event) {
-            Ok(bin) => {
-                if placements.is_some() {
-                    local.push(bin);
-                }
-            }
-            Err(error) => {
-                if let Some(sink) = placements {
-                    flush_placements(sink, &indices[..n], &local);
-                }
-                return vec![FleetError {
-                    shard,
-                    index,
-                    error,
-                }];
-            }
-        }
-    }
-    if let Some(sink) = placements {
-        flush_placements(sink, indices, &local);
-    }
-    Vec::new()
-}
-
-fn flush_placements(sink: &Mutex<Vec<BinId>>, indices: &[usize], bins: &[BinId]) {
-    let mut out = sink.lock().unwrap();
-    for (&index, &bin) in indices.iter().zip(bins) {
-        out[index] = bin;
     }
 }
 
@@ -514,8 +375,8 @@ mod tests {
                 events.push((s, depart(i, t + 2 + s as i128)));
             }
         }
-        // Per shard the order must stay time-sorted; across shards we
-        // interleave to exercise the claim queue.
+        // Per shard the order must stay time-sorted; across shards the
+        // events interleave.
         events.sort_by_key(|(shard, e)| (e.time(), *shard));
         events
     }
@@ -695,12 +556,6 @@ mod tests {
         assert_eq!(
             merged.histogram("peak_open_bins").unwrap().count(),
             shards as u64
-        );
-        // Dispatch statistics live in the runtime registry only.
-        assert_eq!(fleet.runtime_metrics().counter("dispatches"), 1);
-        assert_eq!(
-            fleet.runtime_metrics().counter("dispatched_events"),
-            events.len() as u64
         );
         assert_eq!(merged.counter("dispatches"), 0);
         fleet.finish().unwrap();

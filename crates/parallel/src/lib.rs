@@ -3,11 +3,11 @@
 //! # `dbp-par` — deterministic parallel sweeps
 //!
 //! The experiment harness evaluates many independent `(instance,
-//! algorithm)` cells. This crate provides a small, dependency-light
-//! parallel map built on `crossbeam`'s scoped threads and an atomic
-//! work index (the classic fetch-add work queue from *Rust Atomics
-//! and Locks*, claiming short runs of eight indices per RMW to keep
-//! contention on the shared counter low):
+//! algorithm)` cells. This crate provides a small, dependency-free
+//! parallel map built on `std::thread::scope` and an atomic work index
+//! (the classic fetch-add work queue from *Rust Atomics and Locks*,
+//! claiming short runs of eight indices per RMW to keep contention on
+//! the shared counter low):
 //!
 //! * results come back **in input order**, independent of thread
 //!   count or scheduling — experiments are reproducible;
@@ -20,10 +20,12 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 //!
-//! The [`fleet`] module extends the same worker model from
-//! independent *cells* to independent *streaming sessions*: a sharded
-//! [`Fleet`] of `dbp-core` sessions fed batched events with
-//! deterministic per-shard results.
+//! The [`fleet`] module holds independent *streaming sessions*
+//! rather than cells: a sharded [`Fleet`] of `dbp-core` sessions fed
+//! batched events in batch order on the calling thread, with
+//! deterministic per-shard results. Shards are independent server
+//! pools, so worker threads could change only wall-clock time, and
+//! on a frame-sized batch a thread scope costs more than it saves.
 
 pub mod fleet;
 
@@ -71,12 +73,12 @@ where
     // raw indices is unnecessary: we split the work by claimed index
     // and collect per-worker (index, result) pairs, then scatter.
     let mut per_worker: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let next = &next;
             let f = &f;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut mine: Vec<(usize, R)> = Vec::new();
                 loop {
                     let start = next.fetch_add(CLAIM_RUN, Ordering::Relaxed);
@@ -95,8 +97,7 @@ where
             // join() returns Err on worker panic; unwrap re-raises.
             per_worker.push(h.join().expect("worker panicked"));
         }
-    })
-    .expect("scope panicked");
+    });
 
     for chunk in per_worker {
         for (i, r) in chunk {
@@ -171,12 +172,12 @@ where
     let next = AtomicUsize::new(0);
 
     let mut per_worker: Vec<(Vec<(usize, R)>, WorkerReport)> = Vec::with_capacity(threads);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for worker in 0..threads {
             let next = &next;
             let f = &f;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let started = std::time::Instant::now();
                 let mut mine: Vec<(usize, R)> = Vec::new();
                 let mut busy_ns: u128 = 0;
@@ -205,8 +206,7 @@ where
         for h in handles {
             per_worker.push(h.join().expect("worker panicked"));
         }
-    })
-    .expect("scope panicked");
+    });
 
     let mut reports = Vec::with_capacity(threads);
     for (chunk, report) in per_worker {

@@ -31,7 +31,14 @@
 //!   `finish_fast_vs_generic_ratio`, a same-run gate): one wave
 //!   tenant's outcome, built in process, encoded by the canonical fast
 //!   writer the daemon answers `finish` with and by the generic `Value`
-//!   codec, interleaved, best of [`FINISH_ROUNDS`] each.
+//!   codec, interleaved, best of [`FINISH_ROUNDS`] each;
+//! * the sharded arm (`sharded_vs_single_ratio_16` and
+//!   `sharded_vs_single_ratio_1024`, recorded, ungated): on an
+//!   in-process server of its own, a 2-shard and a 1-shard tenant, one
+//!   connection each, stream the same wave stream in 16- or 1024-event
+//!   frames, taking turns chunk by chunk in [`SHARD_PAIRS`] alternating
+//!   pairs; each ratio is the median pair's 2-shard rate over its
+//!   1-shard rate.
 //!
 //! The workload is the serving analogue of the bench suite's wave
 //! pattern: at each integer step, the items that arrived two steps ago
@@ -59,6 +66,15 @@ const PAIRS: usize = 5;
 /// Rounds of the finish-frame encode comparison, each timing both
 /// encoders once.
 const FINISH_ROUNDS: usize = 5;
+
+/// The sharded arm's frame sizes, each with the events its wave
+/// stream holds.
+const SHARD_ARM: [(usize, u64); 2] = [(16, 131_072), (1024, 524_288)];
+
+/// Chunk pairs per frame size in the sharded arm. On a 2-core VM a
+/// pass of a few hundred milliseconds read anywhere from 0.4× to 3.5×
+/// its twin, so the two tenants take turns on short chunks instead.
+const SHARD_PAIRS: usize = 16;
 
 struct Args {
     threads: usize,
@@ -293,6 +309,56 @@ fn finish_frame_ms(args: &Args) -> (f64, f64, usize) {
     (fast_best * 1e3, generic_best * 1e3, frame_len)
 }
 
+/// The sharded arm for one frame size, on a fresh in-process server:
+/// a 1-shard and a 2-shard tenant, one connection each, stream the
+/// same wave stream in `frame`-event frames, chunk by chunk in
+/// [`SHARD_PAIRS`] pairs, alternating which goes first. Returns the
+/// median pair's 2-shard/1-shard rate ratio.
+fn sharded_vs_single(frame: usize, events: u64) -> f64 {
+    let server = DbpServer::start(ServerConfig::default()).expect("server starts");
+    let mut clients = [1, 2].map(|shards| {
+        Client::builder("firstfit")
+            .tenant(format!("shard{frame}_{shards}"))
+            .grid(TickGrid::new(1, 128))
+            .shards(shards)
+            .without_journal()
+            .connect(server.local_addr())
+            .expect("connect")
+    });
+    let batches = wave_batches(events, frame);
+    let mut ratios = Vec::with_capacity(SHARD_PAIRS);
+    for (pair, chunk) in batches
+        .chunks(batches.len().div_ceil(SHARD_PAIRS))
+        .enumerate()
+    {
+        let mut seconds = [0f64; 2];
+        let order = if pair.is_multiple_of(2) {
+            [0, 1]
+        } else {
+            [1, 0]
+        };
+        for side in order {
+            let started = Instant::now();
+            for batch in chunk {
+                clients[side].ingest(batch).expect("batch placement");
+            }
+            seconds[side] = started.elapsed().as_secs_f64();
+        }
+        ratios.push(seconds[0] / seconds[1]);
+    }
+    let ratio = median(&ratios);
+    eprintln!(
+        "loadgen: {frame}-event frames, 2 shards over 1 shard per chunk pair: {}; median {ratio:.3}",
+        ratios
+            .iter()
+            .map(|r| format!("{r:.2}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
+    server.stop();
+    ratio
+}
+
 fn quantile_or_zero(h: &Histogram, q: f64) -> f64 {
     h.quantile(q).unwrap_or(0.0)
 }
@@ -447,6 +513,13 @@ fn main() {
          {finish_fast_ms:.2} ms, generic codec {finish_generic_ms:.2} ms, ratio {finish_ratio:.1}"
     );
 
+    let [sharded_16, sharded_1024] =
+        SHARD_ARM.map(|(frame, events)| sharded_vs_single(frame, events));
+    eprintln!(
+        "loadgen: sharded arm medians: 2 shards over 1 shard {sharded_16:.3} on 16-event \
+         frames, {sharded_1024:.3} on 1024-event frames"
+    );
+
     if let Some(out) = &args.out {
         if let Some(dir) = std::path::Path::new(out).parent() {
             std::fs::create_dir_all(dir).expect("create output directory");
@@ -472,7 +545,9 @@ fn main() {
              \"phase_share_journal\": {:.4},\n    \"phase_share_encode\": {:.4},\n    \
              \"journal_replay_events_per_sec\": {:.0},\n    \
              \"finish_frame_fast_ms\": {:.3},\n    \"finish_frame_generic_ms\": {:.3},\n    \
-             \"finish_fast_vs_generic_ratio\": {:.2}\n  }}\n}}\n",
+             \"finish_fast_vs_generic_ratio\": {:.2},\n    \
+             \"sharded_vs_single_ratio_16\": {:.4},\n    \
+             \"sharded_vs_single_ratio_1024\": {:.4}\n  }}\n}}\n",
             args.threads,
             args.tenants,
             args.events_per_tenant,
@@ -500,6 +575,8 @@ fn main() {
             finish_fast_ms,
             finish_generic_ms,
             finish_ratio,
+            sharded_16,
+            sharded_1024,
         );
         let mut file = std::fs::File::create(out).expect("create output file");
         file.write_all(json.as_bytes()).expect("write snapshot");

@@ -252,6 +252,8 @@ pub(crate) struct JournalReader {
     torn_bytes: u64,
     /// 1-based number of the next line.
     line: u64,
+    /// Number and starting byte offset of the last event's line.
+    last: (u64, u64),
 }
 
 impl JournalReader {
@@ -265,6 +267,7 @@ impl JournalReader {
             complete_len: 0,
             torn_bytes: 0,
             line: 1,
+            last: (0, 0),
         };
         let bad = |msg: String| {
             io::Error::new(
@@ -290,6 +293,12 @@ impl JournalReader {
             complete_len: self.complete_len,
             torn_bytes: self.torn_bytes,
         }
+    }
+
+    /// The journal's path, then the 1-based number and starting byte
+    /// offset of the line the last event came from.
+    pub(crate) fn last_line(&self) -> (&Path, u64, u64) {
+        (&self.path, self.last.0, self.last.1)
     }
 
     fn advance(&mut self, len: usize) {
@@ -333,6 +342,7 @@ impl Iterator for JournalReader {
 
     fn next(&mut self) -> Option<io::Result<Event>> {
         loop {
+            self.last = (self.line, self.complete_len);
             let buf = match self.file.fill_buf() {
                 Ok(buf) => buf,
                 Err(e) => return Some(Err(e)),

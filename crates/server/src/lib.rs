@@ -22,9 +22,10 @@
 //!   latency histograms, and requests over `--slow-ms` land in a
 //!   bounded slow ring dumped as JSONL + Chrome trace on shutdown
 //!   ([`span`]);
-//! * sharding — a tenant with `shards = n` runs a `dbp_par::Fleet`
-//!   routed by `id % n`, trading the single-session total order for
-//!   parallel throughput.
+//! * sharding — every tenant runs a `dbp_par::Fleet` of `shards = n`
+//!   sessions routed by `id % n` (an unsharded tenant is a fleet of
+//!   one): `n` independent server pools, each packed in its own order,
+//!   all applied on the connection's thread.
 //!
 //! Start one with [`DbpServer::start`] (or `mindbp serve` from the
 //! CLI), drive it with [`Client`], benchmark it with the `loadgen`

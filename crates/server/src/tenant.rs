@@ -1,11 +1,11 @@
-//! One tenant = one keyed packing session (or sharded fleet).
+//! One tenant = one keyed fleet of packing sessions, one per shard.
 //!
 //! A [`Tenant`] wraps the session machinery behind the wire protocol:
-//! quota admission in front, journal durability behind, and the
-//! single/sharded distinction hidden from the connection handler.
-//! Every mutation goes through here, so the invariant "journal holds
-//! exactly the accepted events, in acceptance order" lives in one
-//! place.
+//! quota admission in front, journal durability behind. An unsharded
+//! tenant is a fleet of one, so every frame takes the same path
+//! whatever the shard count. Every mutation goes through here, so the
+//! invariant "journal holds exactly the accepted events, in acceptance
+//! order" lives in one place.
 
 use crate::journal::{
     journal_path, journal_paths, Journal, JournalHeader, JournalReader, RecoveredJournal,
@@ -16,7 +16,7 @@ use crate::ServerError;
 use dbp_core::algo::by_name;
 use dbp_core::session::{Session, SessionError};
 use dbp_core::{PackingAlgorithm, PackingOutcome};
-use dbp_obs::{telemetry_registry, MetricsRegistry};
+use dbp_obs::MetricsRegistry;
 use dbp_par::Fleet;
 use dbp_proto::{BinId, ErrorKind, Event, Hello, SessionMetrics, SessionSnapshot, WireError};
 use std::path::Path;
@@ -49,21 +49,11 @@ fn make_algo(canonical: &str) -> Box<dyn PackingAlgorithm> {
     by_name(canonical).expect("canonical_algo only returns by_name-constructible names")
 }
 
-/// Single session or sharded fleet — the tenant-facing API is the
-/// same either way.
-// One long-lived value per tenant behind an Arc<Mutex<..>>; the size
-// skew between variants never crosses a hot move path.
-#[allow(clippy::large_enum_variant)]
-enum TenantState {
-    Single(Session<'static>),
-    Sharded(Fleet<'static>),
-}
-
 /// One tenant's full server-side state.
 pub struct Tenant {
     name: String,
-    state: TenantState,
-    shards: u32,
+    /// One session per shard, routed by `id % shards`.
+    fleet: Fleet<'static>,
     journal: Option<Journal>,
     quotas: Quotas,
     rate: Option<RateLimiter>,
@@ -72,6 +62,16 @@ pub struct Tenant {
     /// Wire-level SLO accumulators (request latency, phase shares,
     /// refusals, fsyncs) — folded into [`Tenant::registry`].
     wire: WireStats,
+}
+
+/// The shard of `shards` that owns `event`'s item. An unsharded
+/// tenant, the common case, skips the division.
+fn shard_of(event: &Event, shards: u32) -> usize {
+    if shards == 1 {
+        0
+    } else {
+        (event.id().0 % shards) as usize
+    }
 }
 
 fn session_error(e: SessionError) -> WireError {
@@ -117,15 +117,10 @@ impl Tenant {
             }
             builder.build()
         };
-        let state = if hello.shards == 1 {
-            TenantState::Single(build_session().map_err(|e| ServerError::Wire(session_error(e)))?)
-        } else {
-            let sessions = (0..hello.shards)
-                .map(|_| build_session())
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| ServerError::Wire(session_error(e)))?;
-            TenantState::Sharded(Fleet::new(sessions))
-        };
+        let sessions = (0..hello.shards)
+            .map(|_| build_session())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| ServerError::Wire(session_error(e)))?;
         let journal = match (journal_dir, hello.journal) {
             (Some(dir), true) => Some(
                 Journal::create(
@@ -145,8 +140,7 @@ impl Tenant {
         };
         Ok(Tenant {
             name: hello.tenant.clone(),
-            state,
-            shards: hello.shards,
+            fleet: Fleet::new(sessions),
             journal,
             quotas,
             rate: quotas.max_events_per_sec.map(RateLimiter::new),
@@ -166,7 +160,9 @@ impl Tenant {
         let mut replayed = Vec::new();
         for path in journal_paths(dir).map_err(ServerError::Io)? {
             let (header, mut reader) = JournalReader::open(&path).map_err(ServerError::Io)?;
-            let tenant = Tenant::replay(&header, quotas, &mut reader)?;
+            let tenant = Tenant::replay(&header, quotas, &mut reader, |reader| {
+                Some(reader.last_line())
+            })?;
             replayed.push((tenant, path, reader.end()));
         }
         replayed
@@ -188,7 +184,8 @@ impl Tenant {
         journal_dir: &Path,
     ) -> Result<Tenant, ServerError> {
         let header = &recovered.header;
-        let mut tenant = Tenant::replay(header, quotas, recovered.events.into_iter().map(Ok))?;
+        let mut events = recovered.events.into_iter().map(Ok);
+        let mut tenant = Tenant::replay(header, quotas, &mut events, |_| None)?;
         let path = journal_path(journal_dir, &header.tenant);
         tenant.journal = Some(Journal::reopen(&path, recovered.end).map_err(ServerError::Io)?);
         Ok(tenant)
@@ -196,11 +193,15 @@ impl Tenant {
 
     /// The replay loop: a fresh journal-less tenant of `header`'s shape
     /// with every event applied through the identical session
-    /// machinery, bit-identical to a tenant that never stopped.
-    fn replay(
+    /// machinery, bit-identical to a tenant that never stopped. An
+    /// event the sessions reject fails the replay, named by `locate`
+    /// (the journal's path and the event line's number and starting
+    /// byte) when the events come from a file.
+    fn replay<I: Iterator<Item = std::io::Result<Event>>>(
         header: &JournalHeader,
         quotas: Quotas,
-        events: impl IntoIterator<Item = std::io::Result<Event>>,
+        events: &mut I,
+        locate: impl Fn(&I) -> Option<(&Path, u64, u64)>,
     ) -> Result<Tenant, ServerError> {
         let hello = Hello {
             tenant: header.tenant.clone(),
@@ -215,15 +216,21 @@ impl Tenant {
         let mut tenant = Tenant::create(&hello, quotas, None)?;
         // Replay without quota admission: these events were already
         // admitted once; a restart must not re-charge them.
-        for event in events {
+        while let Some(event) = events.next() {
             let event = event.map_err(ServerError::Io)?;
             tenant.apply_unchecked(&event).map_err(|e| {
+                let tenant = &header.tenant;
                 ServerError::Io(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
-                    format!(
-                        "journal replay for tenant `{}` rejected an event it once accepted: {e}",
-                        header.tenant
-                    ),
+                    match locate(events) {
+                        Some((path, line, byte)) => format!(
+                            "{}: journal replay for tenant `{tenant}` rejected an event it once accepted, on line {line} at byte {byte}: {e}",
+                            path.display()
+                        ),
+                        None => format!(
+                            "journal replay for tenant `{tenant}` rejected an event it once accepted: {e}"
+                        ),
+                    },
                 ))
             })?;
         }
@@ -239,10 +246,6 @@ impl Tenant {
     /// hello response).
     pub fn accepted(&self) -> u64 {
         self.accepted
-    }
-
-    fn shard_of(&self, event: &Event) -> usize {
-        (event.id().0 % self.shards) as usize
     }
 
     fn admit(&mut self, events: &[Event]) -> Result<(), WireError> {
@@ -298,13 +301,8 @@ impl Tenant {
     /// Applies one event without quota or journal involvement
     /// (recovery replay).
     fn apply_unchecked(&mut self, event: &Event) -> Result<BinId, SessionError> {
-        let bin = match &mut self.state {
-            TenantState::Single(session) => session.apply(event)?,
-            TenantState::Sharded(fleet) => {
-                let shard = (event.id().0 % self.shards) as usize;
-                fleet.session_mut(shard).apply(event)?
-            }
-        };
+        let shard = shard_of(event, self.fleet.len() as u32);
+        let bin = self.fleet.session_mut(shard).apply(event)?;
         self.accepted += 1;
         Ok(bin)
     }
@@ -326,13 +324,13 @@ impl Tenant {
     }
 
     /// Applies a batch, returning one placement per event. On a
-    /// rejection the prefix semantics match the underlying machinery
-    /// ([`Session::ingest`] / [`Fleet::dispatch`]): for a single
-    /// session, events before the reported index were applied; for a
-    /// fleet, each shard applied its events before the first failing
-    /// one. Whatever was applied is journaled, so recovery and the
-    /// live session never diverge. Stage timing charges the request
-    /// `span` exactly as [`Tenant::apply`] does.
+    /// rejection the prefix semantics are [`Fleet::dispatch`]'s: each
+    /// shard applied its events before the first one it rejected, and
+    /// the error names the lowest rejected index (for an unsharded
+    /// tenant, every event before it applied). Whatever was applied is
+    /// journaled, in frame order, so recovery and the live sessions
+    /// never diverge. Stage timing charges the request `span` exactly
+    /// as [`Tenant::apply`] does.
     pub fn batch(
         &mut self,
         events: &[Event],
@@ -344,68 +342,40 @@ impl Tenant {
             span.quota_refused = true;
             return Err(ServerError::Wire(e.at_index(0)));
         }
-        match &mut self.state {
-            TenantState::Single(session) => {
-                let mut bins = Vec::with_capacity(events.len());
-                let t = Instant::now();
-                for (index, event) in events.iter().enumerate() {
-                    match session.apply(event) {
-                        Ok(bin) => bins.push(bin),
-                        Err(error) => {
-                            span.record(Phase::Apply, t.elapsed());
-                            self.accepted += index as u64;
-                            self.journal_applied(&events[..index], span)?;
-                            return Err(ServerError::Wire(
-                                session_error(error).at_index(index as u64),
-                            ));
-                        }
-                    }
+        let shards = self.fleet.len() as u32;
+        let mut bins = Vec::with_capacity(events.len());
+        // Every event before the first one the frame skips applies;
+        // `late` keeps the events that still apply after it.
+        let mut late = Vec::new();
+        let t = Instant::now();
+        let dispatched = self.fleet.dispatch_each(
+            events,
+            |event| (shard_of(event, shards), event),
+            |index, bin| {
+                if bins.len() < index {
+                    late.push(events[index]);
                 }
-                span.record(Phase::Apply, t.elapsed());
-                self.accepted += events.len() as u64;
+                bins.push(bin);
+            },
+        );
+        span.record(Phase::Apply, t.elapsed());
+        self.accepted += bins.len() as u64;
+        match dispatched {
+            Ok(()) => {
                 self.journal_applied(events, span)?;
                 Ok(bins)
             }
-            TenantState::Sharded(fleet) => {
-                let shards = self.shards;
-                let t = Instant::now();
-                let routed: Vec<(usize, Event)> = events
+            Err(errors) => {
+                let mut applied = events[..bins.len() - late.len()].to_vec();
+                applied.extend(late);
+                self.journal_applied(&applied, span)?;
+                let first = errors
                     .iter()
-                    .map(|e| ((e.id().0 % shards) as usize, *e))
-                    .collect();
-                let dispatched = fleet.dispatch_with_bins(&routed);
-                span.record(Phase::Apply, t.elapsed());
-                match dispatched {
-                    Ok(bins) => {
-                        self.accepted += events.len() as u64;
-                        self.journal_applied(events, span)?;
-                        Ok(bins)
-                    }
-                    Err(errors) => {
-                        // Reconstruct exactly which events were applied:
-                        // per failing shard, the events before its
-                        // reported index; for healthy shards, all.
-                        let mut cutoff = vec![usize::MAX; shards as usize];
-                        for e in &errors {
-                            cutoff[e.shard] = cutoff[e.shard].min(e.index);
-                        }
-                        let applied: Vec<Event> = events
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, e)| *i < cutoff[self.shard_of(e)])
-                            .map(|(_, e)| *e)
-                            .collect();
-                        self.accepted += applied.len() as u64;
-                        self.journal_applied(&applied, span)?;
-                        let first = errors
-                            .iter()
-                            .min_by_key(|e| e.index)
-                            .expect("dispatch errors are non-empty");
-                        Err(ServerError::Wire(
-                            session_error(first.error.clone()).at_index(first.index as u64),
-                        ))
-                    }
-                }
+                    .min_by_key(|e| e.index)
+                    .expect("dispatch errors are non-empty");
+                Err(ServerError::Wire(
+                    session_error(first.error.clone()).at_index(first.index as u64),
+                ))
             }
         }
     }
@@ -437,10 +407,7 @@ impl Tenant {
 
     /// Live stream metrics, folded across shards.
     pub fn metrics(&self) -> SessionMetrics {
-        match &self.state {
-            TenantState::Single(session) => session.metrics(),
-            TenantState::Sharded(fleet) => fleet.folded_metrics(),
-        }
+        self.fleet.folded_metrics()
     }
 
     /// The tenant's telemetry registry (what the exposition page
@@ -448,10 +415,7 @@ impl Tenant {
     /// telemetry plus the wire-level SLO series (`request_latency_us`
     /// histogram, per-phase nanosecond counters, refusals, fsyncs).
     pub fn registry(&self) -> MetricsRegistry {
-        let mut registry = match &self.state {
-            TenantState::Single(session) => telemetry_registry(&session.metrics()),
-            TenantState::Sharded(fleet) => fleet.merged_metrics(),
-        };
+        let mut registry = self.fleet.merged_metrics();
         self.wire.fold_into(&mut registry);
         registry
     }
@@ -459,19 +423,19 @@ impl Tenant {
     /// A resumable checkpoint. Sharded and journal-less tenants
     /// answer with a typed `unavailable` error.
     pub fn snapshot(&self) -> Result<SessionSnapshot, WireError> {
-        match &self.state {
-            TenantState::Single(session) => session.snapshot().map_err(|e| match e {
-                SessionError::CheckpointsDisabled => WireError::new(
-                    ErrorKind::Unavailable,
-                    "tenant runs without journaling; snapshots are disabled",
-                ),
-                other => session_error(other),
-            }),
-            TenantState::Sharded(_) => Err(WireError::new(
+        if self.fleet.len() > 1 {
+            return Err(WireError::new(
                 ErrorKind::Unavailable,
                 "sharded tenants checkpoint via the server journal, not session snapshots",
-            )),
+            ));
         }
+        self.fleet.session(0).snapshot().map_err(|e| match e {
+            SessionError::CheckpointsDisabled => WireError::new(
+                ErrorKind::Unavailable,
+                "tenant runs without journaling; snapshots are disabled",
+            ),
+            other => session_error(other),
+        })
     }
 
     /// Finishes the tenant, returning one outcome per shard and
@@ -490,15 +454,10 @@ impl Tenant {
             ));
         }
         let journal = self.journal;
-        let outcomes = match self.state {
-            TenantState::Single(session) => match session.finish() {
-                Ok(outcome) => vec![outcome],
-                Err(e) => unreachable!("finish with no active items failed: {e}"),
-            },
-            TenantState::Sharded(fleet) => fleet
-                .finish()
-                .unwrap_or_else(|e| unreachable!("fleet finish with no active items failed: {e}")),
-        };
+        let outcomes = self
+            .fleet
+            .finish()
+            .unwrap_or_else(|e| unreachable!("finish with no active items failed: {e}"));
         if let Some(journal) = journal {
             // Best-effort: a leftover journal file replays to an
             // empty-tail tenant, which is harmless.

@@ -190,6 +190,83 @@ fn crash_recovery_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A batch frame that one shard of a journaled 3-shard tenant rejects
+/// partway through: the failing shard keeps its events before the
+/// rejection, the other shards keep all of theirs, and the journal
+/// holds exactly those. A restart resumes them, and resubmitting the
+/// events the frame left unapplied finishes like the stream that
+/// never held the bad event.
+#[test]
+fn a_rejected_batch_frame_resumes_what_it_applied_across_a_restart() {
+    let dir = test_dir("rejected-frame");
+    let config = || ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let shards = 3u32;
+    let connect = |server: &DbpServer| {
+        Client::builder("firstfit")
+            .tenant("acme")
+            .grid(TickGrid::new(1, 32))
+            .shards(shards)
+            .connect(server.local_addr())
+            .unwrap()
+    };
+    let events = wave_stream(6, 4);
+    let (head, tail) = events.split_at(events.len() / 3);
+    // The departure of an id that never arrived, on shard 1, in the
+    // middle of the frame.
+    let pos = 5;
+    let bad = Event::Depart {
+        id: ItemId(25),
+        time: tail[pos].time(),
+    };
+    let mut frame = tail.to_vec();
+    frame.insert(pos, bad);
+    // The frame applies every event before the bad one and, after it,
+    // every event of the other shards (`late`).
+    let (before, after) = tail.split_at(pos);
+    let (late, rest): (Vec<Event>, Vec<Event>) =
+        after.iter().copied().partition(|e| e.id().0 % shards != 1);
+    assert!(!late.is_empty() && rest.len() > 1);
+
+    let server = DbpServer::start(config()).unwrap();
+    let mut client = connect(&server);
+    client.ingest(head).unwrap();
+    match client.ingest(&frame) {
+        Err(ClientError::Remote(e)) => {
+            assert_eq!(e.kind, ErrorKind::Session, "{e}");
+            assert_eq!(e.index, Some(pos as u64), "{e}");
+        }
+        other => panic!("expected a typed rejection, got {other:?}"),
+    }
+    server.stop();
+    drop(client);
+
+    let server = DbpServer::start(config()).unwrap();
+    let mut client = connect(&server);
+    assert_eq!(
+        client.resumed_events(),
+        (head.len() + before.len() + late.len()) as u64
+    );
+    client.ingest(&rest).unwrap();
+    let outcomes = client.finish().unwrap();
+    for shard in 0..shards {
+        let shard_events: Vec<Event> = events
+            .iter()
+            .filter(|e| e.id().0 % shards == shard)
+            .copied()
+            .collect();
+        assert_eq!(
+            outcomes[shard as usize],
+            session_outcome("firstfit", &shard_events),
+            "shard {shard}"
+        );
+    }
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A crash that tears the journal's last line must not keep the
 /// daemon from starting: the tenant resumes from the acknowledged
 /// prefix, and later appends extend it cleanly.
@@ -343,6 +420,39 @@ fn a_failing_journal_leaves_earlier_torn_tails_uncut() {
     .expect("a corrupt journal refuses the restart");
     assert!(err.to_string().contains("bad journal line"), "{err}");
     assert_eq!(std::fs::read(journal_path(&dir, "a")).unwrap(), a);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal line that parses but that the session rejects on replay
+/// (a duplicate arrival on line 4) refuses the restart with the line's
+/// number and starting byte, and leaves the file as it was.
+#[test]
+fn a_rejected_journal_event_names_its_line_and_byte() {
+    let dir = test_dir("replay-reject");
+    let events = wave_stream(6, 4);
+    let mut journal = Journal::create(&dir, &first_fit_header("acme")).unwrap();
+    journal.append(&events[..2]).unwrap();
+    drop(journal);
+    let path = journal_path(&dir, "acme");
+    let offset = std::fs::metadata(&path).unwrap().len();
+    let mut journal = Journal::reopen(&path, read_journal(&path).unwrap().end).unwrap();
+    journal.append(&[events[0], events[2]]).unwrap();
+    drop(journal);
+    let bytes = std::fs::read(&path).unwrap();
+
+    let err = DbpServer::start(ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .err()
+    .expect("a journal the sessions reject refuses the restart");
+    let err = err.to_string();
+    assert!(
+        err.contains("rejected an event it once accepted")
+            && err.contains(&format!("line 4 at byte {offset}:")),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
