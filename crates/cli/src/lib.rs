@@ -29,8 +29,8 @@ use dbp_core::{
 };
 use dbp_numeric::{rat, Rational};
 use dbp_obs::{
-    chrome_trace, chrome_trace_with_spans, parse_jsonl, set_ratio_gauge, telemetry_registry,
-    EngineMetrics, MetricsRegistry, MetricsServer, Profiler, StepSeries, TraceRecorder, Watchdog,
+    chrome_trace, chrome_trace_with_spans, parse_jsonl, set_ratio_gauge, EngineMetrics,
+    MetricsRegistry, MetricsServer, Profiler, StepSeries, TraceRecorder, Watchdog,
 };
 use dbp_workloads::adversarial::{
     any_fit_ladder, best_fit_scatter, next_fit_pairs, universal_mu_pairs,
@@ -975,117 +975,15 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
     let mut skipped = 0usize;
     let mut telemetry = StreamTelemetry::from_opts(opts, progress)?;
 
-    if shards > 1 {
-        // Sharded ingestion: route by item id across a fleet.
-        if opts.get("resume").is_some() || opts.get("checkpoint").is_some() {
-            return Err(err("--shards does not combine with --resume/--checkpoint \
-                 (checkpoint shards individually via the library API)"
-                .to_string()));
-        }
-        let mut sessions = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let mut builder = Session::builder(make_algo(algo_name)?)
-                .backend(backend)
-                .telemetry()
-                .without_checkpoints();
-            if let Some(g) = grid {
-                builder = builder.grid(g);
-            }
-            sessions.push(
-                builder
-                    .build()
-                    .map_err(|e| err(format!("cannot build session: {e}")))?,
-            );
-        }
-        let mut fleet = Fleet::new(sessions);
-        let mut ingested = 0usize;
-        for (lineno, line) in text.lines().enumerate() {
-            let Some(parsed) = parse_stream_line(line) else {
-                continue;
-            };
-            let event = match parsed {
-                Ok(event) => event,
-                Err(e) if strict => {
-                    return Err(err(format!("line {}: bad event: {e}", lineno + 1)))
-                }
-                Err(e) => {
-                    let _ = writeln!(progress, "line {}: skipped bad event: {e}", lineno + 1);
-                    skipped += 1;
-                    continue;
-                }
-            };
-            let shard = event.id().index() % shards;
-            if let Err(e) = fleet.session_mut(shard).apply(&event) {
-                if strict {
-                    return Err(err(format!(
-                        "line {}: shard {shard} rejected event: {e}",
-                        lineno + 1
-                    )));
-                }
-                let _ = writeln!(
-                    progress,
-                    "line {}: shard {shard} rejected event: {e} — skipped",
-                    lineno + 1
-                );
-                skipped += 1;
-                continue;
-            }
-            ingested += 1;
-            if telemetry.live() {
-                telemetry.watch(&fleet.folded_metrics(), progress);
-            }
-            let report_due = report_every > 0 && ingested.is_multiple_of(report_every);
-            if report_due {
-                let m = fleet.metrics();
-                let open: usize = m.iter().map(|m| m.open_bins).sum();
-                let active: usize = m.iter().map(|m| m.active_items).sum();
-                let _ = writeln!(
-                    progress,
-                    "events {ingested}: {open} open bins, {active} active items across {shards} shards"
-                );
-            }
-            if telemetry.serving() && (report_due || ingested.is_multiple_of(256)) {
-                telemetry.publish(fleet.merged_metrics());
-            }
-        }
-        let metrics = fleet.metrics();
-        let registry = fleet.merged_metrics();
-        let active: usize = metrics.iter().map(|m| m.active_items).sum();
-        if active > 0 {
-            out.push_str(&format!(
-                "stream ended with {active} items still active across {shards} shards\n"
-            ));
-            for (s, m) in metrics.iter().enumerate() {
-                out.push_str(&format!(
-                    "  shard {s}: {} events, {} active, {} open bins, usage {}\n",
-                    m.events, m.active_items, m.open_bins, m.usage_time
-                ));
-            }
-        } else {
-            let outcomes = fleet
-                .finish()
-                .map_err(|e| err(format!("shard {} failed to finish: {}", e.shard, e.error)))?;
-            for (s, o) in outcomes.iter().enumerate() {
-                out.push_str(&format!(
-                    "shard {s}: {} → {} bins (peak {} open), usage {}\n",
-                    o.algorithm(),
-                    o.bins_opened(),
-                    o.max_open_bins(),
-                    o.total_usage()
-                ));
-            }
-            let total: dbp_numeric::Rational = outcomes.iter().map(|o| o.total_usage()).sum();
-            out.push_str(&format!("fleet usage {total}\n"));
-        }
-        if skipped > 0 {
-            out.push_str(&format!("skipped {skipped} events\n"));
-        }
-        telemetry.finish(registry, &mut out)?;
-        return Ok(out);
+    // One ingestion loop over a fleet routed by item id; an unsharded
+    // run is a fleet of one, the only one that checkpoints or resumes.
+    let checkpoint = opts.get("checkpoint");
+    if shards > 1 && (opts.get("resume").is_some() || checkpoint.is_some()) {
+        return Err(err("--shards does not combine with --resume/--checkpoint \
+             (checkpoint shards individually via the library API)"
+            .to_string()));
     }
-
-    // Single-session ingestion, with optional checkpoint/resume.
-    let mut session = match opts.get("resume") {
+    let mut fleet = match opts.get("resume") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| err(format!("cannot read checkpoint `{path}`: {e}")))?;
@@ -1101,22 +999,28 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
                     .map_or_else(|| "start".to_string(), |t| t.to_string()),
                 snapshot.events.len()
             ));
-            session
+            Fleet::new(vec![session])
         }
         None => {
-            let mut builder = Session::builder(make_algo(algo_name)?)
-                .backend(backend)
-                .telemetry();
-            if let Some(g) = grid {
-                builder = builder.grid(g);
+            let mut sessions = Vec::with_capacity(shards);
+            for _ in 0..shards {
+                let mut builder = Session::builder(make_algo(algo_name)?)
+                    .backend(backend)
+                    .telemetry();
+                if let Some(g) = grid {
+                    builder = builder.grid(g);
+                }
+                // Only `--checkpoint` reads the session's log.
+                if checkpoint.is_none() {
+                    builder = builder.without_checkpoints();
+                }
+                sessions.push(
+                    builder
+                        .build()
+                        .map_err(|e| err(format!("cannot build session: {e}")))?,
+                );
             }
-            // Only `--checkpoint` reads the session's log.
-            if opts.get("checkpoint").is_none() {
-                builder = builder.without_checkpoints();
-            }
-            builder
-                .build()
-                .map_err(|e| err(format!("cannot build session: {e}")))?
+            Fleet::new(sessions)
         }
     };
 
@@ -1125,8 +1029,8 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
         let Some(parsed) = parse_stream_line(line) else {
             continue;
         };
-        let result = match parsed {
-            Ok(event) => session.apply(&event).map(|_| ()),
+        let event = match parsed {
+            Ok(event) => event,
             Err(e) if strict => return Err(err(format!("line {}: bad event: {e}", lineno + 1))),
             Err(e) => {
                 let _ = writeln!(progress, "line {}: skipped bad event: {e}", lineno + 1);
@@ -1134,13 +1038,19 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
                 continue;
             }
         };
-        if let Err(e) = result {
+        let shard = event.id().index() % shards;
+        if let Err(e) = fleet.session_mut(shard).apply(&event) {
+            let rejected = if shards > 1 {
+                format!("shard {shard} rejected")
+            } else {
+                "rejected".to_string()
+            };
             if strict {
-                return Err(err(format!("line {}: rejected event: {e}", lineno + 1)));
+                return Err(err(format!("line {}: {rejected} event: {e}", lineno + 1)));
             }
             let _ = writeln!(
                 progress,
-                "line {}: rejected event: {e} — skipped",
+                "line {}: {rejected} event: {e} — skipped",
                 lineno + 1
             );
             skipped += 1;
@@ -1148,31 +1058,67 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
         }
         ingested += 1;
         if telemetry.live() {
-            telemetry.watch(&session.metrics(), progress);
+            telemetry.watch(&fleet.folded_metrics(), progress);
         }
         let report_due = report_every > 0 && ingested.is_multiple_of(report_every);
         if report_due {
-            let m = session.metrics();
-            let _ = writeln!(
-                progress,
-                "events {}: {} open bins, {} active items, load {}, usage {}",
-                m.events, m.open_bins, m.active_items, m.load, m.usage_time
-            );
+            let m = fleet.folded_metrics();
+            let _ = if shards > 1 {
+                writeln!(
+                    progress,
+                    "events {ingested}: {} open bins, {} active items across {shards} shards",
+                    m.open_bins, m.active_items
+                )
+            } else {
+                writeln!(
+                    progress,
+                    "events {}: {} open bins, {} active items, load {}, usage {}",
+                    m.events, m.open_bins, m.active_items, m.load, m.usage_time
+                )
+            };
         }
         if telemetry.serving() && (report_due || ingested.is_multiple_of(256)) {
-            telemetry.publish(telemetry_registry(&session.metrics()));
+            telemetry.publish(fleet.merged_metrics());
         }
     }
 
-    let metrics = session.metrics();
-    let registry = telemetry_registry(&metrics);
-    if metrics.active_items > 0 {
+    let metrics = fleet.metrics();
+    let registry = fleet.merged_metrics();
+    let active: usize = metrics.iter().map(|m| m.active_items).sum();
+    if shards > 1 && active > 0 {
+        out.push_str(&format!(
+            "stream ended with {active} items still active across {shards} shards\n"
+        ));
+        for (s, m) in metrics.iter().enumerate() {
+            out.push_str(&format!(
+                "  shard {s}: {} events, {} active, {} open bins, usage {}\n",
+                m.events, m.active_items, m.open_bins, m.usage_time
+            ));
+        }
+    } else if shards > 1 {
+        let outcomes = fleet
+            .finish()
+            .map_err(|e| err(format!("shard {} failed to finish: {}", e.shard, e.error)))?;
+        for (s, o) in outcomes.iter().enumerate() {
+            out.push_str(&format!(
+                "shard {s}: {} → {} bins (peak {} open), usage {}\n",
+                o.algorithm(),
+                o.bins_opened(),
+                o.max_open_bins(),
+                o.total_usage()
+            ));
+        }
+        let total: dbp_numeric::Rational = outcomes.iter().map(|o| o.total_usage()).sum();
+        out.push_str(&format!("fleet usage {total}\n"));
+    } else if active > 0 {
+        let m = &metrics[0];
         out.push_str(&format!(
             "stream ended with {} items still active ({} open bins, usage {} so far)\n",
-            metrics.active_items, metrics.open_bins, metrics.usage_time
+            m.active_items, m.open_bins, m.usage_time
         ));
-        if let Some(path) = opts.get("checkpoint") {
-            let snapshot = session
+        if let Some(path) = checkpoint {
+            let snapshot = fleet
+                .session(0)
                 .snapshot()
                 .map_err(|e| err(format!("cannot checkpoint: {e}")))?;
             let json = dbp_proto::checkpoint_to_json(&snapshot);
@@ -1182,21 +1128,21 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
             out.push_str("pass --checkpoint FILE to save and resume later\n");
         }
     } else {
-        let tick = session.tick_active();
-        let outcome = session
+        let tick = fleet.session(0).tick_active();
+        let outcome = fleet
             .finish()
-            .map_err(|e| err(format!("finish failed: {e}")))?;
+            .map_err(|e| err(format!("finish failed: {}", e.error)))?
+            .remove(0);
         out.push_str(&format!(
             "{}: {} events → {} bins (peak {} open), usage {}{}\n",
             outcome.algorithm(),
-            metrics.events,
+            metrics[0].events,
             outcome.bins_opened(),
             outcome.max_open_bins(),
             outcome.total_usage(),
             if tick { " [tick engine]" } else { "" }
         ));
-        if let Some(path) = opts.get("checkpoint") {
-            let _ = path;
+        if checkpoint.is_some() {
             out.push_str("stream complete — no checkpoint needed\n");
         }
     }

@@ -20,6 +20,7 @@ use crate::probe::{EventKind, NoopProbe, Phase, PhaseProbe};
 use dbp_numeric::{Interval, Rational};
 use dbp_simcore::{EventClass, EventSchedule};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::fmt;
 
 /// Errors surfaced while driving a packing.
@@ -211,8 +212,9 @@ pub struct PackingEngine {
     live: Vec<LiveBin>,
     /// Completed bin records.
     closed: Vec<BinRecord>,
-    /// item -> (bin, size) for active items, sorted by item id.
-    active: Vec<(ItemId, BinId, Rational)>,
+    /// item -> (bin, size, arrival) for active items, sorted by item
+    /// id.
+    active: Vec<(ItemId, BinId, Rational, Rational)>,
     /// Final assignment log.
     assignments: Vec<(ItemId, BinId)>,
     /// bin id → current index into `open`/`live` (`NO_SLOT` once
@@ -227,6 +229,11 @@ pub struct PackingEngine {
     /// Running `Σ |U_k|` over the *closed* bins, maintained
     /// incrementally so live metrics never rescan the records.
     closed_usage: Rational,
+    /// `(n, Σ level_integral)` over the first `n` closed bins.
+    /// [`vol_accrued`](Self::vol_accrued) folds in the bins closed
+    /// since its last call, so a run that never asks for `vol` does no
+    /// extra `Rational` arithmetic.
+    closed_integral: Cell<(usize, Rational)>,
 }
 
 impl Default for PackingEngine {
@@ -249,6 +256,7 @@ impl PackingEngine {
             now: None,
             max_open: 0,
             closed_usage: Rational::ZERO,
+            closed_integral: Cell::new((0, Rational::ZERO)),
         }
     }
 
@@ -258,14 +266,14 @@ impl PackingEngine {
     /// back to exact `Rational`s and continues here, bit-identically.
     ///
     /// `open`/`live` must be parallel and sorted by bin id, `active`
-    /// sorted by item id, and ids dense opening ranks below
-    /// `next_bin`.
+    /// (item, bin, size, arrival) sorted by item id, and ids dense
+    /// opening ranks below `next_bin`.
     #[allow(clippy::too_many_arguments)] // the books are one atomic hand-over, not an API
     pub(crate) fn from_books(
         open: Vec<OpenBin>,
         live: Vec<LiveBin>,
         closed: Vec<BinRecord>,
-        active: Vec<(ItemId, BinId, Rational)>,
+        active: Vec<(ItemId, BinId, Rational, Rational)>,
         assignments: Vec<(ItemId, BinId)>,
         next_bin: u32,
         now: Option<Rational>,
@@ -290,6 +298,7 @@ impl PackingEngine {
             now,
             max_open,
             closed_usage,
+            closed_integral: Cell::new((0, Rational::ZERO)),
         }
     }
 
@@ -324,9 +333,7 @@ impl PackingEngine {
 
     /// `true` iff `item` arrived and has not departed.
     pub fn is_active(&self, item: ItemId) -> bool {
-        self.active
-            .binary_search_by(|(r, _, _)| r.cmp(&item))
-            .is_ok()
+        self.active.binary_search_by(|(r, ..)| r.cmp(&item)).is_ok()
     }
 
     /// Total level across the open bins (the current load).
@@ -359,6 +366,28 @@ impl PackingEngine {
                 .iter()
                 .map(|l| now - l.opened_at)
                 .sum::<Rational>()
+    }
+
+    /// Workload volume `vol(R) = Σᵢ sᵢ·lenᵢ = ∫ load dt` accrued so far
+    /// (Proposition 1): the closed bins' level integrals plus each open
+    /// bin's integral carried to the engine clock. Like
+    /// [`usage_accrued`](Self::usage_accrued), one pass over the open
+    /// bins, plus the bins closed since the last call.
+    pub fn vol_accrued(&self) -> Rational {
+        let Some(now) = self.now else {
+            return Rational::ZERO;
+        };
+        let (folded, sum) = self.closed_integral.get();
+        let closed = sum
+            + self.closed[folded..]
+                .iter()
+                .map(|b| b.level_integral)
+                .sum::<Rational>();
+        self.closed_integral.set((self.closed.len(), closed));
+        let open = self.open.iter().zip(&self.live);
+        let to_now =
+            |(o, l): (&OpenBin, &LiveBin)| l.level_integral + o.level * (now - l.last_change);
+        closed + open.map(to_now).sum::<Rational>()
     }
 
     /// Validates the clock without committing it: rejected events
@@ -431,11 +460,10 @@ impl PackingEngine {
         // `active` is sorted by item id: one binary search both
         // rejects duplicates and yields the insertion point reused
         // for the post-placement insert below.
-        let active_pos = match self.active.binary_search_by(|(r, _, _)| r.cmp(&item)) {
+        let active_pos = match self.active.binary_search_by(|(r, ..)| r.cmp(&item)) {
             Ok(_) => return Err(PackingError::DuplicateItem(item)),
             Err(pos) => pos,
         };
-        self.now = Some(time);
         let arrival = ArrivalView { item, size, time };
         let placement = {
             let snap = BinSnapshot::new(&self.open);
@@ -513,8 +541,10 @@ impl PackingEngine {
                 (bin_id, true)
             }
         };
+        // Only a validated placement moves the clock.
+        self.now = Some(time);
         probe.enter(Phase::PlacementCommit);
-        self.active.insert(active_pos, (item, bin_id, size));
+        self.active.insert(active_pos, (item, bin_id, size, time));
         self.assignments.push((item, bin_id));
         probe.exit(Phase::PlacementCommit);
         probe.enter(Phase::TreeSync);
@@ -545,10 +575,12 @@ impl PackingEngine {
         time: Rational,
     ) -> Result<BinId, PackingError> {
         self.depart_probed(algo, obs, &mut NoopProbe, item, time)
+            .map(|(bin, _)| bin)
     }
 
     /// [`depart_observed`](Self::depart_observed) with profiling; see
     /// [`arrive_probed`](Self::arrive_probed) for the probe contract.
+    /// Returns the bin the item left and the time it arrived.
     pub fn depart_probed<P: PhaseProbe + ?Sized>(
         &mut self,
         algo: &mut dyn PackingAlgorithm,
@@ -556,11 +588,11 @@ impl PackingEngine {
         probe: &mut P,
         item: ItemId,
         time: Rational,
-    ) -> Result<BinId, PackingError> {
+    ) -> Result<(BinId, Rational), PackingError> {
         probe.event(EventKind::Departure);
         self.check_time(time)?;
         probe.enter(Phase::DepartureDrain);
-        let pos = match self.active.binary_search_by(|(r, _, _)| r.cmp(&item)) {
+        let pos = match self.active.binary_search_by(|(r, ..)| r.cmp(&item)) {
             Ok(pos) => pos,
             Err(_) => {
                 probe.exit(Phase::DepartureDrain);
@@ -568,7 +600,7 @@ impl PackingEngine {
             }
         };
         self.now = Some(time);
-        let (_, bin_id, size) = self.active.remove(pos);
+        let (_, bin_id, size, arrived) = self.active.remove(pos);
         let idx = self.slot(bin_id).expect("active item's bin must be open");
         {
             let (open, live) = (&mut self.open[idx], &mut self.live[idx]);
@@ -622,7 +654,7 @@ impl PackingEngine {
                 probe.exit(Phase::TreeSync);
             }
         }
-        Ok(bin_id)
+        Ok((bin_id, arrived))
     }
 
     /// Finalizes the run. Fails if items are still active (every
@@ -782,6 +814,32 @@ mod tests {
             err,
             crate::session::SessionError::Packing(PackingError::Infeasible { bin: BinId(0), .. })
         ));
+    }
+
+    #[test]
+    fn a_rejected_placement_leaves_the_clock() {
+        struct Stubborn;
+        impl PackingAlgorithm for Stubborn {
+            fn name(&self) -> String {
+                "stubborn".into()
+            }
+            fn place(&mut self, _a: &ArrivalView, bins: &BinSnapshot<'_>) -> Placement {
+                match bins.open_bins().first() {
+                    Some(b) => Placement::Existing(b.id),
+                    None => Placement::OpenNew,
+                }
+            }
+        }
+        let mut eng = PackingEngine::new();
+        eng.arrive(&mut Stubborn, ItemId(0), rat(2, 3), rat(0, 1))
+            .unwrap();
+        let err = eng
+            .arrive(&mut Stubborn, ItemId(1), rat(2, 3), rat(5, 1))
+            .unwrap_err();
+        assert!(matches!(err, PackingError::Infeasible { .. }));
+        assert_eq!(eng.now(), Some(rat(0, 1)));
+        assert_eq!(eng.usage_accrued(), Rational::ZERO);
+        assert_eq!(eng.vol_accrued(), Rational::ZERO);
     }
 
     #[test]

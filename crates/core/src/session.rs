@@ -56,10 +56,9 @@
 use crate::algo::{by_name, PackingAlgorithm};
 use crate::bin::BinId;
 use crate::engine::{event_schedule, PackingEngine, PackingError, PackingOutcome};
-use crate::hash::BuildIdHasher;
 use crate::item::{Instance, ItemId};
 use crate::observe::{EngineObserver, NoopObserver};
-use crate::probe::PhaseProbe;
+use crate::probe::{NoopProbe, PhaseProbe};
 use crate::tick::{CompileError, CompiledInstance, Grid, TickEngine, TickPolicy};
 use dbp_numeric::Rational;
 use dbp_simcore::{EventClass, EventSchedule, StreamEvent};
@@ -335,124 +334,38 @@ impl SessionMetrics {
     }
 }
 
-/// Incremental `vol(R)`/`span(R)` accounting over the event stream
-/// (engine-independent, so it works on every backend — including
-/// tick, which observers cannot watch).
+/// Stream telemetry beyond what the engines already keep: the busy
+/// time `span(R)` and the completed-item lifetime extremes. `vol(R)`
+/// is not kept here: it is `∫ load dt`, the sum of the per-bin level
+/// integrals each engine keeps anyway
+/// ([`PackingEngine::vol_accrued`], [`TickEngine::vol_accrued`]).
 ///
-/// The accounting is *deferred* so the per-event hot path does no
-/// exact arithmetic: `vol(R) = Σᵢ sᵢ·lenᵢ` accrues one multiply per
-/// **departure** (not a `load·dt` integration per event), and
-/// `span(R)` accrues only at busy/idle **transitions**. The live
-/// contributions of still-active items are folded in on demand by
-/// [`vol_at`](Self::vol_at)/[`span_at`](Self::span_at) — both exact,
-/// since Rational addition is associative and commutative the totals
-/// are bit-identical to eager integration.
+/// `span(R)` accrues only at busy/idle **transitions**; the running
+/// segment is folded in on demand by [`span_at`](Self::span_at).
 #[derive(Debug, Clone, Default)]
 struct Telemetry {
     /// Start of the current busy segment (`Some` while items are
     /// active).
     busy_since: Option<Rational>,
-    active: usize,
-    /// `Σ s·len` over completed items that has been *folded*: bucket
-    /// overflow spill plus the exact slow path. The live total is
-    /// this plus the [`vol_buckets`](Self::vol_buckets) sums.
-    vol: Rational,
-    /// Unreduced per-denominator sums of `s·len` products: the
-    /// product `(a/b)·(e/f)` lands in bucket `b·f` as a plain integer
-    /// add of `a·e` — no gcd on the departure hot path. Folding a
-    /// bucket reduces once; since exact addition is associative and
-    /// commutative the folded total is bit-identical to eager
-    /// accumulation.
-    vol_buckets: Vec<(i128, i128)>,
     /// Total length of *closed* busy segments.
     span: Rational,
-    items: std::collections::HashMap<ItemId, (Rational, Rational), BuildIdHasher>,
     min_lifetime: Option<Rational>,
     max_lifetime: Option<Rational>,
 }
 
 impl Telemetry {
-    fn on_arrival(&mut self, id: ItemId, size: Rational, t: Rational) {
-        if self.active == 0 {
-            self.busy_since = Some(t);
-        }
-        self.items.insert(id, (t, size));
-        self.active += 1;
-    }
-
-    /// Caps the bucket list: more distinct denominators than this and
-    /// the oldest bucket is folded into [`vol`](Self::vol) to make
-    /// room. Grid-based workloads see a handful of denominators.
-    const MAX_VOL_BUCKETS: usize = 32;
-
-    /// Accrues one completed item's `s·len` into the denominator
-    /// buckets without reducing; overflow falls back to the exact
-    /// reduced path.
-    fn accrue_vol(&mut self, size: Rational, lifetime: Rational) {
-        let (num, den) = match (
-            size.numer().checked_mul(lifetime.numer()),
-            size.denom().checked_mul(lifetime.denom()),
-        ) {
-            (Some(num), Some(den)) => (num, den),
-            _ => {
-                self.vol += size * lifetime;
-                return;
-            }
-        };
-        if let Some(slot) = self.vol_buckets.iter_mut().find(|(d, _)| *d == den) {
-            match slot.1.checked_add(num) {
-                Some(sum) => slot.1 = sum,
-                None => {
-                    self.vol += Rational::new(slot.1, den);
-                    slot.1 = num;
-                }
-            }
-            return;
-        }
-        if self.vol_buckets.len() == Self::MAX_VOL_BUCKETS {
-            let (d, n) = self.vol_buckets.remove(0);
-            self.vol += Rational::new(n, d);
-        }
-        self.vol_buckets.push((den, num));
-    }
-
-    fn on_departure(&mut self, id: ItemId, t: Rational) {
-        if let Some((t0, size)) = self.items.remove(&id) {
-            // The same-instant ordering contract makes lifetimes
-            // strictly positive, so µ̂ never divides by zero.
-            let lifetime = t - t0;
-            self.accrue_vol(size, lifetime);
-            self.min_lifetime = Some(match self.min_lifetime {
-                Some(lo) => lo.min(lifetime),
-                None => lifetime,
-            });
-            self.max_lifetime = Some(match self.max_lifetime {
-                Some(hi) => hi.max(lifetime),
-                None => lifetime,
-            });
-            self.active -= 1;
-            if self.active == 0 {
-                if let Some(since) = self.busy_since.take() {
-                    self.span += t - since;
-                }
+    /// An item of `lifetime` departed at `t`; `idle` when it was the
+    /// last active item.
+    fn on_departure(&mut self, t: Rational, lifetime: Rational, idle: bool) {
+        // The same-instant ordering contract makes lifetimes strictly
+        // positive, so µ̂ never divides by zero.
+        self.min_lifetime = Some(self.min_lifetime.map_or(lifetime, |lo| lo.min(lifetime)));
+        self.max_lifetime = Some(self.max_lifetime.map_or(lifetime, |hi| hi.max(lifetime)));
+        if idle {
+            if let Some(since) = self.busy_since.take() {
+                self.span += t - since;
             }
         }
-    }
-
-    /// `vol(R)` up to `now`: completed items (folded spill plus the
-    /// denominator buckets) plus the partial `s·(now − t₀)` of every
-    /// still-active item.
-    fn vol_at(&self, now: Option<Rational>) -> Rational {
-        let mut vol = self.vol;
-        for &(den, num) in &self.vol_buckets {
-            vol += Rational::new(num, den);
-        }
-        if let Some(now) = now {
-            for &(t0, size) in self.items.values() {
-                vol += size * (now - t0);
-            }
-        }
-        vol
     }
 
     /// `span(R)` up to `now`: closed busy segments plus the running
@@ -634,9 +547,10 @@ impl<'s> SessionBuilder<'s> {
     ///
     /// Telemetry is stream-derived, not an observer — it works on
     /// **every** backend, including the integer tick engine, and does
-    /// not force the exact engine. Off by default: it costs a hash-map
-    /// insert/remove plus a handful of exact multiplications per
-    /// event.
+    /// not force the exact engine. `vol` comes from the level
+    /// integrals both engines keep anyway, so tracking costs a few
+    /// exact operations per departure and one at each busy/idle
+    /// transition; off by default.
     pub fn telemetry(mut self) -> SessionBuilder<'s> {
         self.telemetry = true;
         self
@@ -1038,7 +952,7 @@ impl<'s> Session<'s> {
         self.arrival_at_now = true;
         self.arrivals += 1;
         if let Some(tele) = &mut self.telemetry {
-            tele.on_arrival(id, size, t);
+            tele.busy_since.get_or_insert(t);
         }
         if let Some(log) = &mut self.log {
             match on_grid {
@@ -1064,11 +978,15 @@ impl<'s> Session<'s> {
                     let Core::Tick(engine) = &mut self.core else {
                         unreachable!("core variant matched above");
                     };
-                    let bin = match self.probe.as_deref_mut() {
+                    let (bin, arrived) = match self.probe.as_deref_mut() {
                         Some(p) => engine.depart_probed(p, id, tick)?,
-                        None => engine.depart(id, tick)?,
+                        None => engine.depart_probed(&mut NoopProbe, id, tick)?,
                     };
-                    self.note_departure(id, t, Some(tick));
+                    let idle = engine.active_items() == 0;
+                    let scale =
+                        i128::from(self.grid.expect("a tick core implies a grid").time_scale);
+                    let lifetime = || Rational::new((tick - arrived) as i128, scale);
+                    self.note_departure(id, t, idle, Some(tick), lifetime);
                     return Ok(bin);
                 }
                 Err(off) => self.leave_grid(id, false, off)?,
@@ -1081,24 +999,33 @@ impl<'s> Session<'s> {
             Some(o) => o,
             None => &mut self.noop,
         };
-        let bin = match self.probe.as_deref_mut() {
+        let (bin, arrived) = match self.probe.as_deref_mut() {
             Some(p) => engine.depart_probed(self.algo.as_mut(), obs, p, id, t)?,
-            None => engine.depart_observed(self.algo.as_mut(), obs, id, t)?,
+            None => engine.depart_probed(self.algo.as_mut(), obs, &mut NoopProbe, id, t)?,
         };
-        self.note_departure(id, t, None);
+        let idle = engine.active_items() == 0;
+        self.note_departure(id, t, idle, None, || t - arrived);
         Ok(bin)
     }
 
     /// Post-event bookkeeping shared by every successful departure;
-    /// `on_grid` is the tick when the tick engine applied it. Always
-    /// inlined, as [`note_arrival`](Self::note_arrival) is.
+    /// `idle` when no item is left active, `on_grid` the tick when the
+    /// tick engine applied it. `lifetime` runs only when telemetry is
+    /// on. Always inlined, as [`note_arrival`](Self::note_arrival) is.
     #[inline(always)]
-    fn note_departure(&mut self, id: ItemId, t: Rational, on_grid: Option<u64>) {
+    fn note_departure(
+        &mut self,
+        id: ItemId,
+        t: Rational,
+        idle: bool,
+        on_grid: Option<u64>,
+        lifetime: impl FnOnce() -> Rational,
+    ) {
         self.now = Some(t);
         self.arrival_at_now = false;
         self.departures += 1;
         if let Some(tele) = &mut self.telemetry {
-            tele.on_departure(id, t);
+            tele.on_departure(t, lifetime(), idle);
         }
         if let Some(log) = &mut self.log {
             match on_grid {
@@ -1151,6 +1078,11 @@ impl<'s> Session<'s> {
                 Core::TickIdle(_) => (0, 0, 0, 0, Rational::ZERO, Rational::ZERO),
             };
         let tele = self.telemetry.as_ref();
+        let vol = || match &self.core {
+            Core::Exact(e) => e.vol_accrued(),
+            Core::Tick(e) => e.vol_accrued(),
+            Core::TickIdle(_) => Rational::ZERO,
+        };
         SessionMetrics {
             now: self.now,
             events: self.arrivals + self.departures,
@@ -1162,7 +1094,7 @@ impl<'s> Session<'s> {
             peak_open_bins,
             load,
             usage_time,
-            vol: tele.map(|t| t.vol_at(self.now)),
+            vol: tele.map(|_| vol()),
             span: tele.map(|t| t.span_at(self.now)),
             min_lifetime: tele.and_then(|t| t.min_lifetime),
             max_lifetime: tele.and_then(|t| t.max_lifetime),

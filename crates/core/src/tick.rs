@@ -607,13 +607,16 @@ struct TickRecord {
 }
 
 /// One active item's placement: its bin id, the bin's current
-/// [`BinStore`] slot, and the item's size in units. `bin == VACANT`
-/// marks a dense-set entry whose item is not active.
+/// [`BinStore`] slot, the item's size in units and its arrival tick
+/// (sizes are at most the capacity and ticks within the horizon, both
+/// `u32`-bounded). `bin == VACANT` marks a dense-set entry whose item
+/// is not active.
 #[derive(Debug, Clone, Copy)]
 struct ActiveEntry {
     bin: u32,
     slot: u32,
-    units: u64,
+    units: u32,
+    arrived: u32,
 }
 
 impl ActiveEntry {
@@ -621,6 +624,7 @@ impl ActiveEntry {
         bin: VACANT,
         slot: 0,
         units: 0,
+        arrived: 0,
     };
 }
 
@@ -745,6 +749,11 @@ pub struct TickEngine {
     /// decremented on close); with `open_count · now` this yields the
     /// open bins' accrued usage without a scan.
     open_opened_sum: u128,
+    /// `Σ units·departed − Σ units·arrived` ticks over every item
+    /// (`units·tick` off at each arrival, back on at its departure);
+    /// with `level_total · now` this yields `∫ load dt` in unit-ticks
+    /// without a scan.
+    vol_offset: i128,
 }
 
 impl TickEngine {
@@ -812,6 +821,7 @@ impl TickEngine {
             level_total: 0,
             closed_ticks: 0,
             open_opened_sum: 0,
+            vol_offset: 0,
         }
     }
 
@@ -925,6 +935,16 @@ impl TickEngine {
         Rational::new((self.closed_ticks + open_ticks) as i128, self.time_scale)
     }
 
+    /// Workload volume `vol(R) = ∫ load dt` accrued so far, exact:
+    /// the sum of every bin's level integral to the engine clock.
+    /// Mirrors [`crate::engine::PackingEngine::vol_accrued`].
+    pub fn vol_accrued(&self) -> Rational {
+        let unit_ticks = self.now.map_or(0, |now| {
+            self.vol_offset + now as i128 * self.level_total as i128
+        });
+        Rational::new(unit_ticks, self.time_scale * self.size_scale)
+    }
+
     fn active_get(&self, item: ItemId) -> Option<ActiveEntry> {
         match &self.active {
             ActiveSet::Dense(entries) => entries
@@ -995,22 +1015,20 @@ impl TickEngine {
         hit
     }
 
-    /// The active entries as `(item, bin, units)` sorted by item id
-    /// (cold paths: promotion and finalization).
-    fn active_sorted(&self) -> Vec<(ItemId, BinId, u64)> {
+    /// The active entries with their item ids, sorted by id (the
+    /// promotion's cold path).
+    fn active_sorted(&self) -> Vec<(ItemId, ActiveEntry)> {
         match &self.active {
             ActiveSet::Dense(entries) => entries
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| e.bin != VACANT)
-                .map(|(i, e)| (ItemId(i as u32), BinId(e.bin), e.units))
+                .map(|(i, e)| (ItemId(i as u32), *e))
                 .collect(),
             ActiveSet::Sparse(map) => {
-                let mut all: Vec<(ItemId, BinId, u64)> = map
-                    .iter()
-                    .map(|(&id, e)| (ItemId(id), BinId(e.bin), e.units))
-                    .collect();
-                all.sort_unstable_by_key(|&(item, _, _)| item);
+                let mut all: Vec<(ItemId, ActiveEntry)> =
+                    map.iter().map(|(&id, e)| (ItemId(id), *e)).collect();
+                all.sort_unstable_by_key(|&(item, _)| item);
                 all
             }
         }
@@ -1055,15 +1073,16 @@ impl TickEngine {
         let bin = self.apply_arrival(probe, item, size, tick)?;
         self.now = Some(tick);
         self.level_total += size;
+        self.vol_offset -= size as i128 * tick as i128;
         self.max_open = self.max_open.max(self.open_count);
         Ok(bin)
     }
 
     /// Applies one arrival burst — every event shares `tick`. One
-    /// clock check up front; `level_total` and `max_open` flush once
-    /// at the end (arrivals never close bins, so `open_count` is
-    /// non-decreasing across the burst and its final value is the
-    /// burst maximum).
+    /// clock check up front; `level_total`, `vol_offset` and
+    /// `max_open` flush once at the end (arrivals never close bins, so
+    /// `open_count` is non-decreasing across the burst and its final
+    /// value is the burst maximum).
     fn arrive_burst<P: PhaseProbe + ?Sized>(
         &mut self,
         probe: &mut P,
@@ -1081,13 +1100,14 @@ impl TickEngine {
             units += size;
         }
         self.level_total += units;
+        self.vol_offset -= units as i128 * tick as i128;
         self.max_open = self.max_open.max(self.open_count);
         Ok(())
     }
 
     /// The shared arrival core: everything except the clock check and
-    /// the `level_total`/`max_open` bookkeeping, which the per-event
-    /// and burst entry points fold in at their own cadence.
+    /// the `level_total`/`vol_offset`/`max_open` bookkeeping, which the
+    /// per-event and burst entry points fold in at their own cadence.
     fn apply_arrival<P: PhaseProbe + ?Sized>(
         &mut self,
         probe: &mut P,
@@ -1208,7 +1228,8 @@ impl TickEngine {
             ActiveEntry {
                 bin: bin_id.0,
                 slot,
-                units: size,
+                units: u32::try_from(size).expect("sizes are at most the u32 capacity"),
+                arrived: u32::try_from(tick).expect("ticks stay within the u32 horizon"),
             },
         );
         self.assignments.push((item, bin_id));
@@ -1220,26 +1241,30 @@ impl TickEngine {
     /// the bin if it empties.
     pub fn depart(&mut self, item: ItemId, tick: u64) -> Result<BinId, PackingError> {
         self.depart_probed(&mut NoopProbe, item, tick)
+            .map(|(bin, _)| bin)
     }
 
     /// [`depart`](Self::depart) with a profiling probe; see
     /// [`arrive_probed`](Self::arrive_probed) for the probe contract.
+    /// Returns the bin the item left and the tick it arrived at.
     pub fn depart_probed<P: PhaseProbe + ?Sized>(
         &mut self,
         probe: &mut P,
         item: ItemId,
         tick: u64,
-    ) -> Result<BinId, PackingError> {
+    ) -> Result<(BinId, u64), PackingError> {
         probe.event(EventKind::Departure);
         self.check_time(tick)?;
-        let (bin, units) = self.apply_departure(probe, item, tick)?;
+        let entry = self.apply_departure(probe, item, tick)?;
         self.now = Some(tick);
-        self.level_total -= units;
-        Ok(bin)
+        self.level_total -= u64::from(entry.units);
+        self.vol_offset += i128::from(entry.units) * tick as i128;
+        Ok((BinId(entry.bin), u64::from(entry.arrived)))
     }
 
     /// Applies one departure burst — every event shares `tick`. One
-    /// clock check up front, one `level_total` flush at the end.
+    /// clock check up front, one `level_total` and `vol_offset` flush
+    /// at the end.
     fn depart_burst<P: PhaseProbe + ?Sized>(
         &mut self,
         probe: &mut P,
@@ -1251,21 +1276,22 @@ impl TickEngine {
         let mut units = 0u64;
         for ev in events {
             probe.event(EventKind::Departure);
-            let (_, u) = self.apply_departure(probe, ev.item, tick)?;
-            units += u;
+            units += u64::from(self.apply_departure(probe, ev.item, tick)?.units);
         }
         self.level_total -= units;
+        self.vol_offset += units as i128 * tick as i128;
         Ok(())
     }
 
     /// The shared departure core: everything except the clock check
-    /// and the `level_total` bookkeeping.
+    /// and the `level_total`/`vol_offset` bookkeeping. Returns the
+    /// departed item's entry.
     fn apply_departure<P: PhaseProbe + ?Sized>(
         &mut self,
         probe: &mut P,
         item: ItemId,
         tick: u64,
-    ) -> Result<(BinId, u64), PackingError> {
+    ) -> Result<ActiveEntry, PackingError> {
         probe.enter(Phase::DepartureDrain);
         let Some(entry) = self.active_remove(item) else {
             probe.exit(Phase::DepartureDrain);
@@ -1275,7 +1301,8 @@ impl TickEngine {
         probe.enter(Phase::ClockAdvance);
         self.store.advance_clock(s, tick);
         probe.exit(Phase::ClockAdvance);
-        self.store.levels[s] -= entry.units;
+        let units = u64::from(entry.units);
+        self.store.levels[s] -= units;
         self.store.counts[s] -= 1;
         let closed_now = self.store.counts[s] == 0;
         if closed_now {
@@ -1303,7 +1330,7 @@ impl TickEngine {
                     lin.ids.remove(at);
                     lin.slots.remove(at);
                 } else {
-                    lin.gaps[at] += entry.units;
+                    lin.gaps[at] += units;
                 }
             }
             ScanMode::Tree => {
@@ -1317,7 +1344,7 @@ impl TickEngine {
             }
         }
         probe.exit(Phase::TreeSync);
-        Ok((BinId(entry.bin), entry.units))
+        Ok(entry)
     }
 
     /// Converts the live integer books back to exact `Rational`s and
@@ -1371,16 +1398,15 @@ impl TickEngine {
             }
             let s = slot as usize;
             let count = self.store.counts[s] as usize;
-            let mut picked: Vec<(ItemId, u64)> = Vec::with_capacity(count);
+            let mut picked: Vec<(ItemId, Rational)> = Vec::with_capacity(count);
             for &item in items.iter().rev() {
                 if picked.len() == count {
                     break;
                 }
-                if let Ok(pos) = act.binary_search_by(|&(r, _, _)| r.cmp(&item)) {
-                    let (_, b, units) = act[pos];
-                    if b == bin_id && !consumed[pos] {
+                if let Ok(pos) = act.binary_search_by(|&(r, _)| r.cmp(&item)) {
+                    if act[pos].1.bin == bin_id.0 && !consumed[pos] {
                         consumed[pos] = true;
-                        picked.push((item, units));
+                        picked.push((item, self.size_of(u64::from(act[pos].1.units))));
                     }
                 }
             }
@@ -1389,10 +1415,7 @@ impl TickEngine {
                 id: bin_id,
                 opened_at: self.time_of(rec.opened),
                 level: self.size_of(self.store.levels[s]),
-                contents: picked
-                    .iter()
-                    .map(|&(item, units)| (item, self.size_of(units)))
-                    .collect(),
+                contents: picked,
             });
             live.push(LiveBin {
                 opened_at: self.time_of(rec.opened),
@@ -1404,7 +1427,10 @@ impl TickEngine {
         }
         let active = act
             .iter()
-            .map(|&(item, bin, units)| (item, bin, self.size_of(units)))
+            .map(|&(item, e)| {
+                let size = self.size_of(u64::from(e.units));
+                (item, BinId(e.bin), size, self.time_of(u64::from(e.arrived)))
+            })
             .collect();
         let now = self.now.map(|t| self.time_of(t));
         crate::engine::PackingEngine::from_books(

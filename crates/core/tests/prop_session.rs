@@ -8,7 +8,7 @@
 //! resumed at any point finishes exactly like one that never stopped.
 
 use dbp_core::prelude::*;
-use dbp_core::session::{Session, SessionSnapshot};
+use dbp_core::session::{Session, SessionMetrics, SessionSnapshot};
 use dbp_core::{event_schedule, CompiledInstance, PackingAlgorithm, TickPolicy, SCAN_CROSSOVER};
 use dbp_numeric::{rat, Rational};
 use dbp_simcore::EventClass;
@@ -717,5 +717,131 @@ proptest! {
                 .build()
                 .unwrap()
         })?;
+    }
+}
+
+// ---------------------------------------------------------------
+// Live telemetry. The engines report `vol` from their level
+// integrals and the session keeps only the busy time and lifetime
+// extremes, so these properties recompute all four at every cut of a
+// scripted stream straight from the events the session accepted.
+// ---------------------------------------------------------------
+
+/// `(vol, span, min_lifetime, max_lifetime)` of `accepted` at its
+/// last event's time, summed directly: `vol` as `Σ s·len` over every
+/// item's interval (an active item's runs to that time), `span` as the
+/// length of the intervals' union, the extremes over the departed
+/// items' lifetimes.
+fn direct_telemetry(
+    accepted: &[Event],
+) -> (Rational, Rational, Option<Rational>, Option<Rational>) {
+    let mut active: Vec<(ItemId, Rational, Rational)> = Vec::new();
+    let mut intervals: Vec<(Rational, Rational, Rational)> = Vec::new();
+    let mut lifetimes: Vec<Rational> = Vec::new();
+    for event in accepted {
+        match *event {
+            Event::Arrive { id, size, time } => active.push((id, size, time)),
+            Event::Depart { id, time } => {
+                let at = active
+                    .iter()
+                    .position(|&(a, ..)| a == id)
+                    .expect("accepted departures name active items");
+                let (_, size, arrival) = active.remove(at);
+                intervals.push((arrival, time, size));
+                lifetimes.push(time - arrival);
+            }
+        }
+    }
+    if let Some(now) = accepted.last().map(Event::time) {
+        intervals.extend(
+            active
+                .iter()
+                .map(|&(_, size, arrival)| (arrival, now, size)),
+        );
+    }
+    let vol = intervals.iter().map(|&(a, b, s)| s * (b - a)).sum();
+    intervals.sort_by_key(|&(a, ..)| a);
+    let mut span = Rational::ZERO;
+    let mut run: Option<(Rational, Rational)> = None;
+    for &(a, b, _) in &intervals {
+        run = match run {
+            Some((lo, hi)) if a <= hi => Some((lo, hi.max(b))),
+            Some((lo, hi)) => {
+                span += hi - lo;
+                Some((a, b))
+            }
+            None => Some((a, b)),
+        };
+    }
+    if let Some((lo, hi)) = run {
+        span += hi - lo;
+    }
+    let min = lifetimes.iter().copied().min();
+    let max = lifetimes.iter().copied().max();
+    (vol, span, min, max)
+}
+
+fn check_telemetry(
+    metrics: &SessionMetrics,
+    accepted: &[Event],
+    at: &str,
+) -> Result<(), TestCaseError> {
+    let (vol, span, min, max) = direct_telemetry(accepted);
+    prop_assert_eq!(metrics.vol, Some(vol), "vol {}", at);
+    prop_assert_eq!(metrics.span, Some(span), "span {}", at);
+    prop_assert_eq!(metrics.min_lifetime, min, "min_lifetime {}", at);
+    prop_assert_eq!(metrics.max_lifetime, max, "max_lifetime {}", at);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `vol`, `span`, `min_lifetime` and `max_lifetime` after every
+    /// event equal sums over the accepted events, on `Backend::Auto`
+    /// grid sessions (some promoted to the exact engine mid-run),
+    /// exact sessions and strict tick sessions, across re-arrived ids
+    /// and rejected events. At a random cut the session is replaced
+    /// by one resumed from its snapshot, which must report the same
+    /// metrics and carry on.
+    #[test]
+    fn live_telemetry_matches_sums_over_the_accepted_events(
+        ops in prop::collection::vec((0u8..8, 0u8..16, 0u8..16), 1..40),
+        start in 0i128..=40,
+        off_grid in (0u8..2, 0usize..40, 0u8..6),
+        backend in 0usize..3,
+        policy in 0usize..3,
+        cut in 0usize..=120,
+    ) {
+        let backend = [Backend::Auto, Backend::Exact, Backend::Tick][backend];
+        let strict = backend == Backend::Tick;
+        let (promote, at, variant) = off_grid;
+        let off_grid = (promote == 1 || strict).then_some((at, variant));
+        let (steps, _) = script(&ops, start, off_grid, strict);
+        let cut = cut % (steps.len() + 1);
+        let mut session = Session::builder(linear_algo(POLICIES[policy]))
+            .backend(backend)
+            .grid(TickGrid::new(4, 8))
+            .telemetry()
+            .build()
+            .unwrap();
+        let mut accepted = Vec::new();
+        check_telemetry(&session.metrics(), &accepted, "before any event")?;
+        for (i, (event, ok)) in steps.iter().enumerate() {
+            if i == cut {
+                let resumed = Session::resume(&session.snapshot().unwrap()).unwrap();
+                prop_assert_eq!(resumed.metrics(), session.metrics(), "resumed at {}", i);
+                session = resumed;
+            }
+            let result = session.apply(event);
+            prop_assert_eq!(result.is_ok(), *ok, "event {} {:?}: {:?}", i, event, result);
+            if *ok {
+                accepted.push(*event);
+            }
+            check_telemetry(&session.metrics(), &accepted, &format!("after event {i}"))?;
+        }
+        let ends_on_tick = strict || (backend == Backend::Auto && off_grid.is_none());
+        prop_assert_eq!(session.tick_active(), ends_on_tick);
+        prop_assert_eq!(session.metrics().active_items, 0);
     }
 }

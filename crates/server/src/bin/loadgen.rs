@@ -1,8 +1,10 @@
 //! Socket load generator for the allocation daemon.
 //!
 //! Drives `--threads` client threads × `--tenants` tenants of batched
-//! arrive/depart waves against a `dbp-server` (an in-process one on a
-//! loopback port by default, or `--addr` for an external daemon) in
+//! arrive/depart waves against a `dbp-server` (by default a fresh
+//! in-process one on a loopback port for every pass, stopped when the
+//! pass is measured, so no pass or later arm runs beside earlier
+//! passes' live tenants; or `--addr` for an external daemon) in
 //! [`PAIRS`] same-run pairs of passes, one untraced and one traced,
 //! each on fresh tenants, alternating which pass of a pair goes first.
 //! It records into a perf_check-compatible snapshot
@@ -18,9 +20,9 @@
 //!   accumulated in the shared `dbp_obs` log₂ [`Histogram`] (same
 //!   buckets the server publishes, so the two sides are comparable);
 //! * server-side request latency and per-phase shares for the traced
-//!   pass, read straight off the in-process server's merged
+//!   passes, read straight off each in-process server's merged
 //!   exposition registry (`tenant_<name>_request_latency_us`,
-//!   `tenant_<name>_request_<phase>_ns`);
+//!   `tenant_<name>_request_<phase>_ns`) before it stops;
 //! * the durable-restart rate (`journal_replay_events_per_sec`): one
 //!   tenant's stream journaled with `Journal::create` and one
 //!   `append` per batch, then rebuilt the way `DbpServer::start` does
@@ -205,7 +207,8 @@ fn run_pass(args: &Args, addr: &str, prefix: &str, traced: bool) -> (u64, f64, H
                         events_done += events.len() as u64;
                     }
                     // Leave tenants live (no finish): the benchmark
-                    // measures steady-state placement, not teardown.
+                    // measures steady-state placement, not teardown;
+                    // stopping the pass's server drops them.
                 }
                 (events_done, latencies_us)
             }));
@@ -219,6 +222,28 @@ fn run_pass(args: &Args, addr: &str, prefix: &str, traced: bool) -> (u64, f64, H
         latencies.merge(h);
     }
     (total, wall, latencies)
+}
+
+/// Adds one traced pass's server-side view, its tenants' request
+/// latency histograms and phase times under `prefix`, read off the
+/// pass's in-process server.
+fn read_server_side(
+    server: &DbpServer,
+    args: &Args,
+    prefix: &str,
+    latency: &mut Histogram,
+    phase_ns: &mut [u64; 5],
+) {
+    let registry = server.registry_snapshot();
+    for tenant in 0..args.tenants {
+        let prefix = format!("tenant_{prefix}{tenant}_request");
+        if let Some(h) = registry.histogram(&format!("{prefix}_latency_us")) {
+            latency.merge(h);
+        }
+        for (acc, name) in phase_ns.iter_mut().zip(PHASE_NAMES) {
+            *acc += registry.counter(&format!("{prefix}_{name}_ns"));
+        }
+    }
 }
 
 /// Journals one tenant's wave stream (one `append` per batch, as a
@@ -383,22 +408,15 @@ fn pass_prefix(pair: usize, traced: bool) -> String {
 fn main() {
     let args = parse_args();
 
-    // In-process server unless an external address was given: open
-    // auth, no journal directory, no scrape endpoint — the socket and
-    // the placement path are what's under test.
-    let server = if args.addr.is_none() {
-        Some(DbpServer::start(ServerConfig::default()).expect("server starts"))
-    } else {
-        None
-    };
-    let addr = args
-        .addr
-        .clone()
-        .unwrap_or_else(|| server.as_ref().unwrap().local_addr().to_string());
-
     eprintln!(
-        "loadgen: {} threads x {} tenants, {} events/tenant, batch {}, against {addr}",
-        args.threads, args.tenants, args.events_per_tenant, args.batch
+        "loadgen: {} threads x {} tenants, {} events/tenant, batch {}, against {}",
+        args.threads,
+        args.tenants,
+        args.events_per_tenant,
+        args.batch,
+        args.addr
+            .as_deref()
+            .unwrap_or("a fresh in-process server per pass")
     );
 
     // Untraced/traced pairs. The untraced passes give the
@@ -412,12 +430,31 @@ fn main() {
     let mut pair_ratios = Vec::with_capacity(PAIRS);
     let mut latencies = Histogram::default();
     let mut traced_latencies = Histogram::default();
+    let mut server_latency = Histogram::default();
+    let mut phase_ns = [0u64; 5];
     for pair in 0..PAIRS {
         let traced_first = !pair.is_multiple_of(2);
         let mut rates = [0f64; 2];
         for traced in [traced_first, !traced_first] {
-            let (events, wall, sampled) =
-                run_pass(&args, &addr, &pass_prefix(pair, traced), traced);
+            // In-process server unless an external address was given:
+            // open auth, no journal directory, no scrape endpoint — the
+            // socket and the placement path are what's under test.
+            let server = args
+                .addr
+                .is_none()
+                .then(|| DbpServer::start(ServerConfig::default()).expect("server starts"));
+            let addr = match &server {
+                Some(server) => server.local_addr().to_string(),
+                None => args.addr.clone().expect("an external address"),
+            };
+            let prefix = pass_prefix(pair, traced);
+            let (events, wall, sampled) = run_pass(&args, &addr, &prefix, traced);
+            if let Some(server) = server {
+                if traced {
+                    read_server_side(&server, &args, &prefix, &mut server_latency, &mut phase_ns);
+                }
+                server.stop();
+            }
             let rate = events as f64 / wall;
             rates[traced as usize] = rate;
             if traced {
@@ -457,24 +494,10 @@ fn main() {
         quantile_or_zero(&traced_latencies, 0.99),
     );
 
-    // Server-side view of the traced passes, read off the in-process
-    // server's merged exposition page: per-tenant request latency
-    // histograms and phase counters under the `tenant_lgt*_` prefixes.
-    let mut server_latency = Histogram::default();
-    let mut phase_ns = [0u64; 5];
-    if let Some(server) = &server {
-        let registry = server.registry_snapshot();
-        for pair in 0..PAIRS {
-            for tenant in 0..args.tenants {
-                let prefix = format!("tenant_{}{tenant}_request", pass_prefix(pair, true));
-                if let Some(h) = registry.histogram(&format!("{prefix}_latency_us")) {
-                    server_latency.merge(h);
-                }
-                for (acc, name) in phase_ns.iter_mut().zip(PHASE_NAMES) {
-                    *acc += registry.counter(&format!("{prefix}_{name}_ns"));
-                }
-            }
-        }
+    // Server-side view of the traced passes: per-tenant request
+    // latency histograms and phase counters under the `tenant_lgt*_`
+    // prefixes, read off each traced pass's server.
+    if args.addr.is_none() {
         let spent: u64 = phase_ns.iter().sum();
         let share = |ns: u64| {
             if spent == 0 {
@@ -581,9 +604,5 @@ fn main() {
         let mut file = std::fs::File::create(out).expect("create output file");
         file.write_all(json.as_bytes()).expect("write snapshot");
         eprintln!("loadgen: wrote {out}");
-    }
-
-    if let Some(server) = server {
-        server.stop();
     }
 }

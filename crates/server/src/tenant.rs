@@ -261,8 +261,8 @@ impl Tenant {
             }
         }
         if self.quotas.max_active_items.is_none() && self.quotas.max_open_bins.is_none() {
-            // No count quota: skip the counters, which on a telemetry
-            // tenant cost an O(active items) `vol` sum per frame.
+            // No count quota: skip folding every shard's metrics,
+            // exact `Rational`s and all, once per frame.
             return Ok(());
         }
         let arrivals = events.iter().filter(|e| e.is_arrival()).count() as u64;
