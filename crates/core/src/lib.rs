@@ -92,6 +92,7 @@ pub mod observe;
 pub mod probe;
 pub mod scan;
 pub mod session;
+pub mod state;
 pub mod tick;
 
 pub use algo::{
@@ -108,6 +109,7 @@ pub use session::{
     Backend, BatchError, Event, Runner, Session, SessionBuilder, SessionError, SessionMetrics,
     SessionSnapshot, TickGrid,
 };
+pub use state::StateError;
 pub use tick::{CompileError, CompiledInstance, TickEngine, TickPolicy, SCAN_CROSSOVER};
 
 /// One-stop imports for downstream crates and examples.

@@ -59,6 +59,7 @@ use crate::engine::{event_schedule, PackingEngine, PackingError, PackingOutcome}
 use crate::item::{Instance, ItemId};
 use crate::observe::{EngineObserver, NoopObserver};
 use crate::probe::{NoopProbe, PhaseProbe};
+use crate::state::{StateError, StateReader, StateWriter, MAGIC, VERSION};
 use crate::tick::{CompileError, CompiledInstance, Grid, TickEngine, TickPolicy};
 use dbp_numeric::Rational;
 use dbp_simcore::{EventClass, EventSchedule, StreamEvent};
@@ -83,6 +84,15 @@ pub enum Backend {
     /// configuration cannot run on it, and off-grid events are
     /// [`SessionError::OffGrid`] instead of a silent fallback.
     Tick,
+}
+
+/// A backend's byte in the state codec.
+fn backend_code(backend: Backend) -> u8 {
+    match backend {
+        Backend::Auto => 0,
+        Backend::Exact => 1,
+        Backend::Tick => 2,
+    }
 }
 
 /// The integer grid a streaming session declares up front: the
@@ -1116,6 +1126,173 @@ impl<'s> Session<'s> {
             telemetry: self.telemetry.is_some(),
             events: log.events(self.grid, self.origin_ticks),
         })
+    }
+
+    /// Appends this session's state to `out` in the versioned binary
+    /// codec of [`crate::state`]: its configuration, then, once an
+    /// event has started the tick engine, the engine's books, the
+    /// session clock's arrival flag and the telemetry. Restoring it
+    /// with [`load_state`](Self::load_state) costs O(state) where
+    /// [`resume`](Self::resume) replays every event, and the state
+    /// holds no events: a session's checkpoint log is not part of it.
+    ///
+    /// Only a session on the tick engine has such books; one on the
+    /// exact engine fails with [`StateError::Unsupported`] and leaves
+    /// `out` as it was.
+    pub fn write_state(&self, out: &mut Vec<u8>) -> Result<(), StateError> {
+        let engine = match &self.core {
+            Core::Exact(_) => {
+                return Err(StateError::Unsupported(
+                    "the session runs on the exact engine",
+                ))
+            }
+            Core::TickIdle(_) => None,
+            Core::Tick(engine) => Some(engine),
+        };
+        let grid = self.grid.expect("a tick core implies a grid");
+        let start = out.len();
+        let written = self.write_state_to(&mut StateWriter(out), grid, engine);
+        if written.is_err() {
+            out.truncate(start);
+        }
+        written
+    }
+
+    fn write_state_to(
+        &self,
+        w: &mut StateWriter,
+        grid: TickGrid,
+        engine: Option<&TickEngine>,
+    ) -> Result<(), StateError> {
+        w.0.extend_from_slice(MAGIC);
+        w.u32(VERSION);
+        w.len(self.name.len())?;
+        w.0.extend_from_slice(self.name.as_bytes());
+        w.u8(backend_code(self.backend));
+        w.u32(grid.time_scale);
+        w.u32(grid.size_scale);
+        w.bool(self.telemetry.is_some());
+        w.bool(engine.is_some());
+        let Some(engine) = engine else {
+            return Ok(());
+        };
+        let origin = self.origin_ticks.expect("a tick engine implies an origin");
+        w.i128(origin);
+        w.bool(self.arrival_at_now);
+        engine.write_state(w)?;
+        if let Some(tele) = &self.telemetry {
+            // Every time a tick session saw is on the grid, so each
+            // telemetry value is a whole number of ticks.
+            let off_grid = StateError::Unsupported("telemetry off the tick grid");
+            let ticks = |t: Rational| {
+                t.scaled_to(i128::from(grid.time_scale))
+                    .ok_or(off_grid.clone())
+            };
+            let narrow = |ticks: i128| u32::try_from(ticks).map_err(|_| off_grid.clone());
+            w.u64(u64::try_from(ticks(tele.span)?).map_err(|_| off_grid.clone())?);
+            w.opt_u32(
+                tele.busy_since
+                    .map(|t| narrow(ticks(t)? - origin))
+                    .transpose()?,
+            );
+            w.opt_u32(tele.min_lifetime.map(|l| narrow(ticks(l)?)).transpose()?);
+            w.opt_u32(tele.max_lifetime.map(|l| narrow(ticks(l)?)).transpose()?);
+        }
+        Ok(())
+    }
+
+    /// Restores state [`write_state`](Self::write_state) wrote into
+    /// this fresh session, which must have been built with the same
+    /// algorithm, backend, grid and telemetry setting as the writer,
+    /// [`without_checkpoints`](SessionBuilder::without_checkpoints),
+    /// and not have applied an event. Afterwards it answers every
+    /// event, [`metrics`](Self::metrics) call and
+    /// [`finish`](Self::finish) exactly as the writer would have.
+    ///
+    /// Damaged bytes fail with a [`StateError`] and never panic; on any
+    /// error the session is left as it was.
+    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        let policy = match self.core {
+            Core::TickIdle(policy) => policy,
+            Core::Exact(_) => {
+                return Err(StateError::Unsupported(
+                    "the session runs on the exact engine",
+                ))
+            }
+            Core::Tick(_) => return Err(StateError::Unsupported("the session has applied events")),
+        };
+        if self.log.is_some() {
+            return Err(StateError::Unsupported(
+                "the session keeps a checkpoint log, which the state does not fill",
+            ));
+        }
+        let grid = self.grid.expect("a tick core implies a grid");
+        let mut r = StateReader(bytes);
+        if r.take(MAGIC.len())? != MAGIC {
+            return Err(StateError::Invalid("not a session state"));
+        }
+        match r.u32()? {
+            VERSION => {}
+            other => return Err(StateError::Version(other)),
+        }
+        let name = r.u32()? as usize;
+        if r.take(name)? != self.name.as_bytes() {
+            return Err(StateError::Mismatch("algorithm"));
+        }
+        if r.u8()? != backend_code(self.backend) {
+            return Err(StateError::Mismatch("backend"));
+        }
+        if (r.u32()?, r.u32()?) != (grid.time_scale, grid.size_scale) {
+            return Err(StateError::Mismatch("grid"));
+        }
+        if r.bool("the telemetry flag")? != self.telemetry.is_some() {
+            return Err(StateError::Mismatch("telemetry setting"));
+        }
+        if !r.bool("the engine flag")? {
+            return r.end();
+        }
+        let origin = r.i128()?;
+        if origin == i128::MIN {
+            return Err(StateError::Invalid("the origin"));
+        }
+        let arrival_at_now = r.bool("the arrival flag")?;
+        let scale = i128::from(grid.time_scale);
+        let engine =
+            TickEngine::read_state(&mut r, policy, origin, scale, i128::from(grid.size_scale))?;
+        let now = engine.now().expect("a restored engine has a clock");
+        let telemetry = match self.telemetry {
+            None => None,
+            Some(_) => {
+                let now_ticks = now.scaled_to(scale).expect("the clock is on the grid") - origin;
+                let span = i128::from(r.u64()?);
+                let busy_since = r.opt_u32("telemetry")?.map(i128::from);
+                let min_lifetime = r.opt_u32("telemetry")?;
+                let max_lifetime = r.opt_u32("telemetry")?;
+                if span > now_ticks
+                    || busy_since.is_some_and(|t| t > now_ticks)
+                    || min_lifetime == Some(0)
+                    || max_lifetime == Some(0)
+                {
+                    return Err(StateError::Invalid("telemetry"));
+                }
+                let lifetime = |ticks: u32| Rational::new(i128::from(ticks), scale);
+                Some(Telemetry {
+                    busy_since: busy_since.map(|t| Rational::new(origin + t, scale)),
+                    span: Rational::new(span, scale),
+                    min_lifetime: min_lifetime.map(lifetime),
+                    max_lifetime: max_lifetime.map(lifetime),
+                })
+            }
+        };
+        r.end()?;
+        self.origin_ticks = Some(origin);
+        self.now = Some(now);
+        self.arrival_at_now = arrival_at_now;
+        self.arrivals = engine.arrivals() as u64;
+        self.departures = self.arrivals - engine.active_items() as u64;
+        self.telemetry = telemetry;
+        self.core = Core::Tick(engine);
+        Ok(())
     }
 
     /// Finalizes the session into the same [`PackingOutcome`] the

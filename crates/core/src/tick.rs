@@ -73,9 +73,10 @@ use crate::hash::BuildIdHasher;
 use crate::item::{Instance, ItemId};
 use crate::probe::{EventKind, NoopProbe, Phase, PhaseProbe, ProbeCounter};
 use crate::scan;
+use crate::state::{u32_at, u64_at, StateError, StateReader, StateWriter};
 use dbp_numeric::{checked_lcm, gcd128, Interval, Rational};
 use dbp_simcore::EventClass;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Hard cap on both LCM scales and the tick horizon. Keeping each
@@ -1016,7 +1017,7 @@ impl TickEngine {
     }
 
     /// The active entries with their item ids, sorted by id (the
-    /// promotion's cold path).
+    /// promotion's and the state writer's cold paths).
     fn active_sorted(&self) -> Vec<(ItemId, ActiveEntry)> {
         match &self.active {
             ActiveSet::Dense(entries) => entries
@@ -1443,6 +1444,317 @@ impl TickEngine {
             now,
             self.max_open,
         )
+    }
+
+    /// Number of arrivals applied: every arrival records one
+    /// assignment.
+    pub(crate) fn arrivals(&self) -> usize {
+        self.assignments.len()
+    }
+
+    /// Appends a streaming engine's books to a state blob (see
+    /// [`crate::state`]): the clock, the peak open count, the scan
+    /// crossover and mode, then the bin records, the bin store slot by
+    /// slot with its free list, the live active entries and the
+    /// assignments. Ticks and levels fit `u32` and integrals `u64`
+    /// (`capacity·horizon < 2⁶⁴`), so each is written at that width.
+    pub(crate) fn write_state(&self, w: &mut StateWriter) -> Result<(), StateError> {
+        debug_assert!(self.ids.is_empty(), "only streaming engines write state");
+        let narrow = |v: u64| {
+            u32::try_from(v).map_err(|_| StateError::Unsupported("a tick or level past u32"))
+        };
+        let wide =
+            |v: u128| u64::try_from(v).map_err(|_| StateError::Unsupported("an integral past u64"));
+        let now = self
+            .now
+            .ok_or(StateError::Unsupported("the engine has applied no event"))?;
+        w.u32(narrow(now)?);
+        w.u64(self.max_open as u64);
+        w.u64(self.crossover as u64);
+        w.bool(matches!(self.scan, ScanMode::Tree));
+        w.len(self.records.len())?;
+        for rec in &self.records {
+            w.u32(narrow(rec.opened)?);
+            w.u32(narrow(rec.closed)?);
+            w.u64(wide(rec.integral)?);
+            w.u32(narrow(rec.peak)?);
+        }
+        let store = &self.store;
+        w.len(store.slots())?;
+        for s in 0..store.slots() {
+            w.u32(store.ids[s]);
+            w.u32(narrow(store.levels[s])?);
+            w.u32(store.counts[s]);
+            w.u32(narrow(store.last_change[s])?);
+            w.u64(wide(store.integrals[s])?);
+            w.u32(narrow(store.peaks[s])?);
+        }
+        w.len(store.free.len())?;
+        for &slot in &store.free {
+            w.u32(slot);
+        }
+        let (sparse, dense_len) = match &self.active {
+            ActiveSet::Dense(entries) => (false, entries.len()),
+            ActiveSet::Sparse(_) => (true, 0),
+        };
+        w.bool(sparse);
+        w.len(dense_len)?;
+        w.len(self.active_count)?;
+        let mut write_entry = |id: u32, e: &ActiveEntry| {
+            w.u32(id);
+            w.u32(e.bin);
+            w.u32(e.units);
+            w.u32(e.arrived);
+        };
+        // In id order, so that equal books write equal bytes.
+        for (item, e) in self.active_sorted() {
+            write_entry(item.0, &e);
+        }
+        w.len(self.assignments.len())?;
+        for &(item, bin) in &self.assignments {
+            w.u32(item.0);
+            w.u32(bin.0);
+        }
+        Ok(())
+    }
+
+    /// Rebuilds a streaming engine from books [`write_state`]
+    /// (Self::write_state) wrote, on the grid of `time_scale` ticks
+    /// and `size_scale` units from the origin tick `origin_ticks`.
+    ///
+    /// Every index is checked against the table it points into, every
+    /// open bin's level and item count against its live entries, and
+    /// every active item's latest assignment against its bin, so books
+    /// that decode are books the engine can run on. What they
+    /// determine is rebuilt instead of read: the open and active
+    /// counts, the running sums, the linear-scan arrays, and the
+    /// [`FitTree`] with its id → slot table in tree mode.
+    pub(crate) fn read_state(
+        r: &mut StateReader,
+        policy: TickPolicy,
+        origin_ticks: i128,
+        time_scale: i128,
+        size_scale: i128,
+    ) -> Result<TickEngine, StateError> {
+        use StateError::Invalid;
+        let origin = Rational::new(origin_ticks, time_scale);
+        let mut engine = TickEngine::with_grid(policy, origin, time_scale, size_scale);
+        let capacity = engine.capacity;
+        let now = u64::from(r.u32()?);
+        if origin_ticks.checked_add(i128::from(now)).is_none() {
+            return Err(Invalid("the clock leaves the time range"));
+        }
+        let max_open = usize::try_from(r.u64()?).map_err(|_| Invalid("the peak open count"))?;
+        engine.crossover = usize::try_from(r.u64()?).map_err(|_| Invalid("the scan crossover"))?;
+        let tree = r.bool("the scan mode")?;
+
+        let rows = r.rows(20)?;
+        if rows.len() >= VACANT as usize {
+            return Err(Invalid("more bins than bin ids"));
+        }
+        let mut records = Vec::with_capacity(rows.len());
+        for row in rows {
+            let rec = TickRecord {
+                opened: u64::from(u32_at(row, 0)),
+                closed: u64::from(u32_at(row, 1)),
+                integral: u128::from(u64_at(row, 8)),
+                peak: u64::from(u32_at(row, 4)),
+            };
+            if rec.opened > now || rec.peak > capacity {
+                return Err(Invalid("a bin record"));
+            }
+            records.push(rec);
+        }
+
+        let rows = r.rows(28)?;
+        let store = &mut engine.store;
+        let slots = rows.len();
+        store.ids.reserve(slots);
+        store.levels.reserve(slots);
+        store.counts.reserve(slots);
+        store.last_change.reserve(slots);
+        store.integrals.reserve(slots);
+        store.peaks.reserve(slots);
+        // Bin id → slot of the open bins.
+        let mut slot_of = vec![VACANT; records.len()];
+        for (slot, row) in rows.enumerate() {
+            let id = u32_at(row, 0);
+            let (level, count, last_change) = (
+                u64::from(u32_at(row, 1)),
+                u32_at(row, 2),
+                u64::from(u32_at(row, 3)),
+            );
+            let peak = u64::from(u32_at(row, 6));
+            if id != VACANT {
+                let open = slot_of
+                    .get_mut(id as usize)
+                    .ok_or(Invalid("a slot's bin id"))?;
+                if *open != VACANT
+                    || level > capacity
+                    || count == 0
+                    || last_change > now
+                    || peak > capacity
+                {
+                    return Err(Invalid("an open bin"));
+                }
+                *open = slot as u32;
+            }
+            store.ids.push(id);
+            store.levels.push(level);
+            store.counts.push(count);
+            store.last_change.push(last_change);
+            store.integrals.push(u128::from(u64_at(row, 16)));
+            store.peaks.push(peak);
+        }
+        let mut listed = vec![false; slots];
+        for row in r.rows(4)? {
+            let slot = u32_at(row, 0);
+            match listed.get_mut(slot as usize) {
+                Some(seen) if !*seen && store.ids[slot as usize] == VACANT => *seen = true,
+                _ => return Err(Invalid("the free list")),
+            }
+            store.free.push(slot);
+        }
+        if store.free.len() != store.ids.iter().filter(|&&id| id == VACANT).count() {
+            return Err(Invalid("the free list"));
+        }
+
+        let sparse = r.bool("the active-set layout")?;
+        let dense_len = r.u32()? as usize;
+        if dense_len > DENSE_ID_LIMIT || (sparse && dense_len != 0) {
+            return Err(Invalid("the active-set layout"));
+        }
+        let rows = r.rows(16)?;
+        let active_count = rows.len();
+        let mut active = if sparse {
+            let mut map = HashMap::default();
+            map.reserve(active_count);
+            ActiveSet::Sparse(map)
+        } else {
+            ActiveSet::Dense(vec![ActiveEntry::EMPTY; dense_len])
+        };
+        // Each open bin's level and item count, summed over its items.
+        let mut sums = vec![(0u64, 0u32); slots];
+        for row in rows {
+            let (id, bin, units, arrived) = (
+                u32_at(row, 0),
+                u32_at(row, 1),
+                u32_at(row, 2),
+                u32_at(row, 3),
+            );
+            let slot = match slot_of.get(bin as usize) {
+                Some(&slot) if slot != VACANT => slot,
+                _ => return Err(Invalid("an active item's bin")),
+            };
+            if units == 0 || u64::from(units) > capacity || u64::from(arrived) > now {
+                return Err(Invalid("an active item"));
+            }
+            let entry = ActiveEntry {
+                bin,
+                slot,
+                units,
+                arrived,
+            };
+            let fresh = match &mut active {
+                ActiveSet::Dense(entries) => match entries.get_mut(id as usize) {
+                    Some(e) if e.bin == VACANT => {
+                        *e = entry;
+                        true
+                    }
+                    _ => false,
+                },
+                ActiveSet::Sparse(map) => map.insert(id, entry).is_none(),
+            };
+            let sum = &mut sums[slot as usize];
+            sum.0 += u64::from(units);
+            sum.1 += 1;
+            if !fresh || sum.1 > store.counts[slot as usize] {
+                return Err(Invalid("an active item"));
+            }
+        }
+        for (s, &(level, count)) in sums.iter().enumerate() {
+            if store.ids[s] != VACANT && (level, count) != (store.levels[s], store.counts[s]) {
+                return Err(Invalid("an open bin's level or item count"));
+            }
+        }
+
+        let rows = r.rows(8)?;
+        let mut assignments = Vec::with_capacity(rows.len());
+        for row in rows {
+            let bin = u32_at(row, 1);
+            if bin as usize >= records.len() {
+                return Err(Invalid("an assignment's bin"));
+            }
+            assignments.push((ItemId(u32_at(row, 0)), BinId(bin)));
+        }
+        // An active item's latest placement must be its bin: the
+        // promotion to the exact engine finds its contents that way.
+        // Live items arrived recently, so the walk back stops early.
+        engine.active = active;
+        let mut placed: HashSet<u32, BuildIdHasher> = HashSet::default();
+        for &(item, bin) in assignments.iter().rev() {
+            if placed.len() == active_count {
+                break;
+            }
+            if let Some(e) = engine.active_get(item) {
+                if placed.insert(item.0) && e.bin != bin.0 {
+                    return Err(Invalid("an active item's placement"));
+                }
+            }
+        }
+        if placed.len() != active_count {
+            return Err(Invalid("an active item without a placement"));
+        }
+
+        // The running sums and the scan index, from the books.
+        let store = &engine.store;
+        let mut lin = LinearScan::default();
+        if tree {
+            engine.tree_slots = vec![VACANT; records.len()];
+        }
+        for (id, (rec, &slot)) in records.iter().zip(&slot_of).enumerate() {
+            if slot == VACANT {
+                if rec.closed < rec.opened || rec.closed > now {
+                    return Err(Invalid("a closed bin's usage period"));
+                }
+                engine.closed_ticks += u128::from(rec.closed - rec.opened);
+                engine.vol_offset += rec.integral as i128;
+                continue;
+            }
+            let s = slot as usize;
+            let level = store.levels[s];
+            engine.open_count += 1;
+            engine.open_opened_sum += u128::from(rec.opened);
+            engine.level_total = engine
+                .level_total
+                .checked_add(level)
+                .ok_or(Invalid("the total level"))?;
+            engine.vol_offset +=
+                store.integrals[s] as i128 - i128::from(level) * i128::from(store.last_change[s]);
+            let gap = capacity - level;
+            if tree {
+                engine.tree.open(BinId(id as u32), gap + 1);
+                engine.tree_slots[id] = slot;
+            } else {
+                lin.gaps.push(gap);
+                lin.ids.push(id as u32);
+                lin.slots.push(slot);
+            }
+        }
+        if max_open < engine.open_count || max_open > records.len() {
+            return Err(Invalid("the peak open count"));
+        }
+        engine.scan = if tree {
+            ScanMode::Tree
+        } else {
+            ScanMode::Linear(lin)
+        };
+        engine.records = records;
+        engine.assignments = assignments;
+        engine.active_count = active_count;
+        engine.max_open = max_open;
+        engine.now = Some(now);
+        Ok(engine)
     }
 
     /// Finalizes the run, converting every integer book back to the

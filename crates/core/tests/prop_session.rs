@@ -845,3 +845,300 @@ proptest! {
         prop_assert_eq!(session.metrics().active_items, 0);
     }
 }
+
+// ---------------------------------------------------------------
+// Engine state. A tick-core session's `write_state`, loaded into a
+// fresh session of the same configuration, must carry on exactly as
+// the writer does: same result for every later event, same metrics
+// after it, same outcome. Damaged state bytes must fail to load, or
+// load into books the engine runs on, and never panic.
+// ---------------------------------------------------------------
+
+/// `steps` with every item id moved past the dense active table's
+/// limit, so the tick engine keeps its active set hashed.
+fn sparse_ids(steps: &[Step]) -> Vec<Step> {
+    let far = |id: ItemId| ItemId(id.0 + (1 << 21));
+    steps
+        .iter()
+        .map(|&(event, ok)| {
+            let moved = match event {
+                Event::Arrive { id, size, time } => Event::Arrive {
+                    id: far(id),
+                    size,
+                    time,
+                },
+                Event::Depart { id, time } => Event::Depart { id: far(id), time },
+            };
+            (moved, ok)
+        })
+        .collect()
+}
+
+/// A session from `make` fed `steps[..cut]`, rejections included.
+fn fed(make: &impl Fn() -> Session<'static>, steps: &[Step], cut: usize) -> Session<'static> {
+    let mut session = make();
+    for (event, _) in &steps[..cut] {
+        let _ = session.apply(event);
+    }
+    session
+}
+
+/// Every cut of `steps`: the state written there, loaded into a fresh
+/// session from `make`, writes the same bytes again and continues
+/// bit-identical to the uninterrupted run (each later event's result
+/// and the metrics after it, then the outcome); a session on the exact
+/// engine refuses to write state and leaves the buffer as it was.
+fn check_state_restarts(
+    steps: &[Step],
+    make: impl Fn() -> Session<'static>,
+) -> Result<(), TestCaseError> {
+    let mut full = make();
+    let mut results = Vec::with_capacity(steps.len());
+    let mut metrics = Vec::with_capacity(steps.len());
+    for (event, _) in steps {
+        results.push(full.apply(event));
+        metrics.push(full.metrics());
+    }
+    let outcome = full.finish().unwrap();
+    for cut in 0..=steps.len() {
+        let head = fed(&make, steps, cut);
+        let mut bytes = vec![7u8];
+        if let Err(e) = head.write_state(&mut bytes) {
+            prop_assert!(!head.tick_active(), "cut {}: {}", cut, e);
+            prop_assert_eq!(bytes, vec![7u8]);
+            continue;
+        }
+        let mut restored = make();
+        let loaded = restored.load_state(&bytes[1..]);
+        prop_assert_eq!(loaded, Ok(()), "cut {}", cut);
+        let mut again = vec![7u8];
+        restored.write_state(&mut again).unwrap();
+        prop_assert_eq!(&again, &bytes, "restored at {} writes other bytes", cut);
+        prop_assert_eq!(restored.metrics(), head.metrics(), "restored at {}", cut);
+        for (i, (event, _)) in steps.iter().enumerate().skip(cut) {
+            prop_assert_eq!(
+                &restored.apply(event),
+                &results[i],
+                "restored at {}, event {}",
+                cut,
+                i
+            );
+            prop_assert_eq!(
+                &restored.metrics(),
+                &metrics[i],
+                "restored at {}, event {}",
+                cut,
+                i
+            );
+        }
+        prop_assert_eq!(
+            restored.finish().unwrap(),
+            outcome.clone(),
+            "restored at {}",
+            cut
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `Backend::Auto` and strict tick grid sessions, telemetry on and
+    /// off, some promoted to the exact engine by an off-grid event,
+    /// with rejected events and (half the time) item ids past the
+    /// dense active table: the state written at every cut restarts
+    /// bit-identical to the uninterrupted run.
+    #[test]
+    fn state_restarts_are_bit_identical_at_every_cut(
+        ops in prop::collection::vec((0u8..8, 0u8..16, 0u8..16), 1..40),
+        start in 0i128..=40,
+        off_grid in (0u8..2, 0usize..40, 0u8..6),
+        strict in 0u8..2,
+        telemetry in 0u8..2,
+        sparse in 0u8..2,
+        policy in 0usize..3,
+    ) {
+        let (strict, telemetry) = (strict == 1, telemetry == 1);
+        let (promote, at, variant) = off_grid;
+        let off_grid = (promote == 1 || strict).then_some((at, variant));
+        let (steps, _) = script(&ops, start, off_grid, strict);
+        let steps = if sparse == 1 { sparse_ids(&steps) } else { steps };
+        check_state_restarts(&steps, || {
+            let mut builder = Session::builder(linear_algo(POLICIES[policy]))
+                .backend(if strict { Backend::Tick } else { Backend::Auto })
+                .grid(TickGrid::new(4, 8))
+                .without_checkpoints();
+            if telemetry {
+                builder = builder.telemetry();
+            }
+            builder.build().unwrap()
+        })?;
+    }
+
+    /// State bytes cut short always fail to load; state bytes with a
+    /// flipped bit or a replaced byte fail to load or load into books
+    /// the session then runs the rest of the stream on, and neither
+    /// panics. A failed load leaves the session fresh.
+    #[test]
+    fn damaged_state_fails_or_loads_and_never_panics(
+        ops in prop::collection::vec((0u8..8, 0u8..16, 0u8..16), 1..40),
+        start in 0i128..=40,
+        telemetry in 0u8..2,
+        sparse in 0u8..2,
+        cut in 0usize..=120,
+        damage in prop::collection::vec((0usize..1 << 20, 0u8..=255, 0u8..3), 1..4),
+    ) {
+        let telemetry = telemetry == 1;
+        let (steps, _) = script(&ops, start, None, false);
+        let steps = if sparse == 1 { sparse_ids(&steps) } else { steps };
+        let make = || {
+            let mut builder = Session::builder(FirstFit::new())
+                .grid(TickGrid::new(4, 8))
+                .without_checkpoints();
+            if telemetry {
+                builder = builder.telemetry();
+            }
+            builder.build().unwrap()
+        };
+        let cut = cut % (steps.len() + 1);
+        let mut bytes = Vec::new();
+        fed(&make, &steps, cut).write_state(&mut bytes).unwrap();
+        for len in 0..bytes.len() {
+            prop_assert!(make().load_state(&bytes[..len]).is_err(), "cut to {} bytes", len);
+        }
+        let mut damaged = bytes.clone();
+        for &(at, byte, how) in &damage {
+            let at = at % damaged.len();
+            match how {
+                0 => damaged[at] ^= 1 << (byte % 8),
+                1 => damaged[at] = byte,
+                _ => damaged[at] = damaged[at].wrapping_add(1),
+            }
+        }
+        let mut session = make();
+        match session.load_state(&damaged) {
+            Ok(()) => {
+                session.metrics();
+                for (event, _) in &steps[cut..] {
+                    let _ = session.apply(event);
+                }
+                session.metrics();
+                let _ = session.finish();
+            }
+            Err(_) => {
+                prop_assert_eq!(session.metrics(), make().metrics());
+                prop_assert!(session.load_state(&bytes).is_ok());
+            }
+        }
+    }
+}
+
+/// Sessions past the scan crossover restore in tree mode: the state
+/// written after every 700 events of the flash crowd, on each policy,
+/// continues to the exact reference's outcome.
+#[test]
+fn tree_mode_state_restarts_finish_like_the_exact_reference() {
+    let inst = flash_crowd();
+    let events = events_of(&inst);
+    for policy in POLICIES {
+        let exact = Runner::new(&inst)
+            .backend(Backend::Exact)
+            .run(linear_algo(policy).as_mut())
+            .unwrap();
+        let make = || {
+            Session::builder(linear_algo(policy))
+                .backend(Backend::Tick)
+                .grid(TickGrid::new(4, 64))
+                .without_checkpoints()
+                .build()
+                .unwrap()
+        };
+        let mut head = make();
+        for (i, chunk) in events.chunks(700).enumerate() {
+            let mut bytes = Vec::new();
+            head.write_state(&mut bytes).unwrap();
+            let mut restored = make();
+            restored.load_state(&bytes).unwrap();
+            assert_eq!(restored.metrics(), head.metrics(), "{policy:?} chunk {i}");
+            restored.ingest(&events[i * 700..]).unwrap();
+            assert_eq!(restored.finish().unwrap(), exact, "{policy:?} chunk {i}");
+            head.ingest(chunk).unwrap();
+        }
+    }
+}
+
+/// `load_state` refuses sessions it cannot fill and states of another
+/// configuration or version, each with its typed error.
+#[test]
+fn state_loads_refuse_other_sessions_configurations_and_versions() {
+    use dbp_core::StateError;
+    let build = |grid: TickGrid| {
+        Session::builder(FirstFit::new())
+            .grid(grid)
+            .without_checkpoints()
+            .build()
+            .unwrap()
+    };
+    let mut session = build(TickGrid::new(4, 8));
+    session.arrive(ItemId(3), rat(1, 2), rat(5, 4)).unwrap();
+    let mut bytes = Vec::new();
+    session.write_state(&mut bytes).unwrap();
+
+    let mut logged = Session::builder(FirstFit::new())
+        .grid(TickGrid::new(4, 8))
+        .build()
+        .unwrap();
+    assert!(matches!(
+        logged.load_state(&bytes),
+        Err(StateError::Unsupported(_))
+    ));
+    let mut used = build(TickGrid::new(4, 8));
+    used.arrive(ItemId(0), rat(1, 2), rat(0, 1)).unwrap();
+    assert!(matches!(
+        used.load_state(&bytes),
+        Err(StateError::Unsupported(_))
+    ));
+    let mut exact = Session::builder(FirstFit::new())
+        .without_checkpoints()
+        .build()
+        .unwrap();
+    assert!(matches!(
+        exact.load_state(&bytes),
+        Err(StateError::Unsupported(_))
+    ));
+    assert!(matches!(
+        exact.write_state(&mut Vec::new()),
+        Err(StateError::Unsupported(_))
+    ));
+
+    assert_eq!(
+        build(TickGrid::new(2, 8)).load_state(&bytes),
+        Err(StateError::Mismatch("grid"))
+    );
+    let mut best = Session::builder(BestFit::new())
+        .grid(TickGrid::new(4, 8))
+        .without_checkpoints()
+        .build()
+        .unwrap();
+    assert_eq!(
+        best.load_state(&bytes),
+        Err(StateError::Mismatch("algorithm"))
+    );
+    let mut newer = bytes.clone();
+    newer[8] = 2;
+    assert_eq!(
+        build(TickGrid::new(4, 8)).load_state(&newer),
+        Err(StateError::Version(2))
+    );
+
+    let mut fresh = build(TickGrid::new(4, 8));
+    fresh.load_state(&bytes).unwrap();
+    assert_eq!(fresh.metrics(), session.metrics());
+    assert!(fresh.is_active(ItemId(3)));
+    assert_eq!(
+        fresh.depart(ItemId(3), rat(2, 1)),
+        session.depart(ItemId(3), rat(2, 1))
+    );
+    assert_eq!(fresh.finish(), session.finish());
+}

@@ -25,11 +25,14 @@
 //!   for the placement hot path, plus a writer for the finish
 //!   response's outcomes; non-canonical frames fall back to the
 //!   generic codec, so the format is unchanged.
+//! * [`crc32`] — the std-only CRC-32 that seals the server's engine
+//!   state checkpoints.
 //!
 //! Everything is plain serde over the workspace's exact data model:
 //! `Rational` timestamps round-trip bit-for-bit, so outcomes computed
 //! from wire traffic are bit-identical to in-process runs.
 
+pub mod crc;
 pub mod fast;
 pub mod frame;
 pub mod framing;
@@ -38,6 +41,7 @@ pub mod line;
 pub use dbp_core::session::{Backend, Event, SessionMetrics, SessionSnapshot, TickGrid};
 pub use dbp_core::{BinId, ItemId, PackingOutcome};
 
+pub use crc::crc32;
 pub use frame::{ErrorKind, Hello, Request, Response, WireError};
 pub use framing::{
     parse_frame_payload, read_frame, read_frame_into, read_frame_raw, write_frame,

@@ -28,6 +28,13 @@
 //!   `append` per batch, then rebuilt the way `DbpServer::start` does
 //!   it (`Tenant::recover_all`, which streams the journal straight into
 //!   the tenant), best of five;
+//! * the checkpointed restart (`checkpoint_restart_ms`,
+//!   `checkpoint_replay_ms` and their ratio
+//!   `checkpoint_restart_vs_replay_ratio`, a same-run gate): one wave
+//!   tenant journaled through `Tenant::batch` past several engine-state
+//!   checkpoints, then `Tenant::recover_all` timed on its directory
+//!   with the checkpoint and with the checkpoint moved aside (a full
+//!   replay), interleaved, best of [`RESTART_ROUNDS`] each;
 //! * the finish-frame encode (`finish_frame_fast_ms`,
 //!   `finish_frame_generic_ms` and their ratio
 //!   `finish_fast_vs_generic_ratio`, a same-run gate): one wave
@@ -52,11 +59,12 @@ use dbp_core::session::Session;
 use dbp_core::FirstFit;
 use dbp_numeric::rat;
 use dbp_obs::Histogram;
-use dbp_proto::{fast, Backend, Event, ItemId, Response, TickGrid};
-use dbp_server::journal::{Journal, JournalHeader};
+use dbp_proto::{fast, Backend, Event, Hello, ItemId, Response, TickGrid};
+use dbp_server::checkpoint::checkpoint_path;
+use dbp_server::journal::{journal_path, Journal, JournalHeader};
 use dbp_server::span::PHASE_NAMES;
 use dbp_server::tenant::Tenant;
-use dbp_server::{Client, DbpServer, Quotas, ServerConfig};
+use dbp_server::{Client, DbpServer, Quotas, RequestSpan, ServerConfig};
 use std::io::Write;
 use std::time::Instant;
 
@@ -68,6 +76,15 @@ const PAIRS: usize = 5;
 /// Rounds of the finish-frame encode comparison, each timing both
 /// encoders once.
 const FINISH_ROUNDS: usize = 5;
+
+/// Events the checkpointed-restart arm journals: about 22 MiB of
+/// journal, so a restart loads the fifth checkpoint and replays a tail
+/// of under 4 MiB.
+const RESTART_EVENTS: u64 = 300_000;
+
+/// Interleaved rounds of the checkpointed-restart arm, each timing a
+/// restart from the checkpoint and a full replay once.
+const RESTART_ROUNDS: usize = 5;
 
 /// The sharded arm's frame sizes, each with the events its wave
 /// stream holds.
@@ -279,6 +296,50 @@ fn journal_replay_rate(args: &Args) -> f64 {
     }
     std::fs::remove_dir_all(&dir).expect("remove temporary journal");
     events as f64 / best
+}
+
+/// Journals [`RESTART_EVENTS`] of one wave tenant through
+/// `Tenant::batch`, as a durable tenant takes them, which writes an
+/// engine-state checkpoint every few MiB. Then times `Tenant::recover_all`
+/// on the directory, the restart path `DbpServer::start` runs, once from
+/// the checkpoint and once with it moved aside, in [`RESTART_ROUNDS`]
+/// interleaved rounds. Returns the best of each in milliseconds,
+/// `(checkpoint, replay)`.
+fn checkpoint_restart_ms() -> (f64, f64) {
+    let dir = std::env::temp_dir().join(format!("dbp-loadgen-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut hello = Hello::new("restart", "firstfit");
+    hello.grid = Some(TickGrid::new(1, 128));
+    let mut tenant =
+        Tenant::create(&hello, Quotas::unlimited(), Some(&dir)).expect("create tenant");
+    for batch in wave_batches(RESTART_EVENTS, 1024) {
+        let mut span = RequestSpan::new("batch", batch.len() as u64, None, 0);
+        tenant.batch(&batch, &mut span).expect("journal a batch");
+    }
+    let accepted = tenant.accepted();
+    drop(tenant);
+    let checkpoint = checkpoint_path(&journal_path(&dir, "restart"));
+    let aside = checkpoint.with_extension("aside");
+    assert!(
+        checkpoint.exists(),
+        "the journal passed the checkpoint threshold"
+    );
+    let (mut from_checkpoint, mut replay) = (f64::INFINITY, f64::INFINITY);
+    let restart = || {
+        let started = Instant::now();
+        let tenants = Tenant::recover_all(&dir, Quotas::unlimited()).expect("recover");
+        let ms = started.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(tenants[0].accepted(), accepted, "restart lost events");
+        ms
+    };
+    for _ in 0..RESTART_ROUNDS {
+        from_checkpoint = from_checkpoint.min(restart());
+        std::fs::rename(&checkpoint, &aside).expect("move the checkpoint aside");
+        replay = replay.min(restart());
+        std::fs::rename(&aside, &checkpoint).expect("put the checkpoint back");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temporary journal");
+    (from_checkpoint, replay)
 }
 
 /// Times one wave tenant's finish frame, the response a `finish`
@@ -529,6 +590,13 @@ fn main() {
         args.events_per_tenant
     );
 
+    let (restart_ms, replay_ms) = checkpoint_restart_ms();
+    let restart_ratio = replay_ms / restart_ms;
+    eprintln!(
+        "loadgen: restart of a {RESTART_EVENTS}-event journaled tenant: from its checkpoint \
+         {restart_ms:.1} ms, full replay {replay_ms:.1} ms, ratio {restart_ratio:.2}"
+    );
+
     let (finish_fast_ms, finish_generic_ms, finish_frame_len) = finish_frame_ms(&args);
     let finish_ratio = finish_generic_ms / finish_fast_ms;
     eprintln!(
@@ -567,6 +635,8 @@ fn main() {
              \"phase_share_quota\": {:.4},\n    \"phase_share_apply\": {:.4},\n    \
              \"phase_share_journal\": {:.4},\n    \"phase_share_encode\": {:.4},\n    \
              \"journal_replay_events_per_sec\": {:.0},\n    \
+             \"checkpoint_restart_ms\": {:.2},\n    \"checkpoint_replay_ms\": {:.2},\n    \
+             \"checkpoint_restart_vs_replay_ratio\": {:.3},\n    \
              \"finish_frame_fast_ms\": {:.3},\n    \"finish_frame_generic_ms\": {:.3},\n    \
              \"finish_fast_vs_generic_ratio\": {:.2},\n    \
              \"sharded_vs_single_ratio_16\": {:.4},\n    \
@@ -595,6 +665,9 @@ fn main() {
             phase_ns[3] as f64 / spent as f64,
             phase_ns[4] as f64 / spent as f64,
             journal_replay_events_per_sec,
+            restart_ms,
+            replay_ms,
+            restart_ratio,
             finish_fast_ms,
             finish_generic_ms,
             finish_ratio,

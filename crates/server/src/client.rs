@@ -195,29 +195,35 @@ impl Client {
     }
 
     /// One request/response exchange. Error frames are *not* turned
-    /// into `Err` here — callers match on the expected variant. A
-    /// traced client stamps each request with a fresh id and checks
-    /// the echo, so a response can never be attributed to the wrong
-    /// request.
+    /// into `Err` here — callers match on the expected variant.
+    /// Event frames take the canonical fast writer (batches take it in
+    /// [`ingest`](Self::ingest)); everything else is cold and goes
+    /// through the generic codec.
     fn exchange(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.exchange_with(|out, trace| match request {
+            Request::Event(ev) => fast::write_event_request_traced(out, ev, trace),
+            _ => {
+                let payload = serde_json::value_to_string(&request.to_traced_value(trace));
+                out.extend_from_slice(payload.as_bytes());
+            }
+        })
+    }
+
+    /// One exchange whose request `encode` writes into the frame
+    /// buffer, given the frame's trace id. A traced client stamps each
+    /// request with a fresh id and checks the echo, so a response can
+    /// never be attributed to the wrong request.
+    fn exchange_with(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>, Option<u64>),
+    ) -> Result<Response, ClientError> {
         let trace = self.tracing.then(|| {
             let id = self.next_trace;
             self.next_trace += 1;
             id
         });
-        // Placement frames take the canonical fast writer; everything
-        // else is cold and goes through the generic codec.
         self.out.clear();
-        match request {
-            Request::Event(ev) => fast::write_event_request_traced(&mut self.out, ev, trace),
-            Request::Batch(events) => {
-                fast::write_batch_request_traced(&mut self.out, events, trace)
-            }
-            _ => {
-                let payload = serde_json::value_to_string(&request.to_traced_value(trace));
-                self.out.extend_from_slice(payload.as_bytes());
-            }
-        }
+        encode(&mut self.out, trace);
         write_frame_bytes(&mut self.writer, &self.out)?;
         self.writer.flush()?;
         let (response, echoed) = match read_frame_raw(&mut self.reader, &mut self.scratch)? {
@@ -280,7 +286,9 @@ impl Client {
     /// Applies a batch in order, returning one placement per event
     /// (mirrors `Session::ingest`, with placements).
     pub fn ingest(&mut self, events: &[Event]) -> Result<Vec<BinId>, ClientError> {
-        match self.exchange(&Request::Batch(events.to_vec()))? {
+        // Encoded straight from the caller's slice: no owned frame.
+        let batch = |out: &mut Vec<u8>, trace| fast::write_batch_request_traced(out, events, trace);
+        match self.exchange_with(batch)? {
             Response::Bins(bins) => Ok(bins),
             Response::Error(e) => Err(ClientError::Remote(e)),
             other => Err(unexpected("bins", &other)),

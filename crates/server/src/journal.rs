@@ -11,7 +11,13 @@
 //! client saw acknowledged survives a crash. Recovery replays the
 //! journal through the identical session machinery, which makes the
 //! resumed tenant bit-identical to one that never stopped — the
-//! property the crash-recovery integration test pins down.
+//! property the crash-recovery integration test pins down. A tenant on
+//! the tick engine also keeps an engine-state checkpoint beside its
+//! journal ([`crate::checkpoint`]); recovery then loads the state and
+//! replays only the journal lines after the point it covers. The
+//! journal stays the only source of truth: a checkpoint that is
+//! missing or out of step with it is ignored, and
+//! [`Journal::create`] removes a stale one before it truncates.
 //!
 //! A crash in the middle of an append can leave the file ending in a
 //! partial line (one append may take several `write` calls). That
@@ -30,10 +36,11 @@
 //! replays each event into its tenant as it is read, so it never holds
 //! a journal's events in memory.
 
-use dbp_proto::{fast, parse_event_line, Backend, Event, TickGrid, WIRE_VERSION};
+use crate::checkpoint::{self, Mark, WINDOW};
+use dbp_proto::{crc32, fast, parse_event_line, Backend, Event, TickGrid, WIRE_VERSION};
 use serde::{Deserialize, Serialize, Value};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// The session shape recorded in a journal header (everything a
@@ -103,6 +110,11 @@ pub struct Journal {
     file: File,
     /// Encoding buffer reused across appends: one batch's lines.
     buf: Vec<u8>,
+    /// Bytes of complete lines, header included.
+    len: u64,
+    /// Complete lines, header included (counted from the reopen when
+    /// [`Journal::reopen`] was not told how many came before).
+    lines: u64,
 }
 
 /// The journal file for `tenant` under `dir`. Tenant keys are
@@ -124,9 +136,12 @@ pub fn journal_path(dir: &Path, tenant: &str) -> PathBuf {
 
 impl Journal {
     /// Creates a fresh journal for a new tenant, writing its header.
+    /// A checkpoint left by an earlier tenant of the same name is
+    /// removed first, before the old journal is truncated.
     pub fn create(dir: &Path, header: &JournalHeader) -> io::Result<Journal> {
         fs::create_dir_all(dir)?;
         let path = journal_path(dir, &header.tenant);
+        checkpoint::remove(&path)?;
         let file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -140,6 +155,8 @@ impl Journal {
             path,
             file,
             buf: Vec::new(),
+            len: line.len() as u64,
+            lines: 1,
         })
     }
 
@@ -147,6 +164,12 @@ impl Journal {
     /// final line is cut off first, so the next append starts on a line
     /// boundary instead of gluing onto the fragment.
     pub fn reopen(path: &Path, end: JournalEnd) -> io::Result<Journal> {
+        Journal::reopen_after(path, end, 0)
+    }
+
+    /// [`Journal::reopen`] for a journal of `lines` complete lines,
+    /// which its checkpoints number their tail from.
+    pub(crate) fn reopen_after(path: &Path, end: JournalEnd, lines: u64) -> io::Result<Journal> {
         let file = OpenOptions::new().append(true).open(path)?;
         if end.torn_bytes > 0 {
             file.set_len(end.complete_len)?;
@@ -155,6 +178,8 @@ impl Journal {
             path: path.to_path_buf(),
             file,
             buf: Vec::new(),
+            len: end.complete_len,
+            lines,
         })
     }
 
@@ -166,7 +191,38 @@ impl Journal {
             fast::write_event_request(&mut self.buf, event);
             self.buf.push(b'\n');
         }
-        self.file.write_all(&self.buf)
+        self.file.write_all(&self.buf)?;
+        self.len += self.buf.len() as u64;
+        self.lines += events.len() as u64;
+        Ok(())
+    }
+
+    /// The journal file.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Bytes of complete lines written, header included.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// The checkpoint mark for the journal as it stands, with `accepted`
+    /// events behind it: its length, the number of the next line, and
+    /// the CRC of the last [`WINDOW`] bytes, read back from the file.
+    pub(crate) fn mark(&self, accepted: u64) -> io::Result<Mark> {
+        let window = self.len.min(WINDOW);
+        let mut file = File::open(&self.path)?;
+        file.seek(SeekFrom::Start(self.len - window))?;
+        let mut bytes = vec![0; window as usize];
+        file.read_exact(&mut bytes)?;
+        Ok(Mark {
+            offset: self.len,
+            line: self.lines + 1,
+            accepted,
+            window_len: window as u32,
+            window_crc: crc32(&bytes),
+        })
     }
 
     /// Removes the journal file (after a successful finish — the
@@ -201,6 +257,8 @@ pub struct RecoveredJournal {
     pub events: Vec<Event>,
     /// Where the complete lines end.
     pub end: JournalEnd,
+    /// Complete lines, header included.
+    pub lines: u64,
 }
 
 /// Reads one journal file back into memory, through the same
@@ -214,6 +272,7 @@ pub fn read_journal(path: &Path) -> io::Result<RecoveredJournal> {
         header,
         events,
         end: reader.end(),
+        lines: reader.lines(),
     })
 }
 
@@ -254,6 +313,8 @@ pub(crate) struct JournalReader {
     line: u64,
     /// Number and starting byte offset of the last event's line.
     last: (u64, u64),
+    /// Length of the header line, where the first event line starts.
+    header_len: u64,
 }
 
 impl JournalReader {
@@ -268,6 +329,7 @@ impl JournalReader {
             torn_bytes: 0,
             line: 1,
             last: (0, 0),
+            header_len: 0,
         };
         let bad = |msg: String| {
             io::Error::new(
@@ -283,7 +345,53 @@ impl JournalReader {
         let value = serde_json::parse(text).map_err(|e| bad_header(&e))?;
         let header = JournalHeader::from_value(&value).map_err(|e| bad_header(&e))?;
         reader.advance(reader.text.len());
+        reader.header_len = reader.complete_len;
         Ok((header, reader))
+    }
+
+    /// Moves to the checkpoint `mark`, so that the next event read is
+    /// the first one after it, if the journal still holds the lines the
+    /// checkpoint covers: it is at least `mark.offset` bytes long and
+    /// the bytes before that offset match the checkpoint's window CRC.
+    /// Returns whether it moved; a journal cut short, or rewritten
+    /// since, leaves the reader where it was.
+    pub(crate) fn skip_to(&mut self, mark: &Mark) -> io::Result<bool> {
+        let window = u64::from(mark.window_len);
+        let fits = window <= mark.offset
+            && mark.offset >= self.header_len
+            && mark.line > 1
+            && self.file.get_ref().metadata()?.len() >= mark.offset;
+        if !fits {
+            return Ok(false);
+        }
+        self.file.seek(SeekFrom::Start(mark.offset - window))?;
+        let mut bytes = vec![0; mark.window_len as usize];
+        self.file.read_exact(&mut bytes)?;
+        if crc32(&bytes) != mark.window_crc {
+            self.rewind()?;
+            return Ok(false);
+        }
+        self.complete_len = mark.offset;
+        self.line = mark.line;
+        Ok(true)
+    }
+
+    /// Moves back to the first event line.
+    pub(crate) fn rewind(&mut self) -> io::Result<()> {
+        self.file.seek(SeekFrom::Start(self.header_len))?;
+        self.complete_len = self.header_len;
+        self.line = 2;
+        Ok(())
+    }
+
+    /// Complete lines read so far, header included.
+    pub(crate) fn lines(&self) -> u64 {
+        self.line - 1
+    }
+
+    /// The journal's path.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
     }
 
     /// Where the complete lines end. Exact once the iterator has

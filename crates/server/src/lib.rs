@@ -31,6 +31,7 @@
 //! CLI), drive it with [`Client`], benchmark it with the `loadgen`
 //! bin.
 
+pub mod checkpoint;
 pub mod client;
 pub mod journal;
 pub mod quota;

@@ -1,9 +1,10 @@
 //! The allocation daemon: accept loop, connection handling, tenant
 //! registry, and the merged exposition page.
 //!
-//! The accept loop follows the `MetricsServer` pattern — a
-//! non-blocking `TcpListener` polled against a stop flag — but every
-//! accepted connection gets its own thread speaking the
+//! The accept loop blocks in `accept` and checks a stop flag after
+//! each connection; stopping the server sets the flag and makes one
+//! loopback connection to the bound address to wake it.
+//! Every accepted connection gets its own thread speaking the
 //! length-prefixed [`dbp_proto`] protocol. Connections are stateless
 //! beyond "which tenant am I attached to": all tenant state lives in
 //! the shared registry, so many connections can drive one tenant and
@@ -94,11 +95,12 @@ pub struct ServerConfig {
     pub auth: TokenPolicy,
     /// Quotas applied to every tenant.
     pub quotas: Quotas,
-    /// Journal directory; `None` disables durability (journal files
-    /// and crash recovery) server-wide. Snapshots do not depend on it:
-    /// a single-session tenant whose hello asks for journaling keeps
-    /// its session's checkpoint log and answers `snapshot` from it
-    /// either way.
+    /// Journal directory; `None` disables durability (journal files,
+    /// engine-state checkpoints and crash recovery) server-wide.
+    /// Snapshots do not depend on it: a single-session tenant whose
+    /// hello asks for journaling answers `snapshot` from its journal
+    /// file, or, without a directory, from its session's checkpoint
+    /// log.
     pub journal_dir: Option<PathBuf>,
     /// Rebuild the exposition page every this many accepted events
     /// (hellos, finishes, and metrics requests always rebuild).
@@ -131,6 +133,8 @@ impl Default for ServerConfig {
 /// Shared server state: the tenant registry plus exposition counters.
 struct Shared {
     config: ServerConfig,
+    /// The bound wire address, which [`wake`] connects to.
+    addr: std::net::SocketAddr,
     tenants: Mutex<HashMap<String, Arc<Mutex<Option<Tenant>>>>>,
     stop: AtomicBool,
     /// Live client connections, so `stop` can unblock their reads.
@@ -220,7 +224,6 @@ impl DbpServer {
     /// tenant from `config.journal_dir`, and starts serving.
     pub fn start(config: ServerConfig) -> Result<DbpServer, ServerError> {
         let listener = TcpListener::bind(&config.listen).map_err(ServerError::Io)?;
-        listener.set_nonblocking(true).map_err(ServerError::Io)?;
         let addr = listener.local_addr().map_err(ServerError::Io)?;
 
         let metrics_server = match &config.metrics {
@@ -252,6 +255,7 @@ impl DbpServer {
         });
         let shared = Arc::new(Shared {
             config,
+            addr,
             tenants: Mutex::new(tenants),
             stop: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
@@ -319,7 +323,7 @@ impl DbpServer {
     }
 
     fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        stop(&self.shared);
         for conn in self.shared.conns.lock().unwrap().drain(..) {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
@@ -360,10 +364,32 @@ impl Drop for DbpServer {
     }
 }
 
+/// Sets the stop flag and wakes the accept loop, which may be blocked
+/// in `accept`, with one connection to the bound address (the loopback
+/// one, when the listener is bound to every interface). The loop sees
+/// the flag once that connection, or any other, arrives. Idempotent.
+fn stop(shared: &Shared) {
+    if shared.stop.swap(true, Ordering::SeqCst) {
+        return;
+    }
+    let mut addr = shared.addr;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 // The connection ordinal doubles as the Chrome track id
                 // for this connection's slow-request spans.
@@ -382,9 +408,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 }
                 workers.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
     }
@@ -779,7 +803,7 @@ fn handle_shutdown(
     match shared.config.auth.check_shutdown(token) {
         Ok(()) => {
             send(writer, out, &Response::Shutdown, trace)?;
-            shared.stop.store(true, Ordering::Relaxed);
+            stop(shared);
             Ok(())
         }
         Err(e) => {

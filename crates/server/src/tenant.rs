@@ -6,9 +6,18 @@
 //! whatever the shard count. Every mutation goes through here, so the
 //! invariant "journal holds exactly the accepted events, in acceptance
 //! order" lives in one place.
+//!
+//! A journaled tenant on the tick engine also checkpoints its engine
+//! state beside the journal ([`crate::checkpoint`]), and a restart
+//! loads that state and replays only the journal's tail through the
+//! same replay loop. The checkpoint never holds events: a tenant that
+//! journals to a file keeps no in-memory event log either, and answers
+//! `snapshot` from the journal itself.
 
+use crate::checkpoint::{self, Checkpoint, CHECKPOINT_MIN_BYTES};
 use crate::journal::{
-    journal_path, journal_paths, Journal, JournalHeader, JournalReader, RecoveredJournal,
+    journal_path, journal_paths, read_journal, Journal, JournalHeader, JournalReader,
+    RecoveredJournal,
 };
 use crate::quota::{Quotas, RateLimiter};
 use crate::span::{Phase, RequestSpan, WireStats};
@@ -62,6 +71,9 @@ pub struct Tenant {
     /// Wire-level SLO accumulators (request latency, phase shares,
     /// refusals, fsyncs) — folded into [`Tenant::registry`].
     wire: WireStats,
+    /// The journal offset the last checkpoint covers and that
+    /// checkpoint's size; `(0, 0)` before the first.
+    checkpointed: (u64, u64),
 }
 
 /// The shard of `shards` that owns `event`'s item. An unsharded
@@ -87,6 +99,32 @@ impl Tenant {
         quotas: Quotas,
         journal_dir: Option<&Path>,
     ) -> Result<Tenant, ServerError> {
+        // Only a journaling single-session tenant without a journal
+        // file answers `snapshot` from its session's log. One with a
+        // file answers from the file; journal-less tenants get a typed
+        // Unavailable error instead, and sharded tenants refuse
+        // `snapshot`; so none of those keeps a log.
+        let journaled = hello.journal && journal_dir.is_some();
+        let log = hello.journal && hello.shards == 1 && !journaled;
+        let canonical = Tenant::validate(hello)?;
+        let mut tenant = Tenant::fresh(hello, canonical, quotas, log)?;
+        if let (Some(dir), true) = (journal_dir, journaled) {
+            let header = JournalHeader {
+                tenant: hello.tenant.clone(),
+                algo: canonical.to_string(),
+                backend: hello.backend,
+                grid: hello.grid,
+                shards: hello.shards,
+                telemetry: hello.telemetry,
+            };
+            tenant.journal = Some(Journal::create(dir, &header).map_err(ServerError::Io)?);
+        }
+        Ok(tenant)
+    }
+
+    /// The canonical name of the hello's algorithm, once the hello
+    /// names a servable algorithm and at least one shard.
+    fn validate(hello: &Hello) -> Result<&'static str, ServerError> {
         let canonical = canonical_algo(&hello.algo).ok_or_else(|| {
             ServerError::Wire(WireError::new(
                 ErrorKind::Protocol,
@@ -99,6 +137,17 @@ impl Tenant {
                 "shards must be >= 1",
             )));
         }
+        Ok(canonical)
+    }
+
+    /// A journal-less tenant of `hello`'s shape that has applied no
+    /// event, its sessions keeping a checkpoint log iff `log`.
+    fn fresh(
+        hello: &Hello,
+        canonical: &str,
+        quotas: Quotas,
+        log: bool,
+    ) -> Result<Tenant, ServerError> {
         let build_session = || -> Result<Session<'static>, SessionError> {
             let mut builder = Session::builder(make_algo(canonical)).backend(hello.backend);
             if let Some(grid) = hello.grid {
@@ -107,12 +156,7 @@ impl Tenant {
             if hello.telemetry {
                 builder = builder.telemetry();
             }
-            if !hello.journal || hello.shards > 1 {
-                // Only a journaling single-session tenant answers
-                // `snapshot` from its session's log. Journal-less
-                // tenants get a typed Unavailable error instead, and
-                // sharded tenants refuse `snapshot` and recover from
-                // the on-disk journal, so neither keeps a log.
+            if !log {
                 builder = builder.without_checkpoints();
             }
             builder.build()
@@ -121,57 +165,97 @@ impl Tenant {
             .map(|_| build_session())
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| ServerError::Wire(session_error(e)))?;
-        let journal = match (journal_dir, hello.journal) {
-            (Some(dir), true) => Some(
-                Journal::create(
-                    dir,
-                    &JournalHeader {
-                        tenant: hello.tenant.clone(),
-                        algo: canonical.to_string(),
-                        backend: hello.backend,
-                        grid: hello.grid,
-                        shards: hello.shards,
-                        telemetry: hello.telemetry,
-                    },
-                )
-                .map_err(ServerError::Io)?,
-            ),
-            _ => None,
-        };
         Ok(Tenant {
             name: hello.tenant.clone(),
             fleet: Fleet::new(sessions),
-            journal,
+            journal: None,
             quotas,
             rate: quotas.max_events_per_sec.map(RateLimiter::new),
             accepted: 0,
             wire: WireStats::default(),
+            checkpointed: (0, 0),
         })
     }
 
+    /// A fresh tenant of the shape a journal header records, as a
+    /// restart rebuilds it: its events come from the journal file it
+    /// reopens, so its sessions keep no log.
+    fn of_header(header: &JournalHeader, quotas: Quotas) -> Result<Tenant, ServerError> {
+        let hello = Hello {
+            tenant: header.tenant.clone(),
+            token: None,
+            algo: header.algo.clone(),
+            backend: header.backend,
+            grid: header.grid,
+            shards: header.shards,
+            telemetry: header.telemetry,
+            journal: true,
+        };
+        let canonical = Tenant::validate(&hello)?;
+        Tenant::fresh(&hello, canonical, quotas, false)
+    }
+
     /// Rebuilds every journaled tenant under `dir`, in path order, the
-    /// way [`crate::DbpServer::start`] does on a restart. Each journal
-    /// streams straight into its tenant through the replay loop, one
-    /// journal at a time, so a restart holds sessions rather than
-    /// journals. The journals are reopened for appending, their torn
-    /// tails cut, only once every one of them has replayed: a journal
-    /// that fails recovery leaves every file as it found it.
+    /// way [`crate::DbpServer::start`] does on a restart. Each tenant
+    /// starts from the engine state its checkpoint holds, when the
+    /// checkpoint is valid and in step with the journal, and from
+    /// nothing otherwise; the journal after that point streams straight
+    /// into it through the replay loop, one journal at a time, so a
+    /// restart holds sessions rather than journals and costs the
+    /// state's size plus the tail's. The journals are reopened for
+    /// appending, their torn tails cut, only once every one of them has
+    /// replayed: a journal that fails recovery leaves every file as it
+    /// found it.
     pub fn recover_all(dir: &Path, quotas: Quotas) -> Result<Vec<Tenant>, ServerError> {
         let mut replayed = Vec::new();
         for path in journal_paths(dir).map_err(ServerError::Io)? {
             let (header, mut reader) = JournalReader::open(&path).map_err(ServerError::Io)?;
-            let tenant = Tenant::replay(&header, quotas, &mut reader, |reader| {
-                Some(reader.last_line())
-            })?;
-            replayed.push((tenant, path, reader.end()));
+            let mut tenant = match Tenant::restore(&header, quotas, &mut reader)? {
+                Some(tenant) => tenant,
+                None => Tenant::of_header(&header, quotas)?,
+            };
+            tenant.replay(&mut reader, |reader| Some(reader.last_line()))?;
+            replayed.push((tenant, path, reader.end(), reader.lines()));
         }
         replayed
             .into_iter()
-            .map(|(mut tenant, path, end)| {
-                tenant.journal = Some(Journal::reopen(&path, end).map_err(ServerError::Io)?);
+            .map(|(mut tenant, path, end, lines)| {
+                let journal = Journal::reopen_after(&path, end, lines).map_err(ServerError::Io)?;
+                tenant.journal = Some(journal);
                 Ok(tenant)
             })
             .collect()
+    }
+
+    /// The tenant the checkpoint beside `reader`'s journal holds, with
+    /// the reader moved to the first line after it; `None`, with the
+    /// reader on the first event line, when there is no checkpoint or
+    /// it is corrupt, out of step with the journal, or of another
+    /// shape than `header`'s.
+    fn restore(
+        header: &JournalHeader,
+        quotas: Quotas,
+        reader: &mut JournalReader,
+    ) -> Result<Option<Tenant>, ServerError> {
+        let Some(checkpoint) = Checkpoint::read(reader.path()) else {
+            return Ok(None);
+        };
+        let shards = checkpoint.states().count();
+        if shards != header.shards as usize
+            || !reader.skip_to(&checkpoint.mark).map_err(ServerError::Io)?
+        {
+            return Ok(None);
+        }
+        let mut tenant = Tenant::of_header(header, quotas)?;
+        for (shard, state) in checkpoint.states().enumerate() {
+            if tenant.fleet.session_mut(shard).load_state(state).is_err() {
+                reader.rewind().map_err(ServerError::Io)?;
+                return Ok(None);
+            }
+        }
+        tenant.accepted = checkpoint.mark.accepted;
+        tenant.checkpointed = (checkpoint.mark.offset, checkpoint.len());
+        Ok(Some(tenant))
     }
 
     /// Rebuilds a tenant from a journal already read into memory
@@ -184,42 +268,31 @@ impl Tenant {
         journal_dir: &Path,
     ) -> Result<Tenant, ServerError> {
         let header = &recovered.header;
-        let mut events = recovered.events.into_iter().map(Ok);
-        let mut tenant = Tenant::replay(header, quotas, &mut events, |_| None)?;
+        let mut tenant = Tenant::of_header(header, quotas)?;
+        tenant.replay(&mut recovered.events.into_iter().map(Ok), |_| None)?;
         let path = journal_path(journal_dir, &header.tenant);
-        tenant.journal = Some(Journal::reopen(&path, recovered.end).map_err(ServerError::Io)?);
+        let journal = Journal::reopen_after(&path, recovered.end, recovered.lines)
+            .map_err(ServerError::Io)?;
+        tenant.journal = Some(journal);
         Ok(tenant)
     }
 
-    /// The replay loop: a fresh journal-less tenant of `header`'s shape
-    /// with every event applied through the identical session
-    /// machinery, bit-identical to a tenant that never stopped. An
-    /// event the sessions reject fails the replay, named by `locate`
-    /// (the journal's path and the event line's number and starting
-    /// byte) when the events come from a file.
+    /// The replay loop: every event applied through the identical
+    /// session machinery, so the tenant ends bit-identical to one that
+    /// never stopped. An event the sessions reject fails the replay,
+    /// named by `locate` (the journal's path and the event line's
+    /// number and starting byte) when the events come from a file.
     fn replay<I: Iterator<Item = std::io::Result<Event>>>(
-        header: &JournalHeader,
-        quotas: Quotas,
+        &mut self,
         events: &mut I,
         locate: impl Fn(&I) -> Option<(&Path, u64, u64)>,
-    ) -> Result<Tenant, ServerError> {
-        let hello = Hello {
-            tenant: header.tenant.clone(),
-            token: None,
-            algo: header.algo.clone(),
-            backend: header.backend,
-            grid: header.grid,
-            shards: header.shards,
-            telemetry: header.telemetry,
-            journal: true,
-        };
-        let mut tenant = Tenant::create(&hello, quotas, None)?;
+    ) -> Result<(), ServerError> {
         // Replay without quota admission: these events were already
         // admitted once; a restart must not re-charge them.
         while let Some(event) = events.next() {
             let event = event.map_err(ServerError::Io)?;
-            tenant.apply_unchecked(&event).map_err(|e| {
-                let tenant = &header.tenant;
+            self.apply_unchecked(&event).map_err(|e| {
+                let tenant = &self.name;
                 ServerError::Io(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     match locate(events) {
@@ -234,7 +307,7 @@ impl Tenant {
                 ))
             })?;
         }
-        Ok(tenant)
+        Ok(())
     }
 
     /// Tenant key.
@@ -394,8 +467,38 @@ impl Tenant {
             // `Journal::append` flushes once per call — the durability
             // "fsync" the span and the per-tenant counter both count.
             span.fsyncs += 1;
+            let (at, size) = self.checkpointed;
+            if journal.len() - at >= CHECKPOINT_MIN_BYTES.max(size) {
+                span.time(Phase::Journal, || self.checkpoint());
+            }
         }
         Ok(())
+    }
+
+    /// Writes the engine-state checkpoint beside the journal, covering
+    /// every event journaled so far, and returns whether it did. Only a
+    /// journaled tenant whose every session runs on the tick engine has
+    /// one to write. Best-effort: the journal alone recovers the
+    /// tenant, so a failed write just leaves the older checkpoint, and
+    /// either way the next attempt waits for the journal to grow again.
+    #[doc(hidden)]
+    pub fn checkpoint(&mut self) -> bool {
+        let Some(journal) = &self.journal else {
+            return false;
+        };
+        let at = journal.len();
+        let shards = self.fleet.len();
+        let tick = (0..shards).all(|shard| self.fleet.session(shard).tick_active());
+        let written = tick
+            .then(|| {
+                let mark = journal.mark(self.accepted)?;
+                checkpoint::write(journal.path(), mark, shards, |shard, buf| {
+                    self.fleet.session(shard).write_state(buf)
+                })
+            })
+            .and_then(Result::ok);
+        self.checkpointed = (at, written.unwrap_or(self.checkpointed.1));
+        written.is_some()
     }
 
     /// Folds a finished request span into this tenant's wire-level
@@ -420,14 +523,31 @@ impl Tenant {
         registry
     }
 
-    /// A resumable checkpoint. Sharded and journal-less tenants
-    /// answer with a typed `unavailable` error.
+    /// A resumable checkpoint: the journal file's events, for a
+    /// tenant that journals to one, or its session's log. Sharded and
+    /// journal-less tenants answer with a typed `unavailable` error.
     pub fn snapshot(&self) -> Result<SessionSnapshot, WireError> {
         if self.fleet.len() > 1 {
             return Err(WireError::new(
                 ErrorKind::Unavailable,
                 "sharded tenants checkpoint via the server journal, not session snapshots",
             ));
+        }
+        if let Some(journal) = &self.journal {
+            let read = read_journal(journal.path()).map_err(|e| {
+                WireError::new(
+                    ErrorKind::Unavailable,
+                    format!("cannot read the tenant's journal: {e}"),
+                )
+            })?;
+            let header = read.header;
+            return Ok(SessionSnapshot {
+                algorithm: header.algo,
+                backend: header.backend,
+                grid: header.grid,
+                telemetry: header.telemetry,
+                events: read.events,
+            });
         }
         self.fleet.session(0).snapshot().map_err(|e| match e {
             SessionError::CheckpointsDisabled => WireError::new(
@@ -439,7 +559,8 @@ impl Tenant {
     }
 
     /// Finishes the tenant, returning one outcome per shard and
-    /// removing its journal. A tenant with in-flight items fails with
+    /// removing its checkpoint, then its journal. A tenant with
+    /// in-flight items fails with
     /// a typed error *without* consuming the session, so the caller
     /// can keep serving it.
     pub fn finish(self) -> Result<Vec<PackingOutcome>, (Box<Tenant>, WireError)> {
@@ -460,7 +581,9 @@ impl Tenant {
             .unwrap_or_else(|e| unreachable!("finish with no active items failed: {e}"));
         if let Some(journal) = journal {
             // Best-effort: a leftover journal file replays to an
-            // empty-tail tenant, which is harmless.
+            // empty-tail tenant, which is harmless. The checkpoint goes
+            // first, so none outlives its journal.
+            let _ = checkpoint::remove(journal.path());
             let _ = journal.remove();
         }
         Ok(outcomes)

@@ -1197,3 +1197,42 @@ fn every_cut_recovers_the_complete_lines_before_it() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The accept loop blocks in `accept`, with no poll: each way a server
+/// stops (`stop`, `Drop`, and a wire `shutdown` followed by `wait`)
+/// wakes and joins it, so no accept thread outlives its server. Twenty
+/// rounds of the three run under a timeout, each server stopped while
+/// its accept thread waits with a client attached.
+#[test]
+fn every_way_of_stopping_wakes_the_blocked_accept_loop() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for round in 0..20 {
+            for way in 0..3 {
+                let server = DbpServer::start(ServerConfig::default()).unwrap();
+                let connect = || {
+                    Client::builder("firstfit")
+                        .tenant(format!("t{round}"))
+                        .without_journal()
+                        .connect(server.local_addr())
+                        .unwrap()
+                };
+                let mut client = connect();
+                client.arrive(ItemId(0), rat(1, 2), rat(0, 1)).unwrap();
+                match way {
+                    0 => server.stop(),
+                    1 => drop(server),
+                    _ => {
+                        connect().shutdown_server(None).unwrap();
+                        server.wait();
+                    }
+                }
+                assert!(client.arrive(ItemId(1), rat(1, 2), rat(1, 1)).is_err());
+            }
+        }
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a stopped server's accept loop kept running");
+}
