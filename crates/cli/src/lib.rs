@@ -1179,7 +1179,6 @@ fn cmd_serve(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, C
             .map(|_| opts.u64_or("slow-ms", 0))
             .transpose()?,
         trace_out: opts.get("trace-out").map(std::path::PathBuf::from),
-        ..ServerConfig::default()
     };
     let durable = config.journal_dir.is_some();
     let trace_out = config.trace_out.clone();

@@ -2,31 +2,12 @@
 //!
 //! A [`Fleet`] owns `N` independent [`Session`]s (shards) — e.g. one
 //! per tenant, availability zone, or server pool — and dispatches
-//! batched events to them in batch order, on the calling thread. Each
-//! shard sees its own events in batch order, so every shard's packing
-//! is exactly what a standalone session fed the same subsequence would
-//! produce. The paper's objective, total usage time, adds up over
-//! independent pools, so a fleet's usage is the sum of its shards'.
-//!
-//! ```
-//! use dbp_core::prelude::*;
-//! use dbp_core::FirstFit;
-//! use dbp_numeric::rat;
-//! use dbp_par::Fleet;
-//!
-//! let mut fleet = Fleet::homogeneous(2, || FirstFit::new()).unwrap();
-//! fleet
-//!     .dispatch(&[
-//!         (0, Event::Arrive { id: ItemId(0), size: rat(1, 2), time: rat(0, 1) }),
-//!         (1, Event::Arrive { id: ItemId(0), size: rat(1, 3), time: rat(0, 1) }),
-//!         (0, Event::Depart { id: ItemId(0), time: rat(1, 1) }),
-//!         (1, Event::Depart { id: ItemId(0), time: rat(2, 1) }),
-//!     ])
-//!     .unwrap();
-//! let outcomes = fleet.finish().unwrap();
-//! assert_eq!(outcomes[0].total_usage(), rat(1, 1));
-//! assert_eq!(outcomes[1].total_usage(), rat(2, 1));
-//! ```
+//! batched events to them in batch order, on the calling thread
+//! ([`Fleet::dispatch_each`]). Each shard sees its own events in batch
+//! order, so every shard's packing is exactly what a standalone session
+//! fed the same subsequence would produce. The paper's objective, total
+//! usage time, adds up over independent pools, so a fleet's usage is
+//! the sum of its shards'.
 
 use dbp_core::session::{Event, Session, SessionError, SessionMetrics};
 use dbp_core::{BinId, PackingAlgorithm, PackingOutcome};
@@ -61,10 +42,9 @@ impl std::error::Error for FleetError {}
 /// `N` independent streaming sessions driven as one unit.
 ///
 /// Shards are fully isolated: each has its own algorithm state, bins,
-/// clock, and journal. The fleet adds routing ([`Fleet::dispatch`]
-/// (Self::dispatch) takes `(shard, event)` pairs), batch application
-/// with per-shard error isolation, aggregated
-/// [`metrics`](Self::metrics), and a collective
+/// clock, and journal. The fleet adds routed batch application with
+/// per-shard error isolation ([`dispatch_each`](Self::dispatch_each)),
+/// aggregated [`metrics`](Self::metrics), and a collective
 /// [`finish`](Self::finish).
 pub struct Fleet<'s> {
     shards: Vec<Session<'s>>,
@@ -126,10 +106,16 @@ impl<'s> Fleet<'s> {
         &mut self.shards[shard]
     }
 
-    /// Applies a batch of routed events, in batch order.
+    /// Applies a batch in batch order: `route` names each batch
+    /// item's shard and event, and `placed(index, bin)` runs for every
+    /// event a shard applied, in batch order, with the [`BinId`] its
+    /// session returned — the assigned bin for an arrival, the
+    /// (possibly closed) bin the item vacated for a departure. Bin ids
+    /// are **shard-local**: shard 0's bin 0 and shard 1's bin 0 are
+    /// different physical bins.
     ///
-    /// A shard that rejects an event stops processing *its* remaining
-    /// events (the rejection leaves that session unchanged, like any
+    /// A shard that rejects an event applies none of its later ones
+    /// (the rejection leaves that session unchanged, like any
     /// [`Session`] error); other shards are unaffected and keep going.
     /// Errors come back sorted by shard id, then batch index.
     ///
@@ -137,53 +123,6 @@ impl<'s> Fleet<'s> {
     /// ([`SessionError::UnknownShard`]) aborts the whole dispatch
     /// before *any* event is applied, so a typo'd route never leaves
     /// the batch half-ingested.
-    pub fn dispatch(&mut self, events: &[(usize, Event)]) -> Result<(), Vec<FleetError>> {
-        self.dispatch_each(events, |(shard, event)| (*shard, event), |_, _| {})
-    }
-
-    /// Routes a flat event stream through `router` and dispatches it:
-    /// `router` maps each event to its shard.
-    pub fn dispatch_routed<F>(&mut self, events: &[Event], router: F) -> Result<(), Vec<FleetError>>
-    where
-        F: Fn(&Event) -> usize,
-    {
-        self.dispatch_each(events, |event| (router(event), event), |_, _| {})
-    }
-
-    /// Like [`dispatch`](Self::dispatch), but returns every event's
-    /// placement decision: `result[i]` is the [`BinId`] the session
-    /// returned for `events[i]` — the assigned bin for an arrival, the
-    /// (possibly closed) bin the item vacated for a departure.
-    ///
-    /// Bin ids are **shard-local**: shard 0's bin 0 and shard 1's
-    /// bin 0 are different physical bins. Callers multiplexing shards
-    /// behind one namespace (e.g. a server answering per-event
-    /// placement frames) pair each id with the shard they routed to.
-    ///
-    /// Error semantics match [`dispatch`](Self::dispatch) exactly: on
-    /// `Err`, each failing shard applied the events before its
-    /// reported index and nothing after, and no placements are
-    /// returned.
-    pub fn dispatch_with_bins(
-        &mut self,
-        events: &[(usize, Event)],
-    ) -> Result<Vec<BinId>, Vec<FleetError>> {
-        let mut bins = Vec::with_capacity(events.len());
-        self.dispatch_each(
-            events,
-            |(shard, event)| (*shard, event),
-            |_, bin| bins.push(bin),
-        )?;
-        Ok(bins)
-    }
-
-    /// The dispatch loop behind every `dispatch*` method: `route` names
-    /// each batch item's shard and event, and `placed(index, bin)` runs
-    /// for every event a shard applied, in batch order.
-    ///
-    /// Error semantics match [`dispatch`](Self::dispatch) exactly: no
-    /// event applies when any route is out of range, and a shard that
-    /// rejects an event applies none of its later ones.
     pub fn dispatch_each<T>(
         &mut self,
         batch: &[T],
@@ -364,6 +303,11 @@ mod tests {
         }
     }
 
+    /// Routes a test batch's `(shard, event)` pairs as written.
+    fn as_routed((shard, event): &(usize, Event)) -> (usize, &Event) {
+        (*shard, event)
+    }
+
     /// A deterministic multi-shard stream: shard s gets items with
     /// sizes cycling 1/2, 1/3, 1/4 and lifetimes staggered by shard.
     fn stream(shards: usize, per_shard: u32) -> Vec<(usize, Event)> {
@@ -386,7 +330,7 @@ mod tests {
         let shards = 4;
         let events = stream(shards, 24);
         let mut fleet = Fleet::homogeneous(shards, FirstFit::new).unwrap();
-        fleet.dispatch(&events).unwrap();
+        fleet.dispatch_each(&events, as_routed, |_, _| {}).unwrap();
         let outcomes = fleet.finish().unwrap();
 
         for (s, outcome) in outcomes.iter().enumerate() {
@@ -405,7 +349,7 @@ mod tests {
         let events = stream(8, 16);
         let run = || {
             let mut fleet = Fleet::homogeneous(8, FirstFit::new).unwrap();
-            fleet.dispatch(&events).unwrap();
+            fleet.dispatch_each(&events, as_routed, |_, _| {}).unwrap();
             fleet.finish().unwrap()
         };
         let first = run();
@@ -422,14 +366,13 @@ mod tests {
         ]);
         assert_eq!(fleet.session(0).algorithm(), "FirstFit");
         assert_eq!(fleet.session(1).algorithm(), "NextFit");
-        fleet
-            .dispatch(&[
-                (0, arrive(0, 1, 2, 0)),
-                (1, arrive(0, 1, 2, 0)),
-                (0, depart(0, 3)),
-                (1, depart(0, 3)),
-            ])
-            .unwrap();
+        let batch = [
+            (0, arrive(0, 1, 2, 0)),
+            (1, arrive(0, 1, 2, 0)),
+            (0, depart(0, 3)),
+            (1, depart(0, 3)),
+        ];
+        fleet.dispatch_each(&batch, as_routed, |_, _| {}).unwrap();
         let m = fleet.metrics();
         assert_eq!(m.len(), 2);
         assert_eq!(m[0].events, 2);
@@ -440,8 +383,10 @@ mod tests {
     #[test]
     fn bad_routing_aborts_before_any_event_applies() {
         let mut fleet = Fleet::homogeneous(2, FirstFit::new).unwrap();
+        let batch = [(0, arrive(0, 1, 2, 0)), (7, arrive(1, 1, 2, 0))];
+        let mut placed = Vec::new();
         let errs = fleet
-            .dispatch(&[(0, arrive(0, 1, 2, 0)), (7, arrive(1, 1, 2, 0))])
+            .dispatch_each(&batch, as_routed, |index, _| placed.push(index))
             .unwrap_err();
         assert_eq!(errs.len(), 1);
         assert_eq!(errs[0].shard, 7);
@@ -455,22 +400,27 @@ mod tests {
         ));
         // Nothing was applied, including to the valid shard 0.
         assert_eq!(fleet.metrics()[0].events, 0);
+        assert!(placed.is_empty());
     }
 
     #[test]
     fn shard_failure_is_isolated_and_located() {
         let mut fleet = Fleet::homogeneous(3, FirstFit::new).unwrap();
+        let batch = [
+            (0, arrive(0, 1, 2, 0)),
+            (1, arrive(0, 1, 2, 5)),
+            (1, arrive(1, 1, 2, 3)), // time regression on shard 1
+            (1, arrive(2, 1, 2, 9)), // never applied
+            (2, arrive(0, 1, 2, 0)),
+        ];
+        let mut placed = Vec::new();
         let errs = fleet
-            .dispatch(&[
-                (0, arrive(0, 1, 2, 0)),
-                (1, arrive(0, 1, 2, 5)),
-                (1, arrive(1, 1, 2, 3)), // time regression on shard 1
-                (1, arrive(2, 1, 2, 9)), // never applied
-                (2, arrive(0, 1, 2, 0)),
-            ])
+            .dispatch_each(&batch, as_routed, |index, _| placed.push(index))
             .unwrap_err();
         assert_eq!(errs.len(), 1);
         assert_eq!((errs[0].shard, errs[0].index), (1, 2));
+        // Every applied event was reported, in batch order.
+        assert_eq!(placed, [0, 1, 4]);
         // Healthy shards absorbed their events; the failed shard kept
         // its pre-rejection state and stopped there.
         let m = fleet.metrics();
@@ -489,7 +439,7 @@ mod tests {
             depart(1, 2),
         ];
         fleet
-            .dispatch_routed(&events, |e| e.id().0 as usize % 2)
+            .dispatch_each(&events, |e| (e.id().0 as usize % 2, e), |_, _| {})
             .unwrap();
         let outcomes = fleet.finish().unwrap();
         assert_eq!(outcomes[0].total_usage(), rat(1, 1));
@@ -512,8 +462,8 @@ mod tests {
                 })
                 .collect(),
         );
-        auto.dispatch(&events).unwrap();
-        exact.dispatch(&events).unwrap();
+        auto.dispatch_each(&events, as_routed, |_, _| {}).unwrap();
+        exact.dispatch_each(&events, as_routed, |_, _| {}).unwrap();
         assert_eq!(auto.finish().unwrap(), exact.finish().unwrap());
     }
 
@@ -531,7 +481,7 @@ mod tests {
                 })
                 .collect(),
         );
-        fleet.dispatch(&events).unwrap();
+        fleet.dispatch_each(&events, as_routed, |_, _| {}).unwrap();
         let merged = fleet.merged_metrics();
 
         // The fold equals merging standalone per-shard registries.
@@ -562,11 +512,14 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_with_bins_matches_standalone_placements() {
+    fn placements_match_standalone_sessions() {
         let shards = 3;
         let events = stream(shards, 16);
         let mut fleet = Fleet::homogeneous(shards, FirstFit::new).unwrap();
-        let bins = fleet.dispatch_with_bins(&events).unwrap();
+        let mut bins = Vec::new();
+        fleet
+            .dispatch_each(&events, as_routed, |_, bin| bins.push(bin))
+            .unwrap();
         assert_eq!(bins.len(), events.len());
 
         // Each shard's placement sequence equals a standalone session
@@ -583,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_with_bins_error_semantics_match_dispatch() {
+    fn a_rejection_keeps_the_other_shards_placements() {
         let batch = vec![
             (0usize, arrive(0, 1, 2, 0)),
             (1, arrive(0, 1, 2, 5)),
@@ -591,9 +544,13 @@ mod tests {
             (2, arrive(0, 1, 2, 0)),
         ];
         let mut fleet = Fleet::homogeneous(3, FirstFit::new).unwrap();
-        let errs = fleet.dispatch_with_bins(&batch).unwrap_err();
+        let mut placed = Vec::new();
+        let errs = fleet
+            .dispatch_each(&batch, as_routed, |index, bin| placed.push((index, bin)))
+            .unwrap_err();
         assert_eq!((errs[0].shard, errs[0].index), (1, 2));
-        // Same partial-application behavior as `dispatch`.
+        // Each shard's first item opened its bin 0.
+        assert_eq!(placed, [(0, BinId(0)), (1, BinId(0)), (3, BinId(0))]);
         let m = fleet.metrics();
         assert_eq!((m[0].events, m[1].events, m[2].events), (1, 1, 1));
     }
@@ -612,7 +569,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        fleet.dispatch(&events).unwrap();
+        fleet.dispatch_each(&events, as_routed, |_, _| {}).unwrap();
         let folded = fleet.folded_metrics();
         let per_shard = fleet.metrics();
 
@@ -648,11 +605,11 @@ mod tests {
     fn empty_fleet_and_empty_dispatch() {
         let mut none = Fleet::homogeneous(0, FirstFit::new).unwrap();
         assert!(none.is_empty());
-        none.dispatch(&[]).unwrap();
+        none.dispatch_each(&[], as_routed, |_, _| {}).unwrap();
         assert!(none.finish().unwrap().is_empty());
 
         let mut idle = Fleet::homogeneous(2, FirstFit::new).unwrap();
-        idle.dispatch(&[]).unwrap();
+        idle.dispatch_each(&[], as_routed, |_, _| {}).unwrap();
         let outcomes = idle.finish().unwrap();
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes.iter().all(|o| o.bins().is_empty()));
@@ -689,7 +646,7 @@ mod tests {
             })
             .collect();
         let mut fleet = Fleet::homogeneous(1, FirstFit::new).unwrap();
-        fleet.dispatch(&events).unwrap();
+        fleet.dispatch_each(&events, as_routed, |_, _| {}).unwrap();
         let fleet_outcome = fleet.finish().unwrap().remove(0);
         let batch = Runner::new(&instance).run(&mut FirstFit::new()).unwrap();
         assert_eq!(fleet_outcome, batch);

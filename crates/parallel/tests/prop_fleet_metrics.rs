@@ -76,7 +76,9 @@ fn build_session(backend: Backend) -> Session<'static> {
 fn fleet_registry(events: &[Event], shards: usize, backend: Backend) -> MetricsRegistry {
     let mut fleet = Fleet::new((0..shards).map(|_| build_session(backend)).collect());
     let routed: Vec<(usize, Event)> = events.iter().map(|e| (route(e, shards), *e)).collect();
-    fleet.dispatch(&routed).expect("generated stream is valid");
+    fleet
+        .dispatch_each(&routed, |(shard, event)| (*shard, event), |_, _| {})
+        .expect("generated stream is valid");
     fleet.merged_metrics()
 }
 

@@ -21,8 +21,9 @@
 //!
 //! Any deviation from canonical form — whitespace, reordered keys,
 //! leading zeros, a non-positive denominator, an integer that
-//! overflows — makes the fast parser return `None`, and the caller
-//! falls back to the generic `Value` path. An unnormalized rational
+//! overflows — makes the fast parser return `None`, and
+//! [`crate::decode_request`] / [`crate::decode_response`] fall back to
+//! the generic `Value` path. An unnormalized rational
 //! such as `{"num":2,"den":4}` (or a `-0`) is *not* a deviation: both
 //! parsers accept it and reduce it through `Rational::new` to the same
 //! value. The wire *format* is therefore unchanged: this module is an
@@ -293,13 +294,9 @@ fn push_u128(buf: &mut Vec<u8>, mut m: u128) {
     buf.extend_from_slice(&digits[i..]);
 }
 
-/// Parses a canonical placement request (`Event` or `Batch`); `None`
-/// means "not canonical hot-path bytes — use the generic parser".
-pub fn parse_request(payload: &[u8]) -> Option<Request> {
-    parse_request_traced(payload).map(|(request, _)| request)
-}
-
-/// [`parse_request`] also returning the frame's optional `trace` id.
+/// Parses a canonical placement request (`Event` or `Batch`) and its
+/// optional `trace` id; `None` means "not canonical hot-path bytes —
+/// use the generic parser", which [`crate::decode_request`] does.
 pub fn parse_request_traced(payload: &[u8]) -> Option<(Request, Option<u64>)> {
     let mut c = Cursor::new(payload);
     c.lit(b"{\"v\":1,")?;
@@ -347,13 +344,9 @@ pub fn read_event_line(bytes: &[u8]) -> Option<(Event, usize)> {
     Some((ev, c.pos))
 }
 
-/// Parses a canonical placement response (`Bin` or `Bins`); `None`
-/// means "fall back to the generic parser".
-pub fn parse_response(payload: &[u8]) -> Option<Response> {
-    parse_response_traced(payload).map(|(response, _)| response)
-}
-
-/// [`parse_response`] also returning the echoed `trace` id.
+/// Parses a canonical placement response (`Bin` or `Bins`) and its
+/// echoed `trace` id; `None` means "fall back to the generic parser",
+/// which [`crate::decode_response`] does.
 pub fn parse_response_traced(payload: &[u8]) -> Option<(Response, Option<u64>)> {
     let mut c = Cursor::new(payload);
     c.lit(b"{\"v\":1,")?;
@@ -604,19 +597,28 @@ mod tests {
         let events = sample_events();
         let mut buf = Vec::new();
         write_batch_request(&mut buf, &events);
-        assert_eq!(parse_request(&buf), Some(Request::Batch(events.clone())));
+        assert_eq!(
+            parse_request_traced(&buf),
+            Some((Request::Batch(events.clone()), None))
+        );
         for ev in events {
             buf.clear();
             write_event_request(&mut buf, &ev);
-            assert_eq!(parse_request(&buf), Some(Request::Event(ev)));
+            assert_eq!(parse_request_traced(&buf), Some((Request::Event(ev), None)));
         }
         buf.clear();
         write_bin_response(&mut buf, BinId(3));
-        assert_eq!(parse_response(&buf), Some(Response::Bin(BinId(3))));
+        assert_eq!(
+            parse_response_traced(&buf),
+            Some((Response::Bin(BinId(3)), None))
+        );
         let bins = vec![BinId(2), BinId(0)];
         buf.clear();
         write_bins_response(&mut buf, &bins);
-        assert_eq!(parse_response(&buf), Some(Response::Bins(bins)));
+        assert_eq!(
+            parse_response_traced(&buf),
+            Some((Response::Bins(bins), None))
+        );
     }
 
     #[test]
@@ -666,8 +668,8 @@ mod tests {
             r#"{"v":2,"bin":7}"#,
             "not json at all",
         ] {
-            assert_eq!(parse_request(payload.as_bytes()), None, "{payload}");
-            assert_eq!(parse_response(payload.as_bytes()), None, "{payload}");
+            assert_eq!(parse_request_traced(payload.as_bytes()), None, "{payload}");
+            assert_eq!(parse_response_traced(payload.as_bytes()), None, "{payload}");
         }
     }
 
@@ -755,15 +757,18 @@ mod tests {
             size: rat(1, 2),
             time: rat(0, 1),
         });
-        assert_eq!(parse_request(payload.as_bytes()), Some(expected.clone()));
+        assert_eq!(
+            parse_request_traced(payload.as_bytes()),
+            Some((expected.clone(), None))
+        );
         assert_eq!(generic_parse(payload), expected);
         for payload in [
             r#"{"v":1,"depart":{"id":3,"time":{"num":-6,"den":4}}}"#,
             r#"{"v":1,"depart":{"id":0,"time":{"num":-0,"den":9}}}"#,
             r#"{"v":1,"batch":[{"depart":{"id":1,"time":{"num":10,"den":10}}}]}"#,
         ] {
-            let fast = parse_request(payload.as_bytes());
-            assert_eq!(fast, Some(generic_parse(payload)), "{payload}");
+            let fast = parse_request_traced(payload.as_bytes());
+            assert_eq!(fast, Some((generic_parse(payload), None)), "{payload}");
         }
     }
 
@@ -785,7 +790,10 @@ mod tests {
         ];
         for payload in &accepted {
             let request = generic_parse(payload);
-            assert_eq!(parse_request(payload.as_bytes()), Some(request.clone()));
+            assert_eq!(
+                parse_request_traced(payload.as_bytes()),
+                Some((request.clone(), None))
+            );
             let Request::Event(ev) = request else {
                 panic!("{payload} is not an event frame")
             };
@@ -805,7 +813,7 @@ mod tests {
             depart("0", &i128::MIN.to_string(), "1"),
             depart("0", "1", "0000000000000000001"),
         ] {
-            assert_eq!(parse_request(payload.as_bytes()), None, "{payload}");
+            assert_eq!(parse_request_traced(payload.as_bytes()), None, "{payload}");
         }
         let traced = |trace: &str| format!(r#"{{"v":1,"trace":{trace},"bin":0}}"#);
         assert_eq!(
@@ -831,6 +839,6 @@ mod tests {
             String::from_utf8(buf.clone()).unwrap(),
             generic(&Request::Event(ev))
         );
-        assert_eq!(parse_request(&buf), Some(Request::Event(ev)));
+        assert_eq!(parse_request_traced(&buf), Some((Request::Event(ev), None)));
     }
 }

@@ -19,12 +19,14 @@
 //! * [`checkpoint_to_json`] / [`checkpoint_from_json`] — versioned
 //!   envelopes around [`SessionSnapshot`] used by `--checkpoint` /
 //!   `--resume` and by the server's journal recovery.
-//! * [`write_frame`] / [`read_frame`] — the length-prefixed framing
-//!   (`<byte-len>\n<json>\n`) spoken over the socket. The [`fast`]
-//!   module adds byte-identical canonical writers and a strict parser
-//!   for the placement hot path, plus a writer for the finish
-//!   response's outcomes; non-canonical frames fall back to the
-//!   generic codec, so the format is unchanged.
+//! * [`write_frame_bytes`] / [`read_frame_raw`] — the length-prefixed
+//!   framing (`<byte-len>\n<json>\n`) spoken over the socket — and
+//!   [`encode_request`] / [`decode_request`] / [`encode_response`] /
+//!   [`decode_response`], the one codec for frame payloads. They
+//!   alone choose between the [`fast`] module's byte-identical
+//!   canonical writers and strict parser (placement frames, plus the
+//!   finish response's outcomes) and the generic codec, which reads
+//!   every non-canonical frame, so the format is unchanged.
 //! * [`crc32`] — the std-only CRC-32 that seals the server's engine
 //!   state checkpoints.
 //!
@@ -44,8 +46,8 @@ pub use dbp_core::{BinId, ItemId, PackingOutcome};
 pub use crc::crc32;
 pub use frame::{ErrorKind, Hello, Request, Response, WireError};
 pub use framing::{
-    parse_frame_payload, read_frame, read_frame_into, read_frame_raw, write_frame,
-    write_frame_bytes, FrameRead, RawFrame, MAX_FRAME_BYTES,
+    decode_request, decode_response, encode_request, encode_response, read_frame_raw,
+    write_frame_bytes, RawFrame, MAX_FRAME_BYTES,
 };
 pub use line::{checkpoint_from_json, checkpoint_to_json, event_to_line, parse_event_line};
 

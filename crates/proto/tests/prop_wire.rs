@@ -16,6 +16,9 @@ use dbp_proto::{
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
+mod mutation;
+use mutation::{mutate, mutation_strategy};
+
 // The vendored proptest stand-in has no `any`/string/option
 // strategies; everything is built from ranges, `Just`, and maps.
 
@@ -298,14 +301,14 @@ proptest! {
         fast::write_event_request(&mut buf, &ev);
         let generic = serde_json::to_string(&Request::Event(ev).to_value()).unwrap();
         prop_assert_eq!(std::str::from_utf8(&buf).unwrap(), generic.as_str());
-        prop_assert_eq!(fast::parse_request(&buf), Some(Request::Event(ev)));
+        prop_assert_eq!(fast::parse_request_traced(&buf), Some((Request::Event(ev), None)));
 
         buf.clear();
         fast::write_batch_request(&mut buf, &batch);
         let generic =
             serde_json::to_string(&Request::Batch(batch.clone()).to_value()).unwrap();
         prop_assert_eq!(std::str::from_utf8(&buf).unwrap(), generic.as_str());
-        prop_assert_eq!(fast::parse_request(&buf), Some(Request::Batch(batch)));
+        prop_assert_eq!(fast::parse_request_traced(&buf), Some((Request::Batch(batch), None)));
 
         let bins: Vec<BinId> = bins.into_iter().map(BinId).collect();
         buf.clear();
@@ -313,7 +316,7 @@ proptest! {
         let generic =
             serde_json::to_string(&Response::Bins(bins.clone()).to_value()).unwrap();
         prop_assert_eq!(std::str::from_utf8(&buf).unwrap(), generic.as_str());
-        prop_assert_eq!(fast::parse_response(&buf), Some(Response::Bins(bins)));
+        prop_assert_eq!(fast::parse_response_traced(&buf), Some((Response::Bins(bins), None)));
     }
 
     /// The tracing contract, over the whole request space: an absent
@@ -550,72 +553,6 @@ fn canonical_bytes_strategy() -> BoxedStrategy<Vec<u8>> {
         }),
     ]
     .boxed()
-}
-
-/// One byte-level edit; positions are reduced modulo the current
-/// length when applied.
-#[derive(Debug, Clone)]
-enum Mutation {
-    Flip {
-        at: usize,
-        bit: u8,
-    },
-    Insert {
-        at: usize,
-        byte: u8,
-    },
-    Delete {
-        at: usize,
-    },
-    Truncate {
-        at: usize,
-    },
-    /// Keep the prefix before `at`, then continue with the other
-    /// frame's bytes from `from` on.
-    Splice {
-        at: usize,
-        from: usize,
-    },
-}
-
-fn mutation_strategy() -> impl Strategy<Value = Mutation> {
-    // Two in three inserted bytes are JSON structure, digits or key
-    // letters, so mutants stay close enough to canonical for the fast
-    // parser to accept some of them; the rest are arbitrary bytes.
-    const ALPHABET: &[u8] = b"0123456789-{}[]\",: \nvbatrcesiz";
-    let byte = prop_oneof![
-        (0..ALPHABET.len()).prop_map(|i| ALPHABET[i]),
-        (0..ALPHABET.len()).prop_map(|i| ALPHABET[i]),
-        0u8..=255,
-    ];
-    let at = || 0usize..4096;
-    prop_oneof![
-        (at(), 0u8..8).prop_map(|(at, bit)| Mutation::Flip { at, bit }),
-        (at(), byte).prop_map(|(at, byte)| Mutation::Insert { at, byte }),
-        at().prop_map(|at| Mutation::Delete { at }),
-        at().prop_map(|at| Mutation::Truncate { at }),
-        (at(), at()).prop_map(|(at, from)| Mutation::Splice { at, from }),
-    ]
-}
-
-fn mutate(mut bytes: Vec<u8>, other: &[u8], mutations: &[Mutation]) -> Vec<u8> {
-    for m in mutations {
-        let len = bytes.len();
-        match *m {
-            Mutation::Flip { at, bit } if len > 0 => bytes[at % len] ^= 1 << bit,
-            Mutation::Insert { at, byte } => bytes.insert(at % (len + 1), byte),
-            Mutation::Delete { at } if len > 0 => {
-                bytes.remove(at % len);
-            }
-            Mutation::Truncate { at } => bytes.truncate(at % (len + 1)),
-            Mutation::Splice { at, from } => {
-                bytes.truncate(at % (len + 1));
-                bytes.extend_from_slice(&other[from % (other.len() + 1)..]);
-            }
-            _ => {}
-        }
-    }
-    bytes
 }
 
 /// The stream-line reader with the generic codec only: what

@@ -23,8 +23,9 @@
 
 use dbp_numeric::Rational;
 use dbp_proto::{
-    fast, read_frame_raw, write_frame_bytes, Backend, BinId, Event, Hello, ItemId, PackingOutcome,
-    RawFrame, Request, Response, SessionMetrics, SessionSnapshot, TickGrid, WireError,
+    decode_response, encode_request, fast, read_frame_raw, write_frame_bytes, Backend, BinId,
+    Event, Hello, ItemId, PackingOutcome, RawFrame, Request, Response, SessionMetrics,
+    SessionSnapshot, TickGrid, WireError,
 };
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -196,17 +197,8 @@ impl Client {
 
     /// One request/response exchange. Error frames are *not* turned
     /// into `Err` here — callers match on the expected variant.
-    /// Event frames take the canonical fast writer (batches take it in
-    /// [`ingest`](Self::ingest)); everything else is cold and goes
-    /// through the generic codec.
     fn exchange(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.exchange_with(|out, trace| match request {
-            Request::Event(ev) => fast::write_event_request_traced(out, ev, trace),
-            _ => {
-                let payload = serde_json::value_to_string(&request.to_traced_value(trace));
-                out.extend_from_slice(payload.as_bytes());
-            }
-        })
+        self.exchange_with(|out, trace| encode_request(out, request, trace))
     }
 
     /// One exchange whose request `encode` writes into the frame
@@ -232,17 +224,7 @@ impl Client {
                     "server closed the connection mid-exchange".to_string(),
                 ))
             }
-            RawFrame::Payload => match fast::parse_response_traced(&self.scratch) {
-                Some(traced) => traced,
-                None => {
-                    let text = std::str::from_utf8(&self.scratch)
-                        .map_err(|e| ClientError::Protocol(format!("frame is not UTF-8: {e}")))?;
-                    let value = serde_json::parse(text)
-                        .map_err(|e| ClientError::Protocol(format!("frame is not JSON: {e}")))?;
-                    Response::from_traced_value(&value)
-                        .map_err(|e| ClientError::Protocol(e.to_string()))?
-                }
-            },
+            RawFrame::Payload => decode_response(&self.scratch).map_err(ClientError::Protocol)?,
         };
         if trace.is_some() && echoed != trace {
             return Err(ClientError::Protocol(format!(
@@ -286,7 +268,9 @@ impl Client {
     /// Applies a batch in order, returning one placement per event
     /// (mirrors `Session::ingest`, with placements).
     pub fn ingest(&mut self, events: &[Event]) -> Result<Vec<BinId>, ClientError> {
-        // Encoded straight from the caller's slice: no owned frame.
+        // Encoded straight from the caller's slice with the writer
+        // `encode_request` takes for batch frames: a `Request::Batch`
+        // would copy the whole frame first.
         let batch = |out: &mut Vec<u8>, trace| fast::write_batch_request_traced(out, events, trace);
         match self.exchange_with(batch)? {
             Response::Bins(bins) => Ok(bins),

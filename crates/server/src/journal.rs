@@ -112,8 +112,7 @@ pub struct Journal {
     buf: Vec<u8>,
     /// Bytes of complete lines, header included.
     len: u64,
-    /// Complete lines, header included (counted from the reopen when
-    /// [`Journal::reopen`] was not told how many came before).
+    /// Complete lines, header included.
     lines: u64,
 }
 
@@ -160,16 +159,12 @@ impl Journal {
         })
     }
 
-    /// Reopens the recovered journal at `path` for appending. A torn
-    /// final line is cut off first, so the next append starts on a line
-    /// boundary instead of gluing onto the fragment.
-    pub fn reopen(path: &Path, end: JournalEnd) -> io::Result<Journal> {
-        Journal::reopen_after(path, end, 0)
-    }
-
-    /// [`Journal::reopen`] for a journal of `lines` complete lines,
-    /// which its checkpoints number their tail from.
-    pub(crate) fn reopen_after(path: &Path, end: JournalEnd, lines: u64) -> io::Result<Journal> {
+    /// Reopens the recovered journal at `path`, which holds `lines`
+    /// complete lines (its checkpoints number their tail from there),
+    /// for appending. A torn final line is cut off first, so the next
+    /// append starts on a line boundary instead of gluing onto the
+    /// fragment.
+    pub fn reopen(path: &Path, end: JournalEnd, lines: u64) -> io::Result<Journal> {
         let file = OpenOptions::new().append(true).open(path)?;
         if end.torn_bytes > 0 {
             file.set_len(end.complete_len)?;
@@ -514,7 +509,8 @@ mod tests {
         // Reopen mid-life, as recovery does, and keep appending.
         drop(journal);
         let path = journal_path(&dir, "acme");
-        let mut journal = Journal::reopen(&path, read_journal(&path).unwrap().end).unwrap();
+        let recovered = read_journal(&path).unwrap();
+        let mut journal = Journal::reopen(&path, recovered.end, recovered.lines).unwrap();
         journal.append(&events[1..]).unwrap();
 
         assert_eq!(journal_paths(&dir).unwrap(), std::slice::from_ref(&path));
@@ -567,7 +563,7 @@ mod tests {
         assert_eq!(recovered.events, prefix);
         assert_eq!(recovered.end.torn_bytes, half.len() as u64);
 
-        let mut journal = Journal::reopen(&path, recovered.end).unwrap();
+        let mut journal = Journal::reopen(&path, recovered.end, recovered.lines).unwrap();
         journal.append(&more).unwrap();
         drop(journal);
         let recovered = read_journal(&path).unwrap();
@@ -644,7 +640,8 @@ mod tests {
         for line in &foreign {
             append_raw(&path, format!("{line}\n").as_bytes());
         }
-        let mut journal = Journal::reopen(&path, read_journal(&path).unwrap().end).unwrap();
+        let recovered = read_journal(&path).unwrap();
+        let mut journal = Journal::reopen(&path, recovered.end, recovered.lines).unwrap();
         journal.append(&arrivals(5..7)).unwrap();
         drop(journal);
 
@@ -734,7 +731,8 @@ mod tests {
             event_to_line(&arrivals(700..701)[0])
         );
         append_raw(&path, padded.as_bytes());
-        let mut journal = Journal::reopen(&path, read_journal(&path).unwrap().end).unwrap();
+        let recovered = read_journal(&path).unwrap();
+        let mut journal = Journal::reopen(&path, recovered.end, recovered.lines).unwrap();
         journal.append(&arrivals(701..1500)).unwrap();
         drop(journal);
         append_raw(&path, b"{\"v\":1,\"arr");

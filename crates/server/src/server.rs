@@ -5,10 +5,13 @@
 //! each connection; stopping the server sets the flag and makes one
 //! loopback connection to the bound address to wake it.
 //! Every accepted connection gets its own thread speaking the
-//! length-prefixed [`dbp_proto`] protocol. Connections are stateless
-//! beyond "which tenant am I attached to": all tenant state lives in
-//! the shared registry, so many connections can drive one tenant and
-//! a restarted server rebuilds everything from journals.
+//! length-prefixed [`dbp_proto`] protocol. The accept loop owns the
+//! socket; the handler ([`DbpServer::serve_connection`]) only sees a
+//! `BufRead` and a `Write`, so it runs just as well over in-memory
+//! bytes. Connections are stateless beyond "which tenant am I attached
+//! to": all tenant state lives in the shared registry, so many
+//! connections can drive one tenant and a restarted server rebuilds
+//! everything from journals.
 
 use crate::quota::Quotas;
 use crate::span::{Phase, RequestSpan, SlowRequest, SlowRing};
@@ -16,10 +19,11 @@ use crate::tenant::Tenant;
 use crate::ServerError;
 use dbp_obs::{MetricsRegistry, MetricsServer};
 use dbp_proto::{
-    fast, read_frame_raw, write_frame_bytes, ErrorKind, RawFrame, Request, Response, WireError,
+    decode_request, encode_response, read_frame_raw, write_frame_bytes, ErrorKind, Event, RawFrame,
+    Request, Response, WireError,
 };
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -102,9 +106,6 @@ pub struct ServerConfig {
     /// file, or, without a directory, from its session's checkpoint
     /// log.
     pub journal_dir: Option<PathBuf>,
-    /// Rebuild the exposition page every this many accepted events
-    /// (hellos, finishes, and metrics requests always rebuild).
-    pub publish_every: u64,
     /// Record placement requests slower than this many milliseconds in
     /// the slow-request ring (`0` records everything). `None` leaves
     /// the ring off unless `trace_out` turns it on.
@@ -123,12 +124,15 @@ impl Default for ServerConfig {
             auth: TokenPolicy::Open,
             quotas: Quotas::unlimited(),
             journal_dir: None,
-            publish_every: 8192,
             slow_ms: None,
             trace_out: None,
         }
     }
 }
+
+/// The exposition page is rebuilt every this many accepted events
+/// (hellos, finishes, and metrics requests always rebuild it).
+const PUBLISH_EVERY: u64 = 8192;
 
 /// Shared server state: the tenant registry plus exposition counters.
 struct Shared {
@@ -137,8 +141,10 @@ struct Shared {
     addr: std::net::SocketAddr,
     tenants: Mutex<HashMap<String, Arc<Mutex<Option<Tenant>>>>>,
     stop: AtomicBool,
-    /// Live client connections, so `stop` can unblock their reads.
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of each live client socket, keyed by connection
+    /// ordinal, so `stop` can unblock their reads. A handler's entry
+    /// goes when it returns, which closes the socket.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     /// Exposition page (shared with the `MetricsServer` thread).
     page: Option<Arc<Mutex<MetricsRegistry>>>,
     /// When the server started — the zero point of the slow-request
@@ -193,7 +199,7 @@ impl Shared {
     fn count_events(&self, n: u64) {
         self.events_total.fetch_add(n, Ordering::Relaxed);
         let since = self.since_publish.fetch_add(n, Ordering::Relaxed) + n;
-        if since >= self.config.publish_every {
+        if since >= PUBLISH_EVERY {
             self.since_publish.store(0, Ordering::Relaxed);
             self.publish();
         }
@@ -258,7 +264,7 @@ impl DbpServer {
             addr,
             tenants: Mutex::new(tenants),
             stop: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             page,
             origin: Instant::now(),
             slow,
@@ -296,6 +302,21 @@ impl DbpServer {
         self.metrics_addr
     }
 
+    /// Serves one connection over `reader` and `writer` on the calling
+    /// thread, exactly as each accepted socket is served, and returns
+    /// once the peer's bytes end, their framing breaks, or the
+    /// connection is refused or closed by the protocol. In-process
+    /// harnesses can feed it any byte sequence. It counts in
+    /// `server_connections_total` like an accepted socket.
+    pub fn serve_connection(&self, reader: impl BufRead, writer: impl Write) -> io::Result<()> {
+        let conn = self
+            .shared
+            .connections_total
+            .fetch_add(1, Ordering::Relaxed)
+            + 1;
+        serve_connection(reader, writer, &self.shared, conn)
+    }
+
     /// A fresh copy of the merged exposition page, rebuilt now —
     /// available whether or not a scrape listener is running, so
     /// in-process harnesses (loadgen, tests) can read
@@ -324,9 +345,7 @@ impl DbpServer {
 
     fn shutdown(&mut self) {
         stop(&self.shared);
-        for conn in self.shared.conns.lock().unwrap().drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
+        sever(&self.shared);
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
@@ -392,19 +411,26 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         match accepted {
             Ok((stream, _)) => {
                 // The connection ordinal doubles as the Chrome track id
-                // for this connection's slow-request spans.
+                // for this connection's slow-request spans, and keys
+                // the socket's clone in `conns` until its handler ends.
                 let conn = shared.connections_total.fetch_add(1, Ordering::Relaxed) + 1;
                 if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().unwrap().push(clone);
+                    shared.conns.lock().unwrap().insert(conn, clone);
                 }
                 let conn_shared = Arc::clone(&shared);
-                if let Ok(handle) = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("dbp-server-conn".into())
                     .spawn(move || {
-                        let _ = serve_connection(stream, conn_shared, conn);
-                    })
-                {
-                    workers.push(handle);
+                        if stream.set_nodelay(true).is_ok() {
+                            let reader = BufReader::with_capacity(1 << 16, &stream);
+                            let writer = BufWriter::with_capacity(1 << 16, &stream);
+                            let _ = serve_connection(reader, writer, &conn_shared, conn);
+                        }
+                        conn_shared.conns.lock().unwrap().remove(&conn);
+                    });
+                match spawned {
+                    Ok(handle) => workers.push(handle),
+                    Err(_) => drop(shared.conns.lock().unwrap().remove(&conn)),
                 }
                 workers.retain(|h| !h.is_finished());
             }
@@ -414,30 +440,17 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
     // Sever live connections so workers blocked in a read unblock
     // (wire-initiated shutdowns reach here with clients still parked).
-    for conn in shared.conns.lock().unwrap().drain(..) {
-        let _ = conn.shutdown(std::net::Shutdown::Both);
-    }
+    sever(&shared);
     for handle in workers {
         let _ = handle.join();
     }
 }
 
-// Serializes `response` into `out`, echoing the request's `trace` id
-// when there is one. Placement answers take the canonical fast
-// writers, and so do finish outcomes, whose frame grows with the
-// tenant's history and whose `Value` tree would take several times
-// the frame's size in heap; the other cold frames go through the
-// generic codec.
-fn encode_response(out: &mut Vec<u8>, response: &Response, trace: Option<u64>) {
-    out.clear();
-    match response {
-        Response::Bin(bin) => fast::write_bin_response_traced(out, *bin, trace),
-        Response::Bins(bins) => fast::write_bins_response_traced(out, bins, trace),
-        Response::Outcomes(outcomes) => fast::write_outcomes_response_traced(out, outcomes, trace),
-        _ => {
-            let payload = serde_json::value_to_string(&response.to_traced_value(trace));
-            out.extend_from_slice(payload.as_bytes());
-        }
+/// Shuts down every live client socket, so handlers blocked in a read
+/// return.
+fn sever(shared: &Shared) {
+    for (_, conn) in shared.conns.lock().unwrap().drain() {
+        let _ = conn.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -449,55 +462,54 @@ fn send(
     response: &Response,
     trace: Option<u64>,
 ) -> io::Result<()> {
+    out.clear();
     encode_response(out, response, trace);
     write_frame_bytes(w, out)?;
     w.flush()
 }
 
-/// One decoded request frame, with its optional `trace` id and how
-/// long the payload took to parse (the span's Decode phase — socket
-/// wait excluded, which is the client's time, not ours).
-struct TracedRequest {
-    request: Request,
-    trace: Option<u64>,
-    decode_ns: u64,
-}
-
+/// One request frame read off the connection.
 enum ReadOutcome {
     Eof,
     Malformed(String),
-    Frame(TracedRequest),
+    /// A decoded frame, its optional `trace` id, and how long the
+    /// payload took to decode (the span's Decode phase — socket wait
+    /// excluded, which is the client's time, not ours).
+    Frame {
+        request: Request,
+        trace: Option<u64>,
+        decode_ns: u64,
+    },
 }
 
-// One request frame: canonical placement frames parse on the fast
-// path, everything else falls back to the generic codec. Both paths
-// surface the frame's `trace` id — tracing is per-frame and needs no
-// negotiation, so a client may start (or stop) sending ids anytime.
-fn read_request(r: &mut impl io::BufRead, scratch: &mut Vec<u8>) -> io::Result<ReadOutcome> {
-    match read_frame_raw(r, scratch)? {
-        RawFrame::Eof => Ok(ReadOutcome::Eof),
+// Tracing is per-frame and needs no negotiation, so a client may start
+// (or stop) sending `trace` ids anytime.
+fn read_request(r: &mut impl BufRead, scratch: &mut Vec<u8>) -> io::Result<ReadOutcome> {
+    Ok(match read_frame_raw(r, scratch)? {
+        RawFrame::Eof => ReadOutcome::Eof,
         RawFrame::Payload => {
             let t = Instant::now();
-            let parsed = match fast::parse_request_traced(scratch) {
-                Some(traced) => Ok(traced),
-                None => match std::str::from_utf8(scratch) {
-                    Ok(text) => match serde_json::parse(text) {
-                        Ok(value) => Request::from_traced_value(&value).map_err(|e| e.to_string()),
-                        Err(e) => Err(format!("frame is not JSON: {e}")),
-                    },
-                    Err(e) => Err(format!("frame is not UTF-8: {e}")),
-                },
-            };
+            let decoded = decode_request(scratch);
             let decode_ns = t.elapsed().as_nanos() as u64;
-            Ok(match parsed {
-                Ok((request, trace)) => ReadOutcome::Frame(TracedRequest {
+            match decoded {
+                Ok((request, trace)) => ReadOutcome::Frame {
                     request,
                     trace,
                     decode_ns,
-                }),
+                },
                 Err(e) => ReadOutcome::Malformed(e),
-            })
+            }
         }
+    })
+}
+
+/// The events a placement frame carries: one for an event frame, the
+/// batch for a batch frame, none for any other frame.
+fn placement_events(request: &Request) -> &[Event] {
+    match request {
+        Request::Event(event) => std::slice::from_ref(event),
+        Request::Batch(events) => events,
+        _ => &[],
     }
 }
 
@@ -514,6 +526,7 @@ fn finish_placement(
     out: &mut Vec<u8>,
 ) -> bool {
     let trace = span.trace;
+    out.clear();
     span.time(Phase::Encode, || encode_response(out, response, trace));
     let total = span.finish();
     let slow = match &shared.slow {
@@ -535,10 +548,12 @@ fn finish_placement(
 /// One connection's lifecycle: hello, then a request/response loop
 /// against the attached tenant. `conn` is the connection ordinal
 /// (slow-request Chrome track id).
-fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn: u64) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::with_capacity(1 << 16, stream.try_clone()?);
-    let mut writer = BufWriter::with_capacity(1 << 16, stream);
+fn serve_connection(
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+    shared: &Shared,
+    conn: u64,
+) -> io::Result<()> {
     let mut scratch: Vec<u8> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
 
@@ -557,19 +572,19 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn: u64) -> io::Re
             )?;
             return Ok(());
         }
-        ReadOutcome::Frame(TracedRequest {
+        ReadOutcome::Frame {
             request: Request::Hello(hello),
             trace,
             ..
-        }) => (hello, trace),
-        ReadOutcome::Frame(TracedRequest {
+        } => (hello, trace),
+        ReadOutcome::Frame {
             request: Request::Shutdown { token },
             trace,
             ..
-        }) => {
-            return handle_shutdown(&mut writer, &mut out, &shared, token.as_deref(), trace);
+        } => {
+            return handle_shutdown(&mut writer, &mut out, shared, token.as_deref(), trace);
         }
-        ReadOutcome::Frame(TracedRequest { trace, .. }) => {
+        ReadOutcome::Frame { trace, .. } => {
             shared.errors_total.fetch_add(1, Ordering::Relaxed);
             send(
                 &mut writer,
@@ -645,14 +660,14 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn: u64) -> io::Re
 
     // Steady state.
     loop {
-        let TracedRequest {
-            request,
-            trace,
-            decode_ns,
-        } = match read_request(&mut reader, &mut scratch) {
-            Ok(ReadOutcome::Eof) => return Ok(()),
-            Ok(ReadOutcome::Frame(traced)) => traced,
-            Ok(ReadOutcome::Malformed(e)) => {
+        let (request, trace, decode_ns) = match read_request(&mut reader, &mut scratch)? {
+            ReadOutcome::Eof => return Ok(()),
+            ReadOutcome::Frame {
+                request,
+                trace,
+                decode_ns,
+            } => (request, trace, decode_ns),
+            ReadOutcome::Malformed(e) => {
                 shared.errors_total.fetch_add(1, Ordering::Relaxed);
                 send(
                     &mut writer,
@@ -662,64 +677,41 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn: u64) -> io::Re
                 )?;
                 continue;
             }
-            Err(e) => {
-                // Transport damage or severed socket: nothing more to
-                // say on this connection.
-                return Err(e);
-            }
         };
         shared.frames_total.fetch_add(1, Ordering::Relaxed);
 
-        let response = match request {
+        let response = match &request {
             Request::Hello(_) => Response::Error(WireError::new(
                 ErrorKind::Protocol,
                 "connection is already attached to a tenant",
             )),
-            // Placement requests are timed end to end: the tenant
-            // charges Quota/Apply/Journal to the span, encoding runs
-            // under the guard so the span covers it, and only the
-            // socket write falls outside the measured window.
-            Request::Event(event) => {
-                let mut span = RequestSpan::new("event", 1, trace, decode_ns);
+            // Placement frames, one event or a batch, take one path:
+            // the tenant applies them as a batch and charges
+            // Quota/Apply/Journal to the span, encoding runs under the
+            // guard so the span covers it, and only the socket write
+            // falls outside the measured window.
+            Request::Event(_) | Request::Batch(_) => {
+                let single = matches!(request, Request::Event(_));
+                let events = placement_events(&request);
+                let kind = if single { "event" } else { "batch" };
+                let mut span = RequestSpan::new(kind, events.len() as u64, trace, decode_ns);
                 let mut guard = slot.lock().unwrap();
-                let response = match guard.as_mut() {
-                    Some(tenant) => match tenant.apply(&event, &mut span) {
-                        Ok(bin) => Response::Bin(bin),
-                        Err(e) => Response::Error(e.into_wire()),
-                    },
+                // An event frame is answered with its one bin, and its
+                // refusal names no batch index.
+                let response = match guard.as_mut().map(|t| t.batch(events, &mut span)) {
+                    Some(Ok(bins)) if single => Response::Bin(bins[0]),
+                    Some(Ok(bins)) => Response::Bins(bins),
+                    Some(Err(e)) => {
+                        let e = e.into_wire();
+                        Response::Error(WireError {
+                            index: e.index.filter(|_| !single),
+                            ..e
+                        })
+                    }
                     None => Response::Error(gone(&hello.tenant)),
                 };
                 let failed = finish_placement(
-                    &shared,
-                    &hello.tenant,
-                    conn,
-                    &mut guard,
-                    span,
-                    &response,
-                    &mut out,
-                );
-                drop(guard);
-                if failed {
-                    shared.errors_total.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    shared.count_events(1);
-                }
-                write_frame_bytes(&mut writer, &out)?;
-                writer.flush()?;
-                continue;
-            }
-            Request::Batch(events) => {
-                let mut span = RequestSpan::new("batch", events.len() as u64, trace, decode_ns);
-                let mut guard = slot.lock().unwrap();
-                let response = match guard.as_mut() {
-                    Some(tenant) => match tenant.batch(&events, &mut span) {
-                        Ok(bins) => Response::Bins(bins),
-                        Err(e) => Response::Error(e.into_wire()),
-                    },
-                    None => Response::Error(gone(&hello.tenant)),
-                };
-                let failed = finish_placement(
-                    &shared,
+                    shared,
                     &hello.tenant,
                     conn,
                     &mut guard,
@@ -776,7 +768,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn: u64) -> io::Re
                 }
             }
             Request::Shutdown { token } => {
-                return handle_shutdown(&mut writer, &mut out, &shared, token.as_deref(), trace);
+                return handle_shutdown(&mut writer, &mut out, shared, token.as_deref(), trace);
             }
         };
         if matches!(response, Response::Error(_)) {
@@ -796,7 +788,7 @@ fn gone(tenant: &str) -> WireError {
 fn handle_shutdown(
     writer: &mut impl Write,
     out: &mut Vec<u8>,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     token: Option<&str>,
     trace: Option<u64>,
 ) -> io::Result<()> {

@@ -220,7 +220,7 @@ impl Tenant {
         replayed
             .into_iter()
             .map(|(mut tenant, path, end, lines)| {
-                let journal = Journal::reopen_after(&path, end, lines).map_err(ServerError::Io)?;
+                let journal = Journal::reopen(&path, end, lines).map_err(ServerError::Io)?;
                 tenant.journal = Some(journal);
                 Ok(tenant)
             })
@@ -271,8 +271,8 @@ impl Tenant {
         let mut tenant = Tenant::of_header(header, quotas)?;
         tenant.replay(&mut recovered.events.into_iter().map(Ok), |_| None)?;
         let path = journal_path(journal_dir, &header.tenant);
-        let journal = Journal::reopen_after(&path, recovered.end, recovered.lines)
-            .map_err(ServerError::Io)?;
+        let journal =
+            Journal::reopen(&path, recovered.end, recovered.lines).map_err(ServerError::Io)?;
         tenant.journal = Some(journal);
         Ok(tenant)
     }
@@ -380,30 +380,26 @@ impl Tenant {
         Ok(bin)
     }
 
-    /// Applies one event: quota admission, session placement, journal
-    /// append + flush — only then is the placement returned for the
-    /// wire ack. Each stage charges its time to the request `span`
-    /// (Quota / Apply / Journal), refusals and flushes included.
+    /// Applies one event as a one-event [`Tenant::batch`] and returns
+    /// its placement. A refusal names no batch index.
     pub fn apply(&mut self, event: &Event, span: &mut RequestSpan) -> Result<BinId, ServerError> {
-        if let Err(e) = span.time(Phase::Quota, || self.admit(std::slice::from_ref(event))) {
-            span.quota_refused = true;
-            return Err(ServerError::Wire(e));
+        match self.batch(std::slice::from_ref(event), span) {
+            Ok(bins) => Ok(bins[0]),
+            Err(ServerError::Wire(e)) => Err(ServerError::Wire(WireError { index: None, ..e })),
+            Err(e) => Err(e),
         }
-        let bin = span
-            .time(Phase::Apply, || self.apply_unchecked(event))
-            .map_err(|e| ServerError::Wire(session_error(e)))?;
-        self.journal_applied(std::slice::from_ref(event), span)?;
-        Ok(bin)
     }
 
-    /// Applies a batch, returning one placement per event. On a
-    /// rejection the prefix semantics are [`Fleet::dispatch`]'s: each
-    /// shard applied its events before the first one it rejected, and
-    /// the error names the lowest rejected index (for an unsharded
-    /// tenant, every event before it applied). Whatever was applied is
-    /// journaled, in frame order, so recovery and the live sessions
-    /// never diverge. Stage timing charges the request `span` exactly
-    /// as [`Tenant::apply`] does.
+    /// Applies a batch: quota admission, session placement, journal
+    /// append + flush — only then are the placements, one per event,
+    /// returned for the wire ack. Each stage charges its time to the
+    /// request `span` (Quota / Apply / Journal), refusals and flushes
+    /// included. On a rejection the prefix semantics are
+    /// [`Fleet::dispatch_each`]'s: each shard applied its events before
+    /// the first one it rejected, and the error names the lowest
+    /// rejected index (for an unsharded tenant, every event before it
+    /// applied). Whatever was applied is journaled, in frame order, so
+    /// recovery and the live sessions never diverge.
     pub fn batch(
         &mut self,
         events: &[Event],

@@ -435,7 +435,8 @@ fn a_rejected_journal_event_names_its_line_and_byte() {
     drop(journal);
     let path = journal_path(&dir, "acme");
     let offset = std::fs::metadata(&path).unwrap().len();
-    let mut journal = Journal::reopen(&path, read_journal(&path).unwrap().end).unwrap();
+    let recovered = read_journal(&path).unwrap();
+    let mut journal = Journal::reopen(&path, recovered.end, recovered.lines).unwrap();
     journal.append(&[events[0], events[2]]).unwrap();
     drop(journal);
     let bytes = std::fs::read(&path).unwrap();
@@ -986,6 +987,7 @@ fn slow_ring_dumps_jsonl_and_chrome_trace_on_shutdown() {
     assert!(chrome.contains("\"traceEvents\""), "{chrome}");
     assert!(chrome.contains("\"pid\":3"), "server spans live on pid 3");
     assert!(chrome.contains("trace=2"), "{chrome}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -1085,8 +1087,8 @@ fn journal_run(dir: &Path, events: &[Event], padded: usize, padded_end: usize) -
     bytes.extend_from_slice(format!(" {tag}{}{body} \t\n", " ".repeat(padding)).as_bytes());
     assert_eq!(bytes.len(), padded_end);
     std::fs::write(&path, &bytes).unwrap();
-    let end = read_journal(&path).unwrap().end;
-    let mut journal = Journal::reopen(&path, end).unwrap();
+    let recovered = read_journal(&path).unwrap();
+    let mut journal = Journal::reopen(&path, recovered.end, recovered.lines).unwrap();
     journal.append(&events[padded + 1..]).unwrap();
     drop(journal);
     std::fs::read(&path).unwrap()
@@ -1235,4 +1237,268 @@ fn every_way_of_stopping_wakes_the_blocked_accept_loop() {
     finished
         .recv_timeout(std::time::Duration::from_secs(60))
         .expect("a stopped server's accept loop kept running");
+}
+
+/// This process's sockets whose local port is `port`: a server's
+/// listener plus every connection it accepted that still has an open
+/// descriptor. The descriptors come from `/proc/self/fd`, their ports
+/// from `/proc/net/tcp`, so the sockets of tests running alongside,
+/// on other ports, never count.
+fn open_sockets_on(port: u16) -> usize {
+    let inodes: std::collections::HashSet<u64> = std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|entry| {
+            let link = std::fs::read_link(entry.ok()?.path()).ok()?;
+            let inode = link.to_str()?.strip_prefix("socket:[")?.strip_suffix(']')?;
+            inode.parse().ok()
+        })
+        .collect();
+    std::fs::read_to_string("/proc/net/tcp")
+        .unwrap()
+        .lines()
+        .skip(1)
+        .filter(|line| {
+            let columns: Vec<&str> = line.split_whitespace().collect();
+            let local_port = columns[1].rsplit(':').next().unwrap();
+            u16::from_str_radix(local_port, 16) == Ok(port)
+                && columns[9]
+                    .parse()
+                    .is_ok_and(|inode| inodes.contains(&inode))
+        })
+        .count()
+}
+
+/// A connection's socket closes when its handler ends, not when the
+/// daemon stops: 200 hello → finish connections leave the server's
+/// open sockets within 2 of where they started.
+#[test]
+fn finished_connections_close_their_sockets() {
+    let server = DbpServer::start(ServerConfig::default()).unwrap();
+    let port = server.local_addr().port();
+    let before = open_sockets_on(port);
+    for i in 0..200 {
+        let client = Client::builder("firstfit")
+            .tenant(format!("fd{i}"))
+            .without_journal()
+            .connect(server.local_addr())
+            .unwrap();
+        client.finish().unwrap();
+    }
+    // Each handler ends once its client hangs up, a moment after
+    // `finish` returned.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut open = open_sockets_on(port);
+    while open > before + 2 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        open = open_sockets_on(port);
+    }
+    assert!(
+        open <= before + 2,
+        "{open} sockets open on the server's port after 200 finished connections, {before} before"
+    );
+    server.stop();
+}
+
+/// A client whose first frame is not a hello gets one typed error and
+/// then end of stream: the daemon closes the socket rather than leave
+/// the client waiting for an answer that never comes.
+#[test]
+fn a_refused_first_frame_is_answered_then_closed() {
+    use dbp_proto::{decode_response, read_frame_raw, write_frame_bytes, RawFrame, Response};
+
+    let server = DbpServer::start(ServerConfig::default()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    write_frame_bytes(&mut stream, br#"{"v":1,"metrics":{}}"#).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    let mut scratch = Vec::new();
+    assert!(matches!(
+        read_frame_raw(&mut reader, &mut scratch).unwrap(),
+        RawFrame::Payload
+    ));
+    match decode_response(&scratch).unwrap() {
+        (Response::Error(e), None) => {
+            assert_eq!(e.kind, ErrorKind::Protocol);
+            assert_eq!(e.message, "first frame must be `hello`");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("no end of stream within 5 s of the refusal");
+    assert!(rest.is_empty(), "{rest:?}");
+    server.stop();
+}
+
+/// Writes each payload as a frame on one fresh connection and decodes
+/// the first `answers` responses.
+fn raw_exchange(
+    addr: std::net::SocketAddr,
+    payloads: &[&[u8]],
+    answers: usize,
+) -> Vec<dbp_proto::Response> {
+    use dbp_proto::{decode_response, read_frame_raw, write_frame_bytes, RawFrame};
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    for payload in payloads {
+        write_frame_bytes(&mut stream, payload).unwrap();
+    }
+    let mut reader = std::io::BufReader::new(stream);
+    let mut scratch = Vec::new();
+    (0..answers)
+        .map(|_| {
+            assert!(matches!(
+                read_frame_raw(&mut reader, &mut scratch).unwrap(),
+                RawFrame::Payload
+            ));
+            decode_response(&scratch).unwrap().0
+        })
+        .collect()
+}
+
+/// The server-wide counters on the page, for each kind of traffic
+/// that is not a plain placement: a refused hello counts a frame and
+/// an error, a malformed frame an error and no frame (before the hello
+/// as after it), a shutdown before the hello no frame (and an error
+/// when refused), and one after the hello a frame. Refused placements
+/// count a frame and an error and no events, whether the frame
+/// carried one event or a batch.
+#[test]
+fn server_counters_count_refusals_malformed_frames_and_shutdowns() {
+    use dbp_proto::Response;
+
+    let counters = |server: &DbpServer| {
+        let page = server.registry_snapshot();
+        [
+            page.counter("server_frames"),
+            page.counter("server_errors"),
+            page.counter("server_events"),
+        ]
+    };
+    let arrive = |id: u32, t: i128| Event::Arrive {
+        id: ItemId(id),
+        size: rat(1, 4),
+        time: rat(t, 1),
+    };
+
+    let server = DbpServer::start(ServerConfig {
+        auth: TokenPolicy::Shared("s3cret".to_string()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let refused = Client::builder("firstfit")
+        .tenant("acme")
+        .token("wrong")
+        .connect(addr);
+    assert!(matches!(refused, Err(ClientError::Remote(_))));
+    assert_eq!(counters(&server), [1, 1, 0]);
+
+    let answers = raw_exchange(addr, &[b"{not json"], 1);
+    assert!(matches!(answers[..], [Response::Error(_)]));
+    assert_eq!(counters(&server), [1, 2, 0]);
+
+    let mut client = Client::builder("firstfit")
+        .tenant("acme")
+        .token("s3cret")
+        .without_journal()
+        .connect(addr)
+        .unwrap();
+    client.apply(&arrive(0, 0)).unwrap();
+    client.ingest(&[arrive(1, 1), arrive(2, 1)]).unwrap();
+    // A refused event frame names no index, a refused batch the index
+    // of the event it stopped at.
+    match client.apply(&arrive(0, 2)) {
+        Err(ClientError::Remote(e)) => assert_eq!((e.kind, e.index), (ErrorKind::Session, None)),
+        other => panic!("expected a session refusal, got {other:?}"),
+    }
+    match client.ingest(&[arrive(3, 2), arrive(1, 2)]) {
+        Err(ClientError::Remote(e)) => {
+            assert_eq!((e.kind, e.index), (ErrorKind::Session, Some(1)))
+        }
+        other => panic!("expected a session refusal, got {other:?}"),
+    }
+    assert_eq!(counters(&server), [6, 4, 3]);
+
+    let attached = raw_exchange(
+        addr,
+        &[
+            br#"{"v":1,"hello":{"tenant":"globex","algo":"firstfit","token":"s3cret"}}"#,
+            b"{not json",
+            br#"{"v":1,"shutdown":{"token":"wrong"}}"#,
+        ],
+        3,
+    );
+    assert!(matches!(
+        attached[..],
+        [
+            Response::Hello { .. },
+            Response::Error(_),
+            Response::Error(_)
+        ]
+    ));
+    assert_eq!(counters(&server), [8, 6, 3]);
+
+    let answers = raw_exchange(addr, &[br#"{"v":1,"shutdown":{"token":"wrong"}}"#], 1);
+    assert!(matches!(answers[..], [Response::Error(_)]));
+    assert_eq!(counters(&server), [8, 7, 3]);
+    let answers = raw_exchange(addr, &[br#"{"v":1,"shutdown":{"token":"s3cret"}}"#], 1);
+    assert!(matches!(answers[..], [Response::Shutdown]));
+    assert_eq!(counters(&server), [8, 7, 3]);
+    server.wait();
+
+    let server = DbpServer::start(ServerConfig::default()).unwrap();
+    let mut client = Client::builder("firstfit")
+        .tenant("initech")
+        .without_journal()
+        .connect(server.local_addr())
+        .unwrap();
+    client.apply(&arrive(0, 0)).unwrap();
+    client.shutdown_server(None).unwrap();
+    assert_eq!(counters(&server), [3, 0, 1]);
+    server.wait();
+}
+
+/// `Tenant::apply` is a one-event batch whose refusals, at admission
+/// or in the session, name no batch index, as an event frame's do.
+#[test]
+fn tenant_apply_refusals_name_no_index() {
+    let quotas = Quotas {
+        max_active_items: Some(1),
+        ..Quotas::unlimited()
+    };
+    let mut tenant = Tenant::create(&dbp_proto::Hello::new("solo", "firstfit"), quotas, None)
+        .map_err(|e| e.to_string())
+        .unwrap();
+    let arrive = |id: u32| Event::Arrive {
+        id: ItemId(id),
+        size: rat(1, 4),
+        time: rat(0, 1),
+    };
+    let mut span = RequestSpan::new("event", 1, None, 0);
+    assert_eq!(
+        tenant
+            .apply(&arrive(0), &mut span)
+            .map_err(|e| e.to_string()),
+        Ok(dbp_proto::BinId(0))
+    );
+    for (event, kind) in [
+        (arrive(1), ErrorKind::Quota),
+        (
+            Event::Depart {
+                id: ItemId(7),
+                time: rat(1, 1),
+            },
+            ErrorKind::Session,
+        ),
+    ] {
+        match tenant.apply(&event, &mut span) {
+            Err(dbp_server::ServerError::Wire(e)) => assert_eq!((e.kind, e.index), (kind, None)),
+            Err(e) => panic!("expected a wire refusal, got {e}"),
+            Ok(bin) => panic!("expected a refusal, got {bin:?}"),
+        }
+    }
 }
