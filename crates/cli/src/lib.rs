@@ -29,8 +29,8 @@ use dbp_core::{
 };
 use dbp_numeric::{rat, Rational};
 use dbp_obs::{
-    chrome_trace, chrome_trace_with_spans, parse_jsonl, set_ratio_gauge, EngineMetrics,
-    MetricsRegistry, MetricsServer, Profiler, StepSeries, TraceRecorder, Watchdog,
+    chrome_trace, chrome_trace_with_spans, parse_jsonl, set_ratio_gauge, telemetry_registry,
+    EngineMetrics, MetricsRegistry, MetricsServer, Profiler, StepSeries, TraceRecorder, Watchdog,
 };
 use dbp_workloads::adversarial::{
     any_fit_ladder, best_fit_scatter, next_fit_pairs, universal_mu_pairs,
@@ -56,13 +56,14 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Parsed `--key value` options.
+/// Parsed `--key value` options of one command.
 struct Opts {
+    command: String,
     map: BTreeMap<String, String>,
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, CliError> {
+    fn parse(command: &str, args: &[String]) -> Result<Opts, CliError> {
         let mut map = BTreeMap::new();
         let mut it = args.iter();
         while let Some(key) = it.next() {
@@ -74,7 +75,24 @@ impl Opts {
                 .ok_or_else(|| err(format!("--{name} needs a value")))?;
             map.insert(name.to_string(), value.clone());
         }
-        Ok(Opts { map })
+        Ok(Opts {
+            command: command.to_string(),
+            map,
+        })
+    }
+
+    /// Refuses any option not in `names`, the options the command
+    /// takes, so a misspelt or retired option fails instead of being
+    /// ignored.
+    fn only(&self, names: &[&str]) -> Result<(), CliError> {
+        match self.map.keys().find(|key| !names.contains(&key.as_str())) {
+            Some(key) => Err(err(format!(
+                "`{}` takes no option --{key} (it takes --{})",
+                self.command,
+                names.join(", --")
+            ))),
+            None => Ok(()),
+        }
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -162,7 +180,6 @@ COMMANDS:
              {\"depart\":{\"id\":..,\"time\":..}}, one per line)
             [--input FILE]   read events from FILE (default: stdin)
             [--algo NAME] [--backend auto|exact|tick] [--grid T,S]
-            [--shards N]     shard by item id across N sessions
             [--strict true|false]  abort vs skip bad lines (default skip)
             [--report-every N]     live metrics every N events (stderr)
             [--checkpoint FILE]    save a resumable snapshot if the
@@ -253,7 +270,7 @@ pub fn run_to(args: &[String], progress: &mut dyn std::io::Write) -> Result<Stri
     let Some(command) = args.first() else {
         return Ok(USAGE.to_string());
     };
-    let opts = Opts::parse(&args[1..])?;
+    let opts = Opts::parse(command, &args[1..])?;
     match command.as_str() {
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         "generate" => cmd_generate(&opts),
@@ -274,6 +291,7 @@ pub fn run_to(args: &[String], progress: &mut dyn std::io::Write) -> Result<Stri
 }
 
 fn cmd_generate(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&["family", "out", "n", "mu", "k", "seed"])?;
     let family = opts.required("family")?;
     let out = opts.required("out")?;
     let n = opts.u32_or("n", 100)?;
@@ -335,6 +353,7 @@ fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
 }
 
 fn cmd_pack(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&["trace", "algo", "billing", "events", "metrics", "chrome"])?;
     let (_, instance) = load(opts)?;
     let mut algo = make_algo_for(opts.get("algo").unwrap_or("firstfit"), &instance)?;
     let billing = make_billing(opts.get("billing").unwrap_or("continuous"))?;
@@ -393,6 +412,7 @@ fn cmd_pack(opts: &Opts) -> Result<String, CliError> {
 }
 
 fn cmd_stats(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&["trace", "max-rows"])?;
     let path = opts.required("trace")?;
     let text =
         std::fs::read_to_string(path).map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
@@ -484,6 +504,7 @@ fn cmd_stats(opts: &Opts) -> Result<String, CliError> {
 }
 
 fn cmd_compare(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&["trace", "billing"])?;
     let (_, instance) = load(opts)?;
     let billing = make_billing(opts.get("billing").unwrap_or("continuous"))?;
     let names = [
@@ -519,6 +540,7 @@ fn cmd_compare(opts: &Opts) -> Result<String, CliError> {
 }
 
 fn cmd_certify(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&["trace"])?;
     let (_, instance) = load(opts)?;
     if instance.is_empty() {
         return Ok("empty instance: nothing to certify\n".into());
@@ -534,6 +556,7 @@ fn cmd_certify(opts: &Opts) -> Result<String, CliError> {
 }
 
 fn cmd_chain(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&["trace"])?;
     let (_, instance) = load(opts)?;
     if instance.is_empty() {
         return Ok("empty instance: nothing to evaluate\n".into());
@@ -549,6 +572,7 @@ fn cmd_chain(opts: &Opts) -> Result<String, CliError> {
 }
 
 fn cmd_adaptive(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&["algo", "k", "mu"])?;
     let name = opts.get("algo").unwrap_or("firstfit");
     let k = opts.u32_or("k", 10)?;
     let mu = opts.u32_or("mu", 6)?;
@@ -580,6 +604,7 @@ fn cmd_adaptive(opts: &Opts) -> Result<String, CliError> {
 }
 
 fn cmd_opt(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&["trace", "max-exact", "budget"])?;
     let (_, instance) = load(opts)?;
     let config = dbp_analysis::optimal::OptConfig {
         max_exact_items: opts.u32_or("max-exact", 200)? as usize,
@@ -632,6 +657,7 @@ fn cmd_opt(opts: &Opts) -> Result<String, CliError> {
 }
 
 fn cmd_tick(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&["trace", "algo", "verify"])?;
     let (_, instance) = load(opts)?;
     let name = opts.get("algo").unwrap_or("firstfit");
     let policy = match name {
@@ -734,6 +760,9 @@ fn burst_workload(n: usize) -> Result<Instance, CliError> {
 }
 
 fn cmd_profile(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&[
+        "trace", "burst", "algo", "backend", "sample", "folded", "chrome", "metrics",
+    ])?;
     let burst = opts.u64_or("burst", 0)?;
     let (burst_note, instance) = if burst > 0 {
         let inst = burst_workload(burst as usize)?;
@@ -927,11 +956,23 @@ impl StreamTelemetry {
 
 fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, CliError> {
     use dbp_core::session::{Backend, Session, SessionSnapshot, TickGrid};
-    use dbp_par::Fleet;
 
+    opts.only(&[
+        "input",
+        "algo",
+        "backend",
+        "grid",
+        "strict",
+        "report-every",
+        "checkpoint",
+        "resume",
+        "watchdog",
+        "prom-out",
+        "prom-listen",
+        "prom-linger-ms",
+    ])?;
     let strict = opts.get("strict").unwrap_or("false") == "true";
     let report_every = opts.u64_or("report-every", 0)? as usize;
-    let shards = opts.u32_or("shards", 1)? as usize;
     let algo_name = opts.get("algo").unwrap_or("firstfit");
     let backend = match opts.get("backend").unwrap_or("auto") {
         "auto" => Backend::Auto,
@@ -975,15 +1016,8 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
     let mut skipped = 0usize;
     let mut telemetry = StreamTelemetry::from_opts(opts, progress)?;
 
-    // One ingestion loop over a fleet routed by item id; an unsharded
-    // run is a fleet of one, the only one that checkpoints or resumes.
     let checkpoint = opts.get("checkpoint");
-    if shards > 1 && (opts.get("resume").is_some() || checkpoint.is_some()) {
-        return Err(err("--shards does not combine with --resume/--checkpoint \
-             (checkpoint shards individually via the library API)"
-            .to_string()));
-    }
-    let mut fleet = match opts.get("resume") {
+    let mut session = match opts.get("resume") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| err(format!("cannot read checkpoint `{path}`: {e}")))?;
@@ -999,28 +1033,22 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
                     .map_or_else(|| "start".to_string(), |t| t.to_string()),
                 snapshot.events.len()
             ));
-            Fleet::new(vec![session])
+            session
         }
         None => {
-            let mut sessions = Vec::with_capacity(shards);
-            for _ in 0..shards {
-                let mut builder = Session::builder(make_algo(algo_name)?)
-                    .backend(backend)
-                    .telemetry();
-                if let Some(g) = grid {
-                    builder = builder.grid(g);
-                }
-                // Only `--checkpoint` reads the session's log.
-                if checkpoint.is_none() {
-                    builder = builder.without_checkpoints();
-                }
-                sessions.push(
-                    builder
-                        .build()
-                        .map_err(|e| err(format!("cannot build session: {e}")))?,
-                );
+            let mut builder = Session::builder(make_algo(algo_name)?)
+                .backend(backend)
+                .telemetry();
+            if let Some(g) = grid {
+                builder = builder.grid(g);
             }
-            Fleet::new(sessions)
+            // Only `--checkpoint` reads the session's log.
+            if checkpoint.is_none() {
+                builder = builder.without_checkpoints();
+            }
+            builder
+                .build()
+                .map_err(|e| err(format!("cannot build session: {e}")))?
         }
     };
 
@@ -1038,19 +1066,13 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
                 continue;
             }
         };
-        let shard = event.id().index() % shards;
-        if let Err(e) = fleet.session_mut(shard).apply(&event) {
-            let rejected = if shards > 1 {
-                format!("shard {shard} rejected")
-            } else {
-                "rejected".to_string()
-            };
+        if let Err(e) = session.apply(&event) {
             if strict {
-                return Err(err(format!("line {}: {rejected} event: {e}", lineno + 1)));
+                return Err(err(format!("line {}: rejected event: {e}", lineno + 1)));
             }
             let _ = writeln!(
                 progress,
-                "line {}: {rejected} event: {e} — skipped",
+                "line {}: rejected event: {e} — skipped",
                 lineno + 1
             );
             skipped += 1;
@@ -1058,67 +1080,31 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
         }
         ingested += 1;
         if telemetry.live() {
-            telemetry.watch(&fleet.folded_metrics(), progress);
+            telemetry.watch(&session.metrics(), progress);
         }
         let report_due = report_every > 0 && ingested.is_multiple_of(report_every);
         if report_due {
-            let m = fleet.folded_metrics();
-            let _ = if shards > 1 {
-                writeln!(
-                    progress,
-                    "events {ingested}: {} open bins, {} active items across {shards} shards",
-                    m.open_bins, m.active_items
-                )
-            } else {
-                writeln!(
-                    progress,
-                    "events {}: {} open bins, {} active items, load {}, usage {}",
-                    m.events, m.open_bins, m.active_items, m.load, m.usage_time
-                )
-            };
+            let m = session.metrics();
+            let _ = writeln!(
+                progress,
+                "events {}: {} open bins, {} active items, load {}, usage {}",
+                m.events, m.open_bins, m.active_items, m.load, m.usage_time
+            );
         }
         if telemetry.serving() && (report_due || ingested.is_multiple_of(256)) {
-            telemetry.publish(fleet.merged_metrics());
+            telemetry.publish(telemetry_registry(&session.metrics()));
         }
     }
 
-    let metrics = fleet.metrics();
-    let registry = fleet.merged_metrics();
-    let active: usize = metrics.iter().map(|m| m.active_items).sum();
-    if shards > 1 && active > 0 {
-        out.push_str(&format!(
-            "stream ended with {active} items still active across {shards} shards\n"
-        ));
-        for (s, m) in metrics.iter().enumerate() {
-            out.push_str(&format!(
-                "  shard {s}: {} events, {} active, {} open bins, usage {}\n",
-                m.events, m.active_items, m.open_bins, m.usage_time
-            ));
-        }
-    } else if shards > 1 {
-        let outcomes = fleet
-            .finish()
-            .map_err(|e| err(format!("shard {} failed to finish: {}", e.shard, e.error)))?;
-        for (s, o) in outcomes.iter().enumerate() {
-            out.push_str(&format!(
-                "shard {s}: {} → {} bins (peak {} open), usage {}\n",
-                o.algorithm(),
-                o.bins_opened(),
-                o.max_open_bins(),
-                o.total_usage()
-            ));
-        }
-        let total: dbp_numeric::Rational = outcomes.iter().map(|o| o.total_usage()).sum();
-        out.push_str(&format!("fleet usage {total}\n"));
-    } else if active > 0 {
-        let m = &metrics[0];
+    let m = session.metrics();
+    let registry = telemetry_registry(&m);
+    if m.active_items > 0 {
         out.push_str(&format!(
             "stream ended with {} items still active ({} open bins, usage {} so far)\n",
             m.active_items, m.open_bins, m.usage_time
         ));
         if let Some(path) = checkpoint {
-            let snapshot = fleet
-                .session(0)
+            let snapshot = session
                 .snapshot()
                 .map_err(|e| err(format!("cannot checkpoint: {e}")))?;
             let json = dbp_proto::checkpoint_to_json(&snapshot);
@@ -1128,15 +1114,14 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
             out.push_str("pass --checkpoint FILE to save and resume later\n");
         }
     } else {
-        let tick = fleet.session(0).tick_active();
-        let outcome = fleet
+        let tick = session.tick_active();
+        let outcome = session
             .finish()
-            .map_err(|e| err(format!("finish failed: {}", e.error)))?
-            .remove(0);
+            .map_err(|e| err(format!("finish failed: {e}")))?;
         out.push_str(&format!(
             "{}: {} events → {} bins (peak {} open), usage {}{}\n",
             outcome.algorithm(),
-            metrics[0].events,
+            m.events,
             outcome.bins_opened(),
             outcome.max_open_bins(),
             outcome.total_usage(),
@@ -1156,6 +1141,17 @@ fn cmd_stream(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, 
 /// `mindbp serve` — run the multi-tenant allocation daemon in the
 /// foreground until a wire `shutdown` frame stops it.
 fn cmd_serve(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, CliError> {
+    opts.only(&[
+        "listen",
+        "metrics",
+        "token",
+        "max-bins",
+        "max-items",
+        "max-eps",
+        "journal-dir",
+        "slow-ms",
+        "trace-out",
+    ])?;
     use dbp_server::{DbpServer, Quotas, ServerConfig, TokenPolicy};
 
     let config = ServerConfig {
@@ -1207,6 +1203,7 @@ fn cmd_serve(opts: &Opts, progress: &mut dyn std::io::Write) -> Result<String, C
 }
 
 fn cmd_render(opts: &Opts) -> Result<String, CliError> {
+    opts.only(&["trace", "width", "algo"])?;
     let (_, instance) = load(opts)?;
     let width = opts.u32_or("width", 72)? as usize;
     let mut algo = make_algo_for(opts.get("algo").unwrap_or("firstfit"), &instance)?;
@@ -1682,21 +1679,17 @@ mod tests {
         assert!(out.contains("usage 4"), "{out}");
         let e = run(&args(&["stream", "--input", &path, "--strict", "true"])).unwrap_err();
         assert!(e.0.contains("line 2"), "{e}");
-        // Sharded, the note also names the shard that rejected the
-        // line: id 3 never arrived.
+        // The note names the session's reason: id 3 never arrived.
         let unknown = "{\"depart\": {\"id\": 3, \"time\": {\"num\": 4, \"den\": 1}}}\n";
         std::fs::write(&path, format!("{STREAM_JSONL}{unknown}")).unwrap();
-        let (out, progress) = run_capturing(&["stream", "--input", &path, "--shards", "2"]);
-        let rejection = "line 6: shard 1 rejected event: departure of unknown item r3";
+        let (out, progress) = run_capturing(&["stream", "--input", &path]);
+        let rejection = "line 6: rejected event: departure of unknown item r3";
         assert!(
             progress.contains(&format!("{rejection} — skipped")),
             "{progress}"
         );
-        assert!(out.unwrap().contains("fleet usage 4"));
-        let e = run(&args(&[
-            "stream", "--input", &path, "--shards", "2", "--strict", "true",
-        ]))
-        .unwrap_err();
+        assert!(out.unwrap().contains("usage 3"));
+        let e = run(&args(&["stream", "--input", &path, "--strict", "true"])).unwrap_err();
         assert_eq!(e.0, rejection);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1712,22 +1705,6 @@ mod tests {
         assert!(text.contains("dbp_events_total 4"), "{text}");
         // usage 3 over lower bound max(vol 5/3, span 3) = 3 → ratio 1.
         assert!(text.contains("dbp_ratio_upper_estimate 1\n"), "{text}");
-        assert!(text.ends_with("# EOF\n"), "{text}");
-
-        // Sharded: the merged fleet registry feeds the same page.
-        let sharded = run(&args(&[
-            "stream",
-            "--input",
-            &path,
-            "--shards",
-            "2",
-            "--prom-out",
-            &page,
-        ]))
-        .unwrap();
-        assert!(sharded.contains("fleet usage 4"), "{sharded}");
-        let text = std::fs::read_to_string(&page).unwrap();
-        assert!(text.contains("dbp_events_total 4"), "{text}");
         assert!(text.ends_with("# EOF\n"), "{text}");
         for f in [&path, &page] {
             std::fs::remove_file(f).unwrap();
@@ -1866,26 +1843,38 @@ mod tests {
         }
     }
 
+    /// Every command refuses an option it does not take, naming the
+    /// option and the command, before it reads any input: a retired
+    /// option (`--shards`) or a misspelt one (`--grdi` for `--grid`)
+    /// fails rather than running without it.
     #[test]
-    fn stream_shards_split_by_item_id() {
-        let path = tmp("stream-shards.jsonl");
-        std::fs::write(&path, STREAM_JSONL).unwrap();
-        let out = run(&args(&["stream", "--input", &path, "--shards", "2"])).unwrap();
-        assert!(out.contains("shard 0:"), "{out}");
-        assert!(out.contains("shard 1:"), "{out}");
-        assert!(out.contains("fleet usage 4"), "{out}");
-        // Checkpointing a sharded stream is rejected up front.
-        let e = run(&args(&[
-            "stream",
-            "--input",
-            &path,
-            "--shards",
-            "2",
-            "--checkpoint",
-            "/tmp/x",
-        ]))
-        .unwrap_err();
-        assert!(e.0.contains("--shards"), "{e}");
-        std::fs::remove_file(&path).unwrap();
+    fn commands_refuse_options_they_do_not_take() {
+        for (argv, option) in [
+            (
+                &["stream", "--input", "missing.jsonl", "--shards", "2"][..],
+                "--shards",
+            ),
+            (
+                &["stream", "--input", "missing.jsonl", "--grdi", "1,6"][..],
+                "--grdi",
+            ),
+            (
+                &[
+                    "generate", "--family", "random", "--out", "x.json", "--bogus", "3",
+                ][..],
+                "--bogus",
+            ),
+            (
+                &["pack", "--trace", "missing.json", "--grid", "1,6"][..],
+                "--grid",
+            ),
+        ] {
+            let e = run(&args(argv)).unwrap_err();
+            let command = format!("`{}`", argv[0]);
+            assert!(
+                e.0.contains(option) && e.0.contains(&command),
+                "{argv:?}: {e}"
+            );
+        }
     }
 }

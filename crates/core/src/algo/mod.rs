@@ -61,8 +61,9 @@ pub enum Placement {
 /// seed, restored by [`reset`](Self::reset)).
 ///
 /// `Send` is a supertrait: algorithms are plain owned data, and the
-/// bound is what lets a [`crate::session::Session`] holding one be
-/// dispatched across the worker threads of a sharded fleet.
+/// bound is what lets a [`crate::session::Session`] holding one move
+/// between threads, as a daemon tenant does between the connections
+/// that drive it.
 pub trait PackingAlgorithm: Send {
     /// Human-readable name (appears in reports and outcomes).
     fn name(&self) -> String;

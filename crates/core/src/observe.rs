@@ -44,8 +44,8 @@ use dbp_numeric::Rational;
 ///
 /// `Send` is a supertrait for the same reason as on
 /// [`crate::algo::PackingAlgorithm`]: an observer attached to a
-/// [`crate::session::Session`] travels with it when a sharded fleet
-/// dispatches sessions across worker threads.
+/// [`crate::session::Session`] travels with it when the session moves
+/// to another thread.
 pub trait EngineObserver: Send {
     /// An arrival is about to be offered to the algorithm. `bins` is
     /// exactly what the algorithm will see.

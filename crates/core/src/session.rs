@@ -195,15 +195,6 @@ pub enum SessionError {
     /// [`Session::snapshot`] on a session built with
     /// [`SessionBuilder::without_checkpoints`].
     CheckpointsDisabled,
-    /// An event was routed to a shard a multi-session driver does not
-    /// have (sharded fleets live in `dbp-par`; the variant lives here
-    /// so fleet rejections stay inside the one typed error space).
-    UnknownShard {
-        /// The requested shard.
-        shard: usize,
-        /// How many shards exist.
-        shards: usize,
-    },
 }
 
 impl From<PackingError> for SessionError {
@@ -239,9 +230,6 @@ impl fmt::Display for SessionError {
             }
             SessionError::CheckpointsDisabled => {
                 write!(f, "session was built without checkpoint support")
-            }
-            SessionError::UnknownShard { shard, shards } => {
-                write!(f, "no shard {shard} in a fleet of {shards}")
             }
         }
     }

@@ -11,6 +11,7 @@ use dbp_core::prelude::*;
 use dbp_core::session::{Session, SessionMetrics, SessionSnapshot};
 use dbp_core::{event_schedule, CompiledInstance, PackingAlgorithm, TickPolicy, SCAN_CROSSOVER};
 use dbp_numeric::{rat, Rational};
+use dbp_obs::telemetry_registry;
 use dbp_simcore::EventClass;
 use proptest::prelude::*;
 
@@ -145,6 +146,34 @@ proptest! {
         prop_assert_eq!(resumed.metrics(), first.metrics());
         resumed.ingest(&events[cut..]).unwrap();
         prop_assert_eq!(resumed.finish().unwrap(), full);
+    }
+
+    /// One session's telemetry registry is byte-identical whichever
+    /// engine runs it: a gridded stream on `Backend::Exact`,
+    /// `Backend::Tick` and `Backend::Auto` renders the same
+    /// `telemetry_registry` snapshot at a random cut (items still
+    /// active) and after its last event.
+    #[test]
+    fn telemetry_registries_are_byte_identical_across_backends(
+        inst in gridded_instance_strategy(),
+        cut in 0usize..=40,
+    ) {
+        let events = events_of(&inst);
+        for prefix in [&events[..cut.min(events.len())], &events[..]] {
+            let registry = |backend| {
+                let mut session = Session::builder(FirstFit::new())
+                    .backend(backend)
+                    .grid(TickGrid::new(4, 8))
+                    .telemetry()
+                    .build()
+                    .unwrap();
+                session.ingest(prefix).unwrap();
+                telemetry_registry(&session.metrics()).to_json_pretty()
+            };
+            let exact = registry(Backend::Exact);
+            prop_assert_eq!(registry(Backend::Tick), exact.clone());
+            prop_assert_eq!(registry(Backend::Auto), exact);
+        }
     }
 
     /// Live metrics agree with the finished outcome: after the last

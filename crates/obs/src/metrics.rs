@@ -10,9 +10,9 @@
 //! Registries are **mergeable** ([`MetricsRegistry::merge`]): every
 //! section has a lawful fold (counters and totals add, gauges resolve
 //! last-write-wins by a process-wide write stamp, histogram buckets
-//! add, time-weighted signals stitch), so per-shard registries from a
-//! `dbp_par::Fleet` collapse into one fleet-wide registry whose
-//! snapshot is byte-identical to merging the shards in any order.
+//! add, time-weighted signals stitch), so the daemon's per-tenant
+//! registries collapse into one server-wide registry whose snapshot is
+//! byte-identical whatever order the tenants merge in.
 //!
 //! [`EngineMetrics`] is an [`EngineObserver`] that populates a
 //! registry with the standard engine signals: event counts and
@@ -34,7 +34,7 @@ use std::time::Instant;
 
 /// Process-wide logical clock stamping every gauge write, so
 /// last-write-wins stays well-defined when gauges from *different*
-/// registries (e.g. per-shard collectors) are merged. Starts at 1 so
+/// registries (e.g. per-tenant collectors) are merged. Starts at 1 so
 /// stamp 0 can never win against a real write.
 static GAUGE_CLOCK: AtomicU64 = AtomicU64::new(1);
 
@@ -238,7 +238,7 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the exact rational total `name` (starting from
     /// zero). Totals are the registry's *additive exact* section —
-    /// `vol(R)`, `span(R)`, usage time — and fold across shards
+    /// `vol(R)`, `span(R)`, usage time — and fold across registries
     /// without rounding.
     pub fn add_total(&mut self, name: &str, delta: Rational) {
         *self
@@ -344,7 +344,7 @@ impl MetricsRegistry {
     ///   ([`TimeWeighted::merge`]) — integrals add exactly.
     ///
     /// The fold is commutative and associative up to gauge
-    /// tie-breaking, so a fleet can merge shard registries in any
+    /// tie-breaking, so a server can merge tenant registries in any
     /// order and snapshot the same bytes.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, v) in &other.counters {
@@ -482,21 +482,22 @@ impl MetricsRegistry {
 }
 
 /// Renders a session's stream-derived counters into a registry built
-/// purely from merge-safe sections, so per-shard registries fold into
-/// a fleet view with [`MetricsRegistry::merge`]:
+/// purely from merge-safe sections, so the registries of several
+/// sessions (a daemon's tenants) fold into one view with
+/// [`MetricsRegistry::merge`]:
 ///
 /// * counters `arrivals`, `departures`, `events`, `bins_opened`,
-///   `open_bins`, `active_items` — additive across shards;
+///   `open_bins`, `active_items` — additive across sessions;
 /// * exact totals `load` and `usage_time`, plus `vol` and `span` when
 ///   the session tracks telemetry (see
 ///   `SessionBuilder::telemetry`) — the Propositions 1–2
-///   lower-bound numerators, additive because each shard's optimum is
-///   bounded below by its own `max(vol, span)`;
+///   lower-bound numerators, additive because each session's optimum
+///   is bounded below by its own `max(vol, span)`;
 /// * histogram `peak_open_bins` with one sample per session, so the
-///   merged `max` is the fleet-wide peak and `count` the shard count.
+///   merged `max` is the largest peak and `count` the session count.
 ///
 /// Deliberately **no gauges**: gauges resolve last-write-wins, which
-/// would make a fleet fold depend on merge order. Derived gauges
+/// would make a fold depend on merge order. Derived gauges
 /// (e.g. the live competitive-ratio estimate) belong on the *merged*
 /// registry — see [`set_ratio_gauge`].
 pub fn telemetry_registry(m: &SessionMetrics) -> MetricsRegistry {
@@ -526,8 +527,8 @@ pub fn telemetry_registry(m: &SessionMetrics) -> MetricsRegistry {
 /// the lower bound is still zero or the totals are absent.
 ///
 /// Call this on a *merged* registry: `vol` and `span` totals are
-/// per-shard lower bounds summed, so the gauge estimates the fleet's
-/// usage against the sum of per-shard optima.
+/// per-session lower bounds summed, so the gauge estimates the merged
+/// sessions' usage against the sum of their optima.
 pub fn set_ratio_gauge(registry: &mut MetricsRegistry) {
     let (Some(usage), Some(vol), Some(span)) = (
         registry.total("usage_time"),

@@ -283,7 +283,8 @@ impl Profiler {
     /// counters `profile_<phase>_self_ns` / `profile_<phase>_spans`
     /// and `profile_events` / `profile_sampled_events`, gauges
     /// `profile_<phase>_share`, and histograms `probe_<counter>`.
-    /// Registry sections are merge-safe, so per-shard profiles fold.
+    /// Registry sections are merge-safe, so profiles of several runs
+    /// fold.
     pub fn to_registry(&self) -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
         r.inc_by("profile_events", self.events);

@@ -19,17 +19,6 @@
 //! let squares = dbp_par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
-//!
-//! The [`fleet`] module holds independent *streaming sessions*
-//! rather than cells: a sharded [`Fleet`] of `dbp-core` sessions fed
-//! batched events in batch order on the calling thread, with
-//! deterministic per-shard results. Shards are independent server
-//! pools, so worker threads could change only wall-clock time, and
-//! on a frame-sized batch a thread scope costs more than it saves.
-
-pub mod fleet;
-
-pub use fleet::{Fleet, FleetError};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -28,7 +28,7 @@ use std::fmt;
 /// Session parameters a client declares when attaching to a tenant.
 ///
 /// Mirrors `Session::builder`: algorithm by name, backend selection,
-/// optional declared tick grid, optional sharding. The first hello for
+/// optional declared tick grid, optional telemetry. The first hello for
 /// a tenant creates its session (or resumes it from a journal); later
 /// hellos must agree with the live configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,8 +43,10 @@ pub struct Hello {
     pub backend: Backend,
     /// Declared integer grid for the tick backend.
     pub grid: Option<TickGrid>,
-    /// Number of session shards; `1` keeps a single `Session`,
-    /// anything larger drives a `Fleet` routed by `id % shards`.
+    /// Must be 1: a tenant is one session, and a daemon refuses any
+    /// other value with a `protocol` error. The field stays, and is
+    /// still written, so that hello frames keep their bytes on the
+    /// wire.
     pub shards: u32,
     /// Record per-session telemetry counters.
     pub telemetry: bool,
@@ -56,7 +58,7 @@ pub struct Hello {
 
 impl Hello {
     /// A hello with the workspace defaults: auto backend, no grid,
-    /// one shard, telemetry off, journaling on.
+    /// `shards` 1, telemetry off, journaling on.
     pub fn new(tenant: impl Into<String>, algo: impl Into<String>) -> Self {
         Hello {
             tenant: tenant.into(),
@@ -192,8 +194,7 @@ pub enum Request {
     Snapshot,
     /// Ask for the tenant's live stream metrics.
     Metrics,
-    /// Finish the tenant session and return its packing outcomes
-    /// (one per shard).
+    /// Finish the tenant session and return its packing outcome.
     Finish,
     /// Stop the whole server (subject to the server's token policy).
     Shutdown {
@@ -417,11 +418,12 @@ pub enum Response {
     Bins(Vec<BinId>),
     /// A resumable checkpoint of the tenant session.
     Snapshot(SessionSnapshot),
-    /// Live stream metrics (folded across shards for fleets). Boxed:
+    /// Live stream metrics. Boxed:
     /// `SessionMetrics` is ~370 bytes and would otherwise dominate
     /// the size of every hot-path `Bin` response moved around.
     Metrics(Box<SessionMetrics>),
-    /// Finished packing outcomes, one per shard.
+    /// Finished packing outcomes: the tenant's one outcome, as a list
+    /// of one.
     Outcomes(Vec<PackingOutcome>),
     /// The server acknowledged shutdown and is stopping.
     Shutdown,

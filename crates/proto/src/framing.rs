@@ -30,11 +30,16 @@
 use crate::fast;
 use crate::frame::{Request, Response};
 use serde::{Error, Value};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Hard ceiling on a single frame's payload, guarding the server
 /// against a hostile or confused peer declaring a huge length.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Longest length line [`read_frame_raw`] reads, newline included: far
+/// above the eight digits of [`MAX_FRAME_BYTES`], so only a peer that
+/// never ends the line meets it.
+const MAX_LENGTH_LINE: u64 = 1024;
 
 /// Writes `payload` (one serialized JSON document, no newlines added
 /// by the caller) as a length-prefixed frame. Does not flush.
@@ -74,15 +79,21 @@ pub enum RawFrame {
 }
 
 /// Reads one frame's raw payload into `scratch` (reused across calls
-/// to avoid per-frame allocation) without parsing it.
+/// to avoid per-frame allocation) without parsing it. `scratch` grows
+/// with the bytes that arrive, not with the length a peer declares.
 ///
 /// `Err` means frame alignment is lost and the stream must be closed.
 pub fn read_frame_raw(r: &mut impl BufRead, scratch: &mut Vec<u8>) -> io::Result<RawFrame> {
     // Length line.
     scratch.clear();
-    let n = r.read_until(b'\n', scratch)?;
+    let n = r.take(MAX_LENGTH_LINE).read_until(b'\n', scratch)?;
     if n == 0 {
         return Ok(RawFrame::Eof);
+    }
+    if n as u64 == MAX_LENGTH_LINE && scratch.last() != Some(&b'\n') {
+        return Err(bad_stream(format!(
+            "frame length line longer than {MAX_LENGTH_LINE} bytes"
+        )));
     }
     let len_text = std::str::from_utf8(scratch)
         .map_err(|_| bad_stream("frame length line is not UTF-8"))?
@@ -98,8 +109,9 @@ pub fn read_frame_raw(r: &mut impl BufRead, scratch: &mut Vec<u8>) -> io::Result
 
     // Payload: exactly `len` bytes, then the trailing newline.
     scratch.clear();
-    scratch.resize(len, 0);
-    r.read_exact(scratch)?;
+    if r.take(len as u64).read_to_end(scratch)? < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     let mut nl = [0u8; 1];
     r.read_exact(&mut nl)?;
     if nl[0] != b'\n' {
@@ -234,6 +246,37 @@ mod tests {
         // Truncated payload: declared 10 bytes, stream ends early.
         let mut r = Cursor::new(b"10\n{}\n".to_vec());
         assert!(read_request(&mut r).is_err());
+    }
+
+    /// A peer's declared sizes cost no memory until the bytes arrive:
+    /// 48 MiB of length digits with no newline, and a 64 MiB length
+    /// with no payload after it, each fail the read and leave the
+    /// scratch buffer under 1 MiB.
+    #[test]
+    fn memory_follows_the_bytes_that_arrive() {
+        let digits = vec![b'7'; 48 << 20];
+        let declared = format!("{MAX_FRAME_BYTES}\n").into_bytes();
+        for (input, what) in [
+            (digits, "48 MiB of digits"),
+            (declared, "a bare 64 MiB length"),
+        ] {
+            let mut scratch = Vec::new();
+            let read = read_frame_raw(&mut Cursor::new(input), &mut scratch);
+            assert!(read.is_err(), "{what}");
+            assert!(
+                scratch.capacity() < 1 << 20,
+                "{what}: {}",
+                scratch.capacity()
+            );
+        }
+        // A length line that ends within the bound still reads.
+        let padded = format!("{:>1000}\n{{}}\n", 2).into_bytes();
+        let mut scratch = Vec::new();
+        assert!(matches!(
+            read_frame_raw(&mut Cursor::new(padded), &mut scratch).unwrap(),
+            RawFrame::Payload
+        ));
+        assert_eq!(scratch, b"{}");
     }
 
     #[test]

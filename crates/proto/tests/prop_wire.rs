@@ -365,8 +365,9 @@ proptest! {
     }
 
     /// Traced responses echo ids through both codecs the same way.
-    /// Finish frames (0–4 outcomes, as sharded tenants send) have a
-    /// fast writer but no strict parser: the generic codec reads them.
+    /// Finish frames (0–4 outcomes: the codec takes any count, though
+    /// a daemon sends one) have a fast writer but no strict parser: the
+    /// generic codec reads them.
     #[test]
     fn traced_responses_round_trip(
         bins in prop::collection::vec(0u32..=u32::MAX, 0..16),

@@ -14,7 +14,7 @@ fn main() {
     let addr = server.local_addr();
     println!("daemon listening on {addr}");
 
-    // The builder mirrors `Session::builder`: algorithm, grid, shards.
+    // The builder mirrors `Session::builder`: algorithm, grid, telemetry.
     let mut client = Client::builder("firstfit")
         .tenant("quickstart")
         .grid(TickGrid::new(1, 8))

@@ -1,20 +1,21 @@
 //! Engine-state checkpoints beside a tenant's journal.
 //!
-//! A journaled tenant whose sessions run on the tick engine writes
+//! A journaled tenant whose session runs on the tick engine writes
 //! `<tenant>.ckpt` next to `<tenant>.journal` once the journal has
 //! grown by [`CHECKPOINT_MIN_BYTES`], or by the last checkpoint's size
-//! if that is larger, since the last checkpoint. The file holds every
-//! shard's [`Session::write_state`](dbp_core::session::Session::write_state)
+//! if that is larger, since the last checkpoint. The file holds the
+//! session's [`Session::write_state`](dbp_core::session::Session::write_state)
 //! bytes and the point of the journal they cover, so a restart loads
 //! it and replays only the journal after that point. Each checkpoint
 //! costs O(state) and comes after at least that many journal bytes, so
 //! checkpointing adds amortized O(1) per event.
 //!
 //! The journal stays the only source of truth. A checkpoint that is
-//! missing, torn, corrupt, of another version, or out of step with its
-//! journal is ignored, and the restart replays the whole journal as it
-//! would without one. A file is written to `<tenant>.ckpt.tmp` and
-//! renamed over the old one, so a crash leaves either checkpoint whole.
+//! missing, torn, corrupt, of another version, holding other than one
+//! state, or out of step with its journal is ignored, and the restart
+//! replays the whole journal as it would without one. A file is
+//! written to `<tenant>.ckpt.tmp` and renamed over the old one, so a
+//! crash leaves either checkpoint whole.
 //!
 //! The layout, little-endian:
 //!
@@ -26,9 +27,13 @@
 //! | 8 | number of the journal line that starts at that offset |
 //! | 8 | events the tenant had accepted there |
 //! | 4 + 4 | length and CRC-32 of the journal bytes just before the offset (at most [`WINDOW`]) |
-//! | 4 | shard count |
-//! | 8 + n | per shard: the state's length, then the state |
+//! | 4 | state count, always 1 |
+//! | 8 + n | the state's length, then the state |
 //! | 4 | CRC-32 of every byte before it |
+//!
+//! The state count is left from the layout's sharded days, when it
+//! counted one state per shard; it keeps the layout, and so every
+//! checkpoint already on disk, as it was.
 
 use dbp_core::StateError;
 use dbp_proto::crc32;
@@ -53,7 +58,7 @@ pub const CHECKPOINT_MIN_BYTES: u64 = 4 << 20;
 /// rewritten since, is told apart.
 pub const WINDOW: u64 = 4096;
 
-/// Fixed-size part of the file before the shard states.
+/// Fixed-size part of the file before the state.
 const HEAD: usize = 8 + 4 + 8 + 8 + 8 + 4 + 4 + 4;
 
 /// The checkpoint file beside `journal`.
@@ -99,8 +104,8 @@ pub(crate) struct Checkpoint {
     bytes: Vec<u8>,
     /// The journal point it covers.
     pub(crate) mark: Mark,
-    /// Where each shard's state lies in `bytes`.
-    states: Vec<Range<usize>>,
+    /// Where the session's state lies in `bytes`.
+    state: Range<usize>,
 }
 
 impl Checkpoint {
@@ -109,14 +114,15 @@ impl Checkpoint {
         self.bytes.len() as u64
     }
 
-    /// Each shard's state bytes, in shard order.
-    pub(crate) fn states(&self) -> impl Iterator<Item = &[u8]> {
-        self.states.iter().map(|r| &self.bytes[r.clone()])
+    /// The session's state bytes.
+    pub(crate) fn state(&self) -> &[u8] {
+        &self.bytes[self.state.clone()]
     }
 
     /// Reads the checkpoint beside `journal`. `None` when there is
-    /// none, or when it is torn, corrupt or of another version: any of
-    /// those leaves the journal to be replayed in full.
+    /// none, or when it is torn, corrupt, of another version or holds
+    /// other than one state: any of those leaves the journal to be
+    /// replayed in full.
     pub(crate) fn read(journal: &Path) -> Option<Checkpoint> {
         let bytes = fs::read(checkpoint_path(journal)).ok()?;
         Checkpoint::parse(bytes)
@@ -146,30 +152,24 @@ impl Checkpoint {
             window_len: u32_(take(4)?),
             window_crc: u32_(take(4)?),
         };
-        let shards = u32_(take(4)?);
-        let mut states = Vec::new();
-        for _ in 0..shards {
-            let len = usize::try_from(u64_(take(8)?)).ok()?;
-            states.push(take(len)?);
+        if u32_(take(4)?) != 1 {
+            return None;
         }
-        (take(0)?.start == sealed).then_some(Checkpoint {
-            bytes,
-            mark,
-            states,
-        })
+        let len = usize::try_from(u64_(take(8)?)).ok()?;
+        let state = take(len)?;
+        (state.end == sealed).then_some(Checkpoint { bytes, mark, state })
     }
 }
 
 /// Writes the checkpoint beside `journal`: the header for `mark`, then
-/// `state(i, buf)` appends shard `i`'s state for each of `shards`
-/// shards, then the CRC. The file goes to a temporary name first and
-/// is renamed over the old checkpoint; a shard whose state fails
-/// leaves the old one in place. Returns the file's size.
+/// the session's state, which `state(buf)` appends, then the CRC. The
+/// file goes to a temporary name first and is renamed over the old
+/// checkpoint; a state that fails leaves the old one in place. Returns
+/// the file's size.
 pub(crate) fn write(
     journal: &Path,
     mark: Mark,
-    shards: usize,
-    mut state: impl FnMut(usize, &mut Vec<u8>) -> Result<(), StateError>,
+    state: impl FnOnce(&mut Vec<u8>) -> Result<(), StateError>,
 ) -> io::Result<u64> {
     let mut buf = Vec::with_capacity(HEAD + 4);
     buf.extend_from_slice(MAGIC);
@@ -179,14 +179,11 @@ pub(crate) fn write(
     buf.extend_from_slice(&mark.accepted.to_le_bytes());
     buf.extend_from_slice(&mark.window_len.to_le_bytes());
     buf.extend_from_slice(&mark.window_crc.to_le_bytes());
-    buf.extend_from_slice(&(shards as u32).to_le_bytes());
-    for shard in 0..shards {
-        let at = buf.len();
-        buf.extend_from_slice(&[0; 8]);
-        state(shard, &mut buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let len = (buf.len() - at - 8) as u64;
-        buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
-    }
+    buf.extend_from_slice(&1u32.to_le_bytes());
+    buf.extend_from_slice(&[0; 8]);
+    state(&mut buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    let len = (buf.len() - HEAD - 8) as u64;
+    buf[HEAD..HEAD + 8].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
     let tmp = temp_path(journal);
@@ -219,9 +216,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("acme.journal");
-        let states: [&[u8]; 2] = [b"first shard", b""];
-        let size = write(&journal, mark(), 2, |i, buf| {
-            buf.extend_from_slice(states[i]);
+        let size = write(&journal, mark(), |buf| {
+            buf.extend_from_slice(b"engine state");
             Ok(())
         })
         .unwrap();
@@ -231,7 +227,7 @@ mod tests {
         let read = Checkpoint::read(&journal).unwrap();
         assert_eq!(read.mark, mark());
         assert_eq!(read.len(), size);
-        assert_eq!(read.states().collect::<Vec<_>>(), states);
+        assert_eq!(read.state(), b"engine state");
 
         for cut in 0..bytes.len() {
             assert!(
@@ -244,12 +240,57 @@ mod tests {
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert!(Checkpoint::parse(flipped).is_none(), "bit {bit}");
         }
-        // A shard whose state fails writes no file over the old one.
-        let failed = write(&journal, mark(), 1, |_, _| {
+        // A state that fails writes no file over the old one.
+        let failed = write(&journal, mark(), |_| {
             Err(StateError::Unsupported("no state"))
         });
         assert_eq!(failed.unwrap_err().kind(), io::ErrorKind::InvalidInput);
         assert_eq!(fs::read(checkpoint_path(&journal)).unwrap(), bytes);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The file in the module doc's layout for `mark()` and `states`,
+    /// assembled field by field.
+    fn layout(states: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&1234u64.to_le_bytes());
+        bytes.extend_from_slice(&17u64.to_le_bytes());
+        bytes.extend_from_slice(&15u64.to_le_bytes());
+        bytes.extend_from_slice(&1234u32.to_le_bytes());
+        bytes.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        bytes.extend_from_slice(&(states.len() as u32).to_le_bytes());
+        for state in states {
+            bytes.extend_from_slice(&(state.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(state);
+        }
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    /// `write` speaks the documented layout byte for byte, so a
+    /// one-state checkpoint written before the state count was pinned
+    /// to 1 loads; a well-formed file of two states, or of none, reads
+    /// as no checkpoint, which leaves the journal to a full replay.
+    #[test]
+    fn the_layout_holds_exactly_one_state() {
+        let dir = std::env::temp_dir().join(format!("dbp-ckpt-layout-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("acme.journal");
+        write(&journal, mark(), |buf| {
+            buf.extend_from_slice(b"engine state");
+            Ok(())
+        })
+        .unwrap();
+        let one = layout(&[b"engine state"]);
+        assert_eq!(fs::read(checkpoint_path(&journal)).unwrap(), one);
+        let read = Checkpoint::parse(one).unwrap();
+        assert_eq!((read.mark, read.state()), (mark(), &b"engine state"[..]));
+
+        assert!(Checkpoint::parse(layout(&[b"first shard", b"second shard"])).is_none());
+        assert!(Checkpoint::parse(layout(&[])).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 }

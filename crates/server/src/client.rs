@@ -99,12 +99,6 @@ impl ClientBuilder {
         self
     }
 
-    /// Shard the tenant across `n` sessions routed by `id % n`.
-    pub fn shards(mut self, n: u32) -> ClientBuilder {
-        self.hello.shards = n;
-        self
-    }
-
     /// Enable per-session telemetry (mirrors
     /// `SessionBuilder::telemetry`).
     pub fn telemetry(mut self) -> ClientBuilder {
@@ -279,8 +273,7 @@ impl Client {
         }
     }
 
-    /// Live tenant metrics, folded across shards (mirrors
-    /// `Session::metrics`).
+    /// Live tenant metrics (mirrors `Session::metrics`).
     pub fn metrics(&mut self) -> Result<SessionMetrics, ClientError> {
         match self.exchange(&Request::Metrics)? {
             Response::Metrics(metrics) => Ok(*metrics),
@@ -299,8 +292,8 @@ impl Client {
         }
     }
 
-    /// Finishes the tenant and returns its packing outcomes, one per
-    /// shard (mirrors `Session::finish`).
+    /// Finishes the tenant and returns its packing outcome, the one
+    /// element of the `outcomes` list (mirrors `Session::finish`).
     pub fn finish(mut self) -> Result<Vec<PackingOutcome>, ClientError> {
         match self.exchange(&Request::Finish)? {
             Response::Outcomes(outcomes) => Ok(outcomes),

@@ -2,8 +2,8 @@
 //!
 //! One file per tenant under the server's journal directory. The
 //! first line is a versioned header recording everything needed to
-//! rebuild the session shape (algorithm, backend, grid, shards,
-//! telemetry); every line after it is one accepted event in the shared
+//! rebuild the session shape (algorithm, backend, grid, telemetry);
+//! every line after it is one accepted event in the shared
 //! [`dbp_proto`] line format — the same bytes a stream CLI trace uses.
 //!
 //! The durability contract: an event's journal line is written and
@@ -55,7 +55,10 @@ pub struct JournalHeader {
     pub backend: Backend,
     /// Declared tick grid, if any.
     pub grid: Option<TickGrid>,
-    /// Shard count (1 = single session).
+    /// Always 1: every tenant is one session. The field stays so that
+    /// headers keep their bytes on disk; opening a journal whose
+    /// header says otherwise (one a sharded tenant of an earlier build
+    /// wrote) fails.
     pub shards: u32,
     /// Whether per-session telemetry was on.
     pub telemetry: bool,
@@ -339,6 +342,13 @@ impl JournalReader {
         let text = std::str::from_utf8(&reader.text).map_err(|e| bad_header(&e))?;
         let value = serde_json::parse(text).map_err(|e| bad_header(&e))?;
         let header = JournalHeader::from_value(&value).map_err(|e| bad_header(&e))?;
+        if header.shards != 1 {
+            return Err(bad(format!(
+                "journal of a tenant with {} shards; tenants are one session now, \
+                 so finish it with an earlier build",
+                header.shards
+            )));
+        }
         reader.advance(reader.text.len());
         reader.header_len = reader.complete_len;
         Ok((header, reader))
@@ -484,7 +494,7 @@ mod tests {
             algo: "FirstFit".into(),
             backend: Backend::Auto,
             grid: Some(TickGrid::new(1, 64)),
-            shards: 2,
+            shards: 1,
             telemetry: true,
         }
     }

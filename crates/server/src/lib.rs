@@ -22,10 +22,9 @@
 //!   latency histograms, and requests over `--slow-ms` land in a
 //!   bounded slow ring dumped as JSONL + Chrome trace on shutdown
 //!   ([`span`]);
-//! * sharding — every tenant runs a `dbp_par::Fleet` of `shards = n`
-//!   sessions routed by `id % n` (an unsharded tenant is a fleet of
-//!   one): `n` independent server pools, each packed in its own order,
-//!   all applied on the connection's thread.
+//! * one session per tenant — every tenant packs all of its items
+//!   into one pool of bins, on the thread of the connection that sent
+//!   them, so its packing is the one the paper's bounds speak about.
 //!
 //! Start one with [`DbpServer::start`] (or `mindbp serve` from the
 //! CLI), drive it with [`Client`], benchmark it with the `loadgen`

@@ -13,7 +13,7 @@ use std::time::Instant;
 /// Per-tenant resource limits. `None` disables a dimension.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Quotas {
-    /// Maximum concurrently open bins across the tenant's shards.
+    /// Maximum concurrently open bins.
     /// Conservative: arrivals are refused while the tenant is *at*
     /// the cap, even if the item would have fit an open bin.
     pub max_open_bins: Option<u64>,

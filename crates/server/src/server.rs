@@ -101,10 +101,9 @@ pub struct ServerConfig {
     pub quotas: Quotas,
     /// Journal directory; `None` disables durability (journal files,
     /// engine-state checkpoints and crash recovery) server-wide.
-    /// Snapshots do not depend on it: a single-session tenant whose
-    /// hello asks for journaling answers `snapshot` from its journal
-    /// file, or, without a directory, from its session's checkpoint
-    /// log.
+    /// Snapshots do not depend on it: a tenant whose hello asks for
+    /// journaling answers `snapshot` from its journal file, or, without
+    /// a directory, from its session's checkpoint log.
     pub journal_dir: Option<PathBuf>,
     /// Record placement requests slower than this many milliseconds in
     /// the slow-request ring (`0` records everything). `None` leaves
@@ -631,9 +630,9 @@ fn serve_connection(
             ) {
                 Ok(tenant) => *guard = Some(tenant),
                 Err(e) => {
-                    // The empty slot stays in the map: it publishes
-                    // nothing and a corrected hello reuses it.
                     drop(guard);
+                    drop(slot);
+                    forget_empty_slot(shared, &hello.tenant);
                     shared.errors_total.fetch_add(1, Ordering::Relaxed);
                     send(
                         &mut writer,
@@ -775,6 +774,22 @@ fn serve_connection(
             shared.errors_total.fetch_add(1, Ordering::Relaxed);
         }
         send(&mut writer, &mut out, &response, trace)?;
+    }
+}
+
+/// Removes `name`'s registry slot if it holds no tenant and no
+/// connection holds it, so a refused hello leaves nothing behind. A
+/// slot some other connection still holds is left to it: that
+/// connection may be about to fill it, and if it is refused too, it
+/// comes here after dropping its own hold. Locks the registry, then
+/// the slot, as [`Shared::build_page`] does.
+fn forget_empty_slot(shared: &Shared, name: &str) {
+    let mut tenants = shared.tenants.lock().unwrap();
+    let unused = tenants
+        .get(name)
+        .is_some_and(|slot| Arc::strong_count(slot) == 1 && slot.lock().unwrap().is_none());
+    if unused {
+        tenants.remove(name);
     }
 }
 

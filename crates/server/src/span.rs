@@ -31,7 +31,7 @@ pub enum Phase {
     Decode = 0,
     /// Quota admission (rate limiter + arrival head-room checks).
     Quota = 1,
-    /// Session / fleet placement.
+    /// Session placement.
     Apply = 2,
     /// Journal append + flush (the durability fsync before the ack).
     Journal = 3,

@@ -1,11 +1,11 @@
-//! One tenant = one keyed fleet of packing sessions, one per shard.
+//! One tenant = one keyed packing session.
 //!
-//! A [`Tenant`] wraps the session machinery behind the wire protocol:
-//! quota admission in front, journal durability behind. An unsharded
-//! tenant is a fleet of one, so every frame takes the same path
-//! whatever the shard count. Every mutation goes through here, so the
-//! invariant "journal holds exactly the accepted events, in acceptance
-//! order" lives in one place.
+//! A [`Tenant`] wraps its [`Session`] behind the wire protocol: quota
+//! admission in front, journal durability behind. Every tenant packs
+//! all of its items into one pool of bins, the one First Fit packing
+//! the paper's bounds speak about. Every mutation goes through here,
+//! so the invariant "journal holds exactly the accepted events, in
+//! acceptance order" lives in one place.
 //!
 //! A journaled tenant on the tick engine also checkpoints its engine
 //! state beside the journal ([`crate::checkpoint`]), and a restart
@@ -25,8 +25,7 @@ use crate::ServerError;
 use dbp_core::algo::by_name;
 use dbp_core::session::{Session, SessionError};
 use dbp_core::{PackingAlgorithm, PackingOutcome};
-use dbp_obs::MetricsRegistry;
-use dbp_par::Fleet;
+use dbp_obs::{telemetry_registry, MetricsRegistry};
 use dbp_proto::{BinId, ErrorKind, Event, Hello, SessionMetrics, SessionSnapshot, WireError};
 use std::path::Path;
 use std::time::Instant;
@@ -61,8 +60,7 @@ fn make_algo(canonical: &str) -> Box<dyn PackingAlgorithm> {
 /// One tenant's full server-side state.
 pub struct Tenant {
     name: String,
-    /// One session per shard, routed by `id % shards`.
-    fleet: Fleet<'static>,
+    session: Session<'static>,
     journal: Option<Journal>,
     quotas: Quotas,
     rate: Option<RateLimiter>,
@@ -74,16 +72,6 @@ pub struct Tenant {
     /// The journal offset the last checkpoint covers and that
     /// checkpoint's size; `(0, 0)` before the first.
     checkpointed: (u64, u64),
-}
-
-/// The shard of `shards` that owns `event`'s item. An unsharded
-/// tenant, the common case, skips the division.
-fn shard_of(event: &Event, shards: u32) -> usize {
-    if shards == 1 {
-        0
-    } else {
-        (event.id().0 % shards) as usize
-    }
 }
 
 fn session_error(e: SessionError) -> WireError {
@@ -99,13 +87,12 @@ impl Tenant {
         quotas: Quotas,
         journal_dir: Option<&Path>,
     ) -> Result<Tenant, ServerError> {
-        // Only a journaling single-session tenant without a journal
-        // file answers `snapshot` from its session's log. One with a
-        // file answers from the file; journal-less tenants get a typed
-        // Unavailable error instead, and sharded tenants refuse
-        // `snapshot`; so none of those keeps a log.
+        // Only a journaling tenant without a journal file answers
+        // `snapshot` from its session's log. One with a file answers
+        // from the file, and journal-less tenants get a typed
+        // Unavailable error instead, so neither keeps a log.
         let journaled = hello.journal && journal_dir.is_some();
-        let log = hello.journal && hello.shards == 1 && !journaled;
+        let log = hello.journal && !journaled;
         let canonical = Tenant::validate(hello)?;
         let mut tenant = Tenant::fresh(hello, canonical, quotas, log)?;
         if let (Some(dir), true) = (journal_dir, journaled) {
@@ -114,7 +101,7 @@ impl Tenant {
                 algo: canonical.to_string(),
                 backend: hello.backend,
                 grid: hello.grid,
-                shards: hello.shards,
+                shards: 1,
                 telemetry: hello.telemetry,
             };
             tenant.journal = Some(Journal::create(dir, &header).map_err(ServerError::Io)?);
@@ -123,7 +110,7 @@ impl Tenant {
     }
 
     /// The canonical name of the hello's algorithm, once the hello
-    /// names a servable algorithm and at least one shard.
+    /// names a servable algorithm and `shards` 1.
     fn validate(hello: &Hello) -> Result<&'static str, ServerError> {
         let canonical = canonical_algo(&hello.algo).ok_or_else(|| {
             ServerError::Wire(WireError::new(
@@ -131,43 +118,42 @@ impl Tenant {
                 format!("unknown or non-recoverable algorithm `{}`", hello.algo),
             ))
         })?;
-        if hello.shards == 0 {
+        if hello.shards != 1 {
             return Err(ServerError::Wire(WireError::new(
                 ErrorKind::Protocol,
-                "shards must be >= 1",
+                format!(
+                    "shards must be 1, got {}: every tenant is one session",
+                    hello.shards
+                ),
             )));
         }
         Ok(canonical)
     }
 
     /// A journal-less tenant of `hello`'s shape that has applied no
-    /// event, its sessions keeping a checkpoint log iff `log`.
+    /// event, its session keeping a checkpoint log iff `log`.
     fn fresh(
         hello: &Hello,
         canonical: &str,
         quotas: Quotas,
         log: bool,
     ) -> Result<Tenant, ServerError> {
-        let build_session = || -> Result<Session<'static>, SessionError> {
-            let mut builder = Session::builder(make_algo(canonical)).backend(hello.backend);
-            if let Some(grid) = hello.grid {
-                builder = builder.grid(grid);
-            }
-            if hello.telemetry {
-                builder = builder.telemetry();
-            }
-            if !log {
-                builder = builder.without_checkpoints();
-            }
-            builder.build()
-        };
-        let sessions = (0..hello.shards)
-            .map(|_| build_session())
-            .collect::<Result<Vec<_>, _>>()
+        let mut builder = Session::builder(make_algo(canonical)).backend(hello.backend);
+        if let Some(grid) = hello.grid {
+            builder = builder.grid(grid);
+        }
+        if hello.telemetry {
+            builder = builder.telemetry();
+        }
+        if !log {
+            builder = builder.without_checkpoints();
+        }
+        let session = builder
+            .build()
             .map_err(|e| ServerError::Wire(session_error(e)))?;
         Ok(Tenant {
             name: hello.tenant.clone(),
-            fleet: Fleet::new(sessions),
+            session,
             journal: None,
             quotas,
             rate: quotas.max_events_per_sec.map(RateLimiter::new),
@@ -179,7 +165,7 @@ impl Tenant {
 
     /// A fresh tenant of the shape a journal header records, as a
     /// restart rebuilds it: its events come from the journal file it
-    /// reopens, so its sessions keep no log.
+    /// reopens, so its session keeps no log.
     fn of_header(header: &JournalHeader, quotas: Quotas) -> Result<Tenant, ServerError> {
         let hello = Hello {
             tenant: header.tenant.clone(),
@@ -240,18 +226,13 @@ impl Tenant {
         let Some(checkpoint) = Checkpoint::read(reader.path()) else {
             return Ok(None);
         };
-        let shards = checkpoint.states().count();
-        if shards != header.shards as usize
-            || !reader.skip_to(&checkpoint.mark).map_err(ServerError::Io)?
-        {
+        if !reader.skip_to(&checkpoint.mark).map_err(ServerError::Io)? {
             return Ok(None);
         }
         let mut tenant = Tenant::of_header(header, quotas)?;
-        for (shard, state) in checkpoint.states().enumerate() {
-            if tenant.fleet.session_mut(shard).load_state(state).is_err() {
-                reader.rewind().map_err(ServerError::Io)?;
-                return Ok(None);
-            }
+        if tenant.session.load_state(checkpoint.state()).is_err() {
+            reader.rewind().map_err(ServerError::Io)?;
+            return Ok(None);
         }
         tenant.accepted = checkpoint.mark.accepted;
         tenant.checkpointed = (checkpoint.mark.offset, checkpoint.len());
@@ -334,7 +315,7 @@ impl Tenant {
             }
         }
         if self.quotas.max_active_items.is_none() && self.quotas.max_open_bins.is_none() {
-            // No count quota: skip folding every shard's metrics,
+            // No count quota: skip building the session's metrics,
             // exact `Rational`s and all, once per frame.
             return Ok(());
         }
@@ -374,8 +355,7 @@ impl Tenant {
     /// Applies one event without quota or journal involvement
     /// (recovery replay).
     fn apply_unchecked(&mut self, event: &Event) -> Result<BinId, SessionError> {
-        let shard = shard_of(event, self.fleet.len() as u32);
-        let bin = self.fleet.session_mut(shard).apply(event)?;
+        let bin = self.session.apply(event)?;
         self.accepted += 1;
         Ok(bin)
     }
@@ -394,12 +374,10 @@ impl Tenant {
     /// append + flush — only then are the placements, one per event,
     /// returned for the wire ack. Each stage charges its time to the
     /// request `span` (Quota / Apply / Journal), refusals and flushes
-    /// included. On a rejection the prefix semantics are
-    /// [`Fleet::dispatch_each`]'s: each shard applied its events before
-    /// the first one it rejected, and the error names the lowest
-    /// rejected index (for an unsharded tenant, every event before it
-    /// applied). Whatever was applied is journaled, in frame order, so
-    /// recovery and the live sessions never diverge.
+    /// included. Events apply in frame order up to the first one the
+    /// session rejects: the error names that event's index, every event
+    /// before it stays applied, and those are journaled, so recovery
+    /// and the live session never diverge.
     pub fn batch(
         &mut self,
         events: &[Event],
@@ -411,41 +389,19 @@ impl Tenant {
             span.quota_refused = true;
             return Err(ServerError::Wire(e.at_index(0)));
         }
-        let shards = self.fleet.len() as u32;
         let mut bins = Vec::with_capacity(events.len());
-        // Every event before the first one the frame skips applies;
-        // `late` keeps the events that still apply after it.
-        let mut late = Vec::new();
         let t = Instant::now();
-        let dispatched = self.fleet.dispatch_each(
-            events,
-            |event| (shard_of(event, shards), event),
-            |index, bin| {
-                if bins.len() < index {
-                    late.push(events[index]);
-                }
-                bins.push(bin);
-            },
-        );
+        let rejected = events
+            .iter()
+            .try_for_each(|event| self.session.apply(event).map(|bin| bins.push(bin)));
         span.record(Phase::Apply, t.elapsed());
         self.accepted += bins.len() as u64;
-        match dispatched {
-            Ok(()) => {
-                self.journal_applied(events, span)?;
-                Ok(bins)
-            }
-            Err(errors) => {
-                let mut applied = events[..bins.len() - late.len()].to_vec();
-                applied.extend(late);
-                self.journal_applied(&applied, span)?;
-                let first = errors
-                    .iter()
-                    .min_by_key(|e| e.index)
-                    .expect("dispatch errors are non-empty");
-                Err(ServerError::Wire(
-                    session_error(first.error.clone()).at_index(first.index as u64),
-                ))
-            }
+        self.journal_applied(&events[..bins.len()], span)?;
+        match rejected {
+            Ok(()) => Ok(bins),
+            Err(e) => Err(ServerError::Wire(
+                session_error(e).at_index(bins.len() as u64),
+            )),
         }
     }
 
@@ -473,8 +429,8 @@ impl Tenant {
 
     /// Writes the engine-state checkpoint beside the journal, covering
     /// every event journaled so far, and returns whether it did. Only a
-    /// journaled tenant whose every session runs on the tick engine has
-    /// one to write. Best-effort: the journal alone recovers the
+    /// journaled tenant whose session runs on the tick engine has one
+    /// to write. Best-effort: the journal alone recovers the
     /// tenant, so a failed write just leaves the older checkpoint, and
     /// either way the next attempt waits for the journal to grow again.
     #[doc(hidden)]
@@ -483,14 +439,12 @@ impl Tenant {
             return false;
         };
         let at = journal.len();
-        let shards = self.fleet.len();
-        let tick = (0..shards).all(|shard| self.fleet.session(shard).tick_active());
-        let written = tick
+        let written = self
+            .session
+            .tick_active()
             .then(|| {
                 let mark = journal.mark(self.accepted)?;
-                checkpoint::write(journal.path(), mark, shards, |shard, buf| {
-                    self.fleet.session(shard).write_state(buf)
-                })
+                checkpoint::write(journal.path(), mark, |buf| self.session.write_state(buf))
             })
             .and_then(Result::ok);
         self.checkpointed = (at, written.unwrap_or(self.checkpointed.1));
@@ -504,9 +458,9 @@ impl Tenant {
         self.wire.record(span, total_ns, slow);
     }
 
-    /// Live stream metrics, folded across shards.
+    /// Live stream metrics.
     pub fn metrics(&self) -> SessionMetrics {
-        self.fleet.folded_metrics()
+        self.session.metrics()
     }
 
     /// The tenant's telemetry registry (what the exposition page
@@ -514,21 +468,15 @@ impl Tenant {
     /// telemetry plus the wire-level SLO series (`request_latency_us`
     /// histogram, per-phase nanosecond counters, refusals, fsyncs).
     pub fn registry(&self) -> MetricsRegistry {
-        let mut registry = self.fleet.merged_metrics();
+        let mut registry = telemetry_registry(&self.session.metrics());
         self.wire.fold_into(&mut registry);
         registry
     }
 
     /// A resumable checkpoint: the journal file's events, for a
-    /// tenant that journals to one, or its session's log. Sharded and
-    /// journal-less tenants answer with a typed `unavailable` error.
+    /// tenant that journals to one, or its session's log. Journal-less
+    /// tenants answer with a typed `unavailable` error.
     pub fn snapshot(&self) -> Result<SessionSnapshot, WireError> {
-        if self.fleet.len() > 1 {
-            return Err(WireError::new(
-                ErrorKind::Unavailable,
-                "sharded tenants checkpoint via the server journal, not session snapshots",
-            ));
-        }
         if let Some(journal) = &self.journal {
             let read = read_journal(journal.path()).map_err(|e| {
                 WireError::new(
@@ -545,7 +493,7 @@ impl Tenant {
                 events: read.events,
             });
         }
-        self.fleet.session(0).snapshot().map_err(|e| match e {
+        self.session.snapshot().map_err(|e| match e {
             SessionError::CheckpointsDisabled => WireError::new(
                 ErrorKind::Unavailable,
                 "tenant runs without journaling; snapshots are disabled",
@@ -554,11 +502,11 @@ impl Tenant {
         })
     }
 
-    /// Finishes the tenant, returning one outcome per shard and
-    /// removing its checkpoint, then its journal. A tenant with
-    /// in-flight items fails with
-    /// a typed error *without* consuming the session, so the caller
-    /// can keep serving it.
+    /// Finishes the tenant, returning its outcome as a one-element list
+    /// (the wire's `outcomes` frame) and removing its checkpoint, then
+    /// its journal. A tenant with in-flight items fails with a typed
+    /// error *without* consuming the session, so the caller can keep
+    /// serving it.
     pub fn finish(self) -> Result<Vec<PackingOutcome>, (Box<Tenant>, WireError)> {
         let active = self.metrics().active_items;
         if active > 0 {
@@ -571,8 +519,8 @@ impl Tenant {
             ));
         }
         let journal = self.journal;
-        let outcomes = self
-            .fleet
+        let outcome = self
+            .session
             .finish()
             .unwrap_or_else(|e| unreachable!("finish with no active items failed: {e}"));
         if let Some(journal) = journal {
@@ -582,6 +530,6 @@ impl Tenant {
             let _ = checkpoint::remove(journal.path());
             let _ = journal.remove();
         }
-        Ok(outcomes)
+        Ok(vec![outcome])
     }
 }

@@ -33,10 +33,9 @@ fn span() -> RequestSpan {
     RequestSpan::new("batch", 0, None, 0)
 }
 
-fn hello(shards: u32, telemetry: bool) -> Hello {
+fn hello(telemetry: bool) -> Hello {
     Hello {
         grid: Some(TickGrid::new(1, 32)),
-        shards,
         telemetry,
         ..Hello::new("acme", "firstfit")
     }
@@ -127,7 +126,7 @@ fn journaled_run(
     frame: usize,
     checkpoint_after: usize,
 ) -> (Vec<u8>, Vec<u8>) {
-    let mut tenant = Tenant::create(&hello(1, true), Quotas::unlimited(), Some(dir)).unwrap();
+    let mut tenant = Tenant::create(&hello(true), Quotas::unlimited(), Some(dir)).unwrap();
     let mut checkpoint = None;
     for (i, batch) in events.chunks(frame).enumerate() {
         tenant.batch(batch, &mut span()).unwrap();
@@ -172,12 +171,7 @@ fn every_damaged_checkpoint_restarts_like_the_journal_alone() {
     for (at, bytes) in damaged {
         fs::write(journal_path(&dir, "acme"), &journal).unwrap();
         fs::write(&path, &bytes).unwrap();
-        assert_same(
-            restart(&dir),
-            reference(&hello(1, true), &events),
-            &rest,
-            &at,
-        );
+        assert_same(restart(&dir), reference(&hello(true), &events), &rest, &at);
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -199,7 +193,7 @@ fn a_restart_reads_only_the_journal_after_its_checkpoint() {
     fs::write(journal_path(&dir, "acme"), &journal).unwrap();
     let tenant = restart(&dir);
     assert_eq!(tenant.accepted(), events.len() as u64);
-    let expected = reference(&hello(1, true), &events);
+    let expected = reference(&hello(true), &events);
     assert_eq!(tenant.metrics(), expected.metrics());
     assert_eq!(finish(tenant), finish(expected));
 
@@ -213,6 +207,49 @@ fn a_restart_reads_only_the_journal_after_its_checkpoint() {
         err.to_string()
             .contains(&format!("bad journal line 3 at byte {}", ends[1])),
         "{err}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint that holds two states, as no build writes any more,
+/// reads as no checkpoint: with an event line before its window
+/// damaged, the restart replays the whole journal and fails on that
+/// line; with the journal whole, it replays it and equals the
+/// uninterrupted run.
+#[test]
+fn a_checkpoint_of_two_states_restarts_from_the_whole_journal() {
+    let dir = test_dir("two-states");
+    let events = waves(80, 4, 3, 2);
+    let (journal, ckpt) = journaled_run(&dir, &events, 8, events.len() - 40);
+    // The state count sits after the 44 header bytes, the one state's
+    // length and bytes after it; the CRC seals the file.
+    let sealed = ckpt.len() - 4;
+    assert_eq!(ckpt[44..48], 1u32.to_le_bytes());
+    let mut two = ckpt[..44].to_vec();
+    two.extend_from_slice(&2u32.to_le_bytes());
+    two.extend_from_slice(&ckpt[48..sealed]);
+    two.extend_from_slice(&ckpt[48..sealed]);
+    let crc = dbp_proto::crc32(&two);
+    two.extend_from_slice(&crc.to_le_bytes());
+
+    let mut damaged = journal.clone();
+    let at = line_ends(&journal)[1] + 4;
+    assert_eq!(&damaged[at..at + 3], b":1,");
+    damaged[at + 1] = b'9';
+    let ckpt_path = checkpoint_path(&journal_path(&dir, "acme"));
+    fs::write(journal_path(&dir, "acme"), &damaged).unwrap();
+    fs::write(&ckpt_path, &two).unwrap();
+    let err = Tenant::recover_all(&dir, Quotas::unlimited())
+        .err()
+        .unwrap();
+    assert!(err.to_string().contains("bad journal line 3"), "{err}");
+
+    fs::write(journal_path(&dir, "acme"), &journal).unwrap();
+    assert_same(
+        restart(&dir),
+        reference(&hello(true), &events),
+        &[],
+        "two states",
     );
     let _ = fs::remove_dir_all(&dir);
 }
@@ -245,7 +282,7 @@ fn cutting_the_journal_around_the_checkpoint_restarts_its_complete_lines() {
         assert_eq!(len, ends[lines] as u64, "{at}: torn tail cut");
         assert_same(
             restarted,
-            reference(&hello(1, true), &events[..lines]),
+            reference(&hello(true), &events[..lines]),
             &rest,
             &at,
         );
@@ -270,7 +307,7 @@ fn a_finished_tenant_recreated_under_its_name_ignores_the_old_checkpoint() {
     let torn = ckpt.with_extension("ckpt.tmp");
     fs::write(&ckpt, &stale).unwrap();
     fs::write(&torn, &stale[..stale.len() / 2]).unwrap();
-    let mut tenant = Tenant::create(&hello(1, true), Quotas::unlimited(), Some(&dir)).unwrap();
+    let mut tenant = Tenant::create(&hello(true), Quotas::unlimited(), Some(&dir)).unwrap();
     assert!(!ckpt.exists(), "Journal::create removes a stale checkpoint");
     assert!(!torn.exists(), "and a torn temporary one");
     // The same items, other sizes: a journal as long as the old one.
@@ -281,7 +318,7 @@ fn a_finished_tenant_recreated_under_its_name_ignores_the_old_checkpoint() {
     fs::write(&ckpt, &stale).unwrap();
     assert_same(
         restart(&dir),
-        reference(&hello(1, true), &new),
+        reference(&hello(true), &new),
         &[],
         "stale checkpoint",
     );
@@ -313,7 +350,7 @@ fn a_tenant_promoted_after_its_checkpoint_restarts_through_the_promotion() {
         time: end,
     });
 
-    let mut tenant = Tenant::create(&hello(1, true), Quotas::unlimited(), Some(&dir)).unwrap();
+    let mut tenant = Tenant::create(&hello(true), Quotas::unlimited(), Some(&dir)).unwrap();
     tenant.batch(&events[..at / 2], &mut span()).unwrap();
     assert!(tenant.checkpoint());
     let written = fs::read(checkpoint_path(&journal_path(&dir, "acme"))).unwrap();
@@ -331,7 +368,7 @@ fn a_tenant_promoted_after_its_checkpoint_restarts_through_the_promotion() {
     let applied = &events[..at / 2 + middle.len()];
     assert_same(
         restart(&dir),
-        reference(&hello(1, true), applied),
+        reference(&hello(true), applied),
         &[rest.to_vec()],
         "promoted after the checkpoint",
     );
@@ -406,7 +443,7 @@ fn a_daemon_checkpoints_past_the_threshold_and_resumes_from_it() {
     let server = DbpServer::start(config()).unwrap();
     let client = connect(&server);
     assert_eq!(client.resumed_events(), events.len() as u64);
-    let expected = finish(reference(&hello(1, false), &events)).unwrap();
+    let expected = finish(reference(&hello(false), &events)).unwrap();
     assert_eq!(client.finish().unwrap(), expected);
     assert!(!checkpoint_path(&journal_path(&dir, "acme")).exists());
     server.stop();
@@ -416,17 +453,16 @@ fn a_daemon_checkpoints_past_the_threshold_and_resumes_from_it() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random streams in random frames on 1 or 2 shards, telemetry on
-    /// or off, some frames ending in an event the sessions reject, and
-    /// half the time an off-grid arrival that promotes its shard to the
-    /// exact engine; checkpoints forced after random frames and a crash
+    /// Random streams in random frames, telemetry on or off, some
+    /// frames ending in an event the session rejects, and half the time
+    /// an off-grid arrival that promotes the session to the exact
+    /// engine; checkpoints forced after random frames and a crash
     /// after a random frame. The restart equals the uninterrupted run:
     /// accepted count, metrics, snapshot, every later frame's answer
     /// and the outcome.
     #[test]
     fn checkpoint_restarts_match_uninterrupted_runs(
         shape in (2u32..14, 1u32..5, 1u32..4, 0u32..1000),
-        shards in 1u32..3,
         telemetry in 0u8..2,
         frame in 1usize..9,
         checkpoints in prop::collection::vec(0usize..64, 0..4),
@@ -452,8 +488,8 @@ proptest! {
             let time = frame.last().unwrap().time();
             frame.push(Event::Depart { id: ItemId(9000 + at as u32), time });
         }
-        let hello = hello(shards, telemetry == 1);
-        let dir = test_dir(&format!("prop-{shards}-{telemetry}-{frame}"));
+        let hello = hello(telemetry == 1);
+        let dir = test_dir(&format!("prop-{telemetry}-{frame}"));
         let crash = crash % (frames.len() + 1);
         let mut tenant = Tenant::create(&hello, Quotas::unlimited(), Some(&dir)).unwrap();
         let mut uninterrupted = Tenant::create(&hello, Quotas::unlimited(), None).unwrap();

@@ -26,8 +26,9 @@ use mutation::{mutate, mutation_strategy};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
-/// One tenant's valid session: `sizes.len()` items in eighths, an
-/// optional shard count, and whether its frames carry `trace` ids.
+/// One tenant's session: `sizes.len()` items in eighths, the hello's
+/// `shards` (2 gets the hello refused, so the tenant never attaches),
+/// and whether its frames carry `trace` ids.
 #[derive(Debug, Clone)]
 struct Script {
     sizes: Vec<i128>,

@@ -1,13 +1,12 @@
 //! Property test: wire-served placements are bit-identical to
 //! in-process `Session` batch runs, across random workload shapes,
-//! algorithms, batch splits, and shard counts, including batch frames
-//! that a shard rejects partway through.
+//! algorithms and batch splits, including batch frames that the
+//! session rejects partway through.
 
 use dbp_core::algo::by_name;
 use dbp_core::session::Session;
 use dbp_core::{ItemId, PackingOutcome};
 use dbp_numeric::rat;
-use dbp_par::Fleet;
 use dbp_proto::{ErrorKind, Event, TickGrid};
 use dbp_server::tenant::canonical_algo;
 use dbp_server::{Client, ClientError, DbpServer, ServerConfig};
@@ -50,16 +49,12 @@ fn twin(algo: &str) -> Session<'static> {
         .unwrap()
 }
 
-fn shard_outcomes(algo: &str, events: &[Event], shards: u32) -> Vec<PackingOutcome> {
-    (0..shards)
-        .map(|shard| {
-            let mut session = twin(algo);
-            for ev in events.iter().filter(|e| e.id().0 % shards == shard) {
-                session.apply(ev).unwrap();
-            }
-            session.finish().unwrap()
-        })
-        .collect()
+fn outcome(algo: &str, events: &[Event]) -> PackingOutcome {
+    let mut session = twin(algo);
+    for ev in events {
+        session.apply(ev).unwrap();
+    }
+    session.finish().unwrap()
 }
 
 proptest! {
@@ -71,7 +66,6 @@ proptest! {
         width in 1u32..8,
         salt in 0u32..1000,
         algo_pick in 0usize..3,
-        shards in 1u32..4,
         split in 0usize..5,
         reject in 0usize..3,
         at in 0usize..1024,
@@ -84,7 +78,6 @@ proptest! {
         let mut client = Client::builder(algo)
             .tenant("prop")
             .grid(TickGrid::new(1, 32))
-            .shards(shards)
             .without_journal()
             .connect(server.local_addr())
             .unwrap();
@@ -97,7 +90,7 @@ proptest! {
             client.apply(ev).unwrap();
         }
         if !tail.is_empty() && reject > 0 {
-            // The batch carries one event its shard rejects: the
+            // The batch carries one event the session rejects: the
             // departure of an id that never arrived, inserted at `pos`.
             let pos = at % (tail.len() + 1);
             let bad_id = waves * width + ghost;
@@ -114,33 +107,26 @@ proptest! {
             prop_assert_eq!(err.kind, ErrorKind::Session);
             prop_assert_eq!(err.index, Some(pos as u64));
 
-            // What the frame applied: the bad shard stops at the bad
-            // event, every other shard applies all of its events.
-            let bad_shard = bad_id % shards;
-            let (before, after) = tail.split_at(pos);
-            let (late, rest): (Vec<Event>, Vec<Event>) = after
-                .iter()
-                .copied()
-                .partition(|e| e.id().0 % shards != bad_shard);
-            let mut twins: Vec<Session<'static>> = (0..shards).map(|_| twin(algo)).collect();
-            for ev in head.iter().chain(before).chain(&late) {
-                twins[(ev.id().0 % shards) as usize].apply(ev).unwrap();
+            // What the frame applied: every event before the bad one.
+            let (before, rest) = tail.split_at(pos);
+            let mut session = twin(algo);
+            for ev in head.iter().chain(before) {
+                session.apply(ev).unwrap();
             }
-            prop_assert!(twins[bad_shard as usize].apply(&bad).is_err());
-            let twins = Fleet::new(twins);
-            prop_assert_eq!(client.metrics().unwrap(), twins.folded_metrics());
+            prop_assert!(session.apply(&bad).is_err());
+            prop_assert_eq!(client.metrics().unwrap(), session.metrics());
 
             // Resubmitting what the frame left unapplied finishes like
             // the stream that never held the bad event.
             if !rest.is_empty() {
-                client.ingest(&rest).unwrap();
+                client.ingest(rest).unwrap();
             }
         } else if !tail.is_empty() {
             client.ingest(tail).unwrap();
         }
 
         let outcomes = client.finish().unwrap();
-        prop_assert_eq!(outcomes, shard_outcomes(algo, &events, shards));
+        prop_assert_eq!(outcomes, vec![outcome(algo, &events)]);
         server.stop();
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! The contracts under test are the ones the tentpole promises:
 //! placements served over the wire are **bit-identical** to in-process
-//! `Session` runs (including for sharded tenants vs a `Fleet`), a
-//! crashed server restarted from its journals resumes every tenant
+//! `Session` runs, a crashed server restarted from its journals resumes every tenant
 //! verbatim, and refusals (quota, auth, protocol) come back as typed
 //! errors without perturbing session state.
 
@@ -102,40 +101,6 @@ fn socket_outcomes_match_in_process_sessions() {
 }
 
 #[test]
-fn sharded_tenant_matches_a_fleet_of_sessions() {
-    let server = DbpServer::start(ServerConfig::default()).unwrap();
-    let events = wave_stream(5, 6);
-    let shards = 3u32;
-
-    let mut client = Client::builder("firstfit")
-        .tenant("sharded")
-        .grid(TickGrid::new(1, 32))
-        .shards(shards)
-        .without_journal()
-        .connect(server.local_addr())
-        .unwrap();
-    let bins = client.ingest(&events).unwrap();
-    let outcomes = client.finish().unwrap();
-    assert_eq!(outcomes.len(), shards as usize);
-
-    // In-process twin: one session per shard, routed by `id % shards`,
-    // same per-shard event order.
-    for shard in 0..shards {
-        let shard_events: Vec<Event> = events
-            .iter()
-            .filter(|e| e.id().0 % shards == shard)
-            .copied()
-            .collect();
-        assert_eq!(
-            outcomes[shard as usize],
-            session_outcome("firstfit", &shard_events),
-            "shard {shard}"
-        );
-    }
-    assert_eq!(bins.len(), events.len());
-}
-
-#[test]
 fn crash_recovery_resumes_bit_identically() {
     let dir = test_dir("recovery");
     let config = || ServerConfig {
@@ -190,12 +155,11 @@ fn crash_recovery_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A batch frame that one shard of a journaled 3-shard tenant rejects
-/// partway through: the failing shard keeps its events before the
-/// rejection, the other shards keep all of theirs, and the journal
-/// holds exactly those. A restart resumes them, and resubmitting the
-/// events the frame left unapplied finishes like the stream that
-/// never held the bad event.
+/// A batch frame that a journaled tenant rejects partway through: the
+/// tenant keeps the events before the rejection, and the journal holds
+/// exactly those. A restart resumes them, and resubmitting the events
+/// the frame left unapplied finishes like the stream that never held
+/// the bad event.
 #[test]
 fn a_rejected_batch_frame_resumes_what_it_applied_across_a_restart() {
     let dir = test_dir("rejected-frame");
@@ -203,19 +167,17 @@ fn a_rejected_batch_frame_resumes_what_it_applied_across_a_restart() {
         journal_dir: Some(dir.clone()),
         ..ServerConfig::default()
     };
-    let shards = 3u32;
     let connect = |server: &DbpServer| {
         Client::builder("firstfit")
             .tenant("acme")
             .grid(TickGrid::new(1, 32))
-            .shards(shards)
             .connect(server.local_addr())
             .unwrap()
     };
     let events = wave_stream(6, 4);
     let (head, tail) = events.split_at(events.len() / 3);
-    // The departure of an id that never arrived, on shard 1, in the
-    // middle of the frame.
+    // The departure of an id that never arrived, in the middle of the
+    // frame.
     let pos = 5;
     let bad = Event::Depart {
         id: ItemId(25),
@@ -223,12 +185,9 @@ fn a_rejected_batch_frame_resumes_what_it_applied_across_a_restart() {
     };
     let mut frame = tail.to_vec();
     frame.insert(pos, bad);
-    // The frame applies every event before the bad one and, after it,
-    // every event of the other shards (`late`).
-    let (before, after) = tail.split_at(pos);
-    let (late, rest): (Vec<Event>, Vec<Event>) =
-        after.iter().copied().partition(|e| e.id().0 % shards != 1);
-    assert!(!late.is_empty() && rest.len() > 1);
+    // The frame applies every event before the bad one.
+    let (before, rest) = tail.split_at(pos);
+    assert!(rest.len() > 1);
 
     let server = DbpServer::start(config()).unwrap();
     let mut client = connect(&server);
@@ -245,25 +204,66 @@ fn a_rejected_batch_frame_resumes_what_it_applied_across_a_restart() {
 
     let server = DbpServer::start(config()).unwrap();
     let mut client = connect(&server);
+    assert_eq!(client.resumed_events(), (head.len() + before.len()) as u64);
+    client.ingest(rest).unwrap();
     assert_eq!(
-        client.resumed_events(),
-        (head.len() + before.len() + late.len()) as u64
+        client.finish().unwrap(),
+        vec![session_outcome("firstfit", &events)]
     );
-    client.ingest(&rest).unwrap();
-    let outcomes = client.finish().unwrap();
-    for shard in 0..shards {
-        let shard_events: Vec<Event> = events
-            .iter()
-            .filter(|e| e.id().0 % shards == shard)
-            .copied()
-            .collect();
-        assert_eq!(
-            outcomes[shard as usize],
-            session_outcome("firstfit", &shard_events),
-            "shard {shard}"
-        );
-    }
     server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal whose header says `shards` 2, as a sharded tenant of an
+/// earlier build wrote it, keeps the daemon from starting: the error
+/// names the file, and every file under the journal directory keeps
+/// its bytes, an earlier journal's torn tail included.
+#[test]
+fn a_sharded_journal_fails_the_start_and_is_left_as_it_was() {
+    let dir = test_dir("sharded-journal");
+    let events = wave_stream(3, 2);
+    for header in [
+        first_fit_header("a"),
+        JournalHeader {
+            shards: 2,
+            ..first_fit_header("b")
+        },
+    ] {
+        let mut journal = Journal::create(&dir, &header).unwrap();
+        journal.append(&events).unwrap();
+    }
+    let mut torn = std::fs::OpenOptions::new()
+        .append(true)
+        .open(journal_path(&dir, "a"))
+        .unwrap();
+    torn.write_all(b"{\"v\":1,\"arr").unwrap();
+    drop(torn);
+    let files = |dir: &Path| {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = files(&dir);
+
+    let err = DbpServer::start(ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .err()
+    .expect("a sharded journal fails the start");
+    let named = format!(
+        "{}: journal of a tenant with 2 shards",
+        journal_path(&dir, "b").display()
+    );
+    assert!(err.to_string().contains(&named), "{err}");
+    assert_eq!(files(&dir), before);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -646,31 +646,6 @@ fn count_quotas_refuse_identically_on_a_telemetry_tenant() {
         count_quota_script(|b| b.telemetry()),
         single_session_expectation()
     );
-}
-
-/// A 2-shard tenant (ids routed by `id % 2`) admits against the
-/// fleet-wide counters. Shard 1 reopens a bin for item 3, so the
-/// two-arrival batch at t=3 now hits the open-bins cap, and the last
-/// single arrival fits under both caps.
-#[test]
-fn count_quotas_refuse_on_fleet_counters_for_a_sharded_tenant() {
-    let (results, counters) = count_quota_script(|b| b.shards(2).telemetry());
-    assert_eq!(
-        results,
-        vec![
-            Ok(vec![0]),
-            Ok(vec![0]),
-            open_bins_refusal(2, 2, Some(0)),
-            Ok(vec![1]),
-            open_bins_refusal(3, 1, None),
-            Ok(vec![0]),
-            Ok(vec![0, 1]),
-            active_items_refusal(2, 3, Some(0)),
-            open_bins_refusal(2, 2, Some(0)),
-            Ok(vec![1]),
-        ]
-    );
-    assert_eq!(counters, (3, 2));
 }
 
 #[test]
@@ -1330,6 +1305,66 @@ fn a_refused_first_frame_is_answered_then_closed() {
         .read_to_end(&mut rest)
         .expect("no end of stream within 5 s of the refusal");
     assert!(rest.is_empty(), "{rest:?}");
+    server.stop();
+}
+
+/// Three hellos refused under three names (an unknown algorithm,
+/// `shards` 2 and `shards` 0), each with a typed `protocol` error, leave
+/// no slot in the tenant registry: after one good hello, the page and
+/// `/healthz` count one tenant.
+#[test]
+fn refused_hellos_leave_no_registry_slot() {
+    use dbp_proto::Response;
+
+    let server = DbpServer::start(ServerConfig {
+        metrics: Some("127.0.0.1:0".to_string()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    for (hello, says) in [
+        (
+            r#"{"v":1,"hello":{"tenant":"a","algo":"nope"}}"#,
+            "algorithm",
+        ),
+        (
+            r#"{"v":1,"hello":{"tenant":"b","algo":"firstfit","shards":2}}"#,
+            "shards must be 1, got 2",
+        ),
+        (
+            r#"{"v":1,"hello":{"tenant":"c","algo":"firstfit","shards":0}}"#,
+            "shards must be 1, got 0",
+        ),
+    ] {
+        match &raw_exchange(addr, &[hello.as_bytes()], 1)[..] {
+            [Response::Error(e)] => {
+                assert_eq!(e.kind, ErrorKind::Protocol, "{hello}: {e}");
+                assert!(e.message.contains(says), "{hello}: {e}");
+            }
+            other => panic!("{hello}: expected a refusal, got {other:?}"),
+        }
+    }
+    let client = Client::builder("firstfit")
+        .tenant("good")
+        .without_journal()
+        .connect(addr)
+        .unwrap();
+    let get = |path: &str| {
+        let mut stream = std::net::TcpStream::connect(server.metrics_addr().unwrap()).unwrap();
+        write!(
+            stream,
+            "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).unwrap();
+        answer
+    };
+    let page = get("/metrics");
+    assert!(page.contains("dbp_server_tenants 1\n"), "{page}");
+    let health = get("/healthz");
+    assert!(health.contains("tenants 1\n"), "{health}");
+    drop(client);
     server.stop();
 }
 
