@@ -158,10 +158,11 @@ impl PackingOutcome {
         })
     }
 
-    /// Assembles an outcome from already-finalized parts. Used by the
-    /// tick engine (`crate::tick`), which keeps its books in machine
-    /// integers and converts back to exact `Rational`s only here.
-    pub(crate) fn from_parts(
+    /// Assembles an outcome from already-finalized parts: the tick
+    /// engine's integer books converted back to exact `Rational`s, or
+    /// a finish frame read straight off the wire (`dbp_proto::fast`).
+    /// Like the derived `Deserialize`, it checks nothing.
+    pub fn from_parts(
         algorithm: String,
         bins: Vec<BinRecord>,
         assignments: Vec<(ItemId, BinId)>,

@@ -1771,6 +1771,13 @@ impl TickEngine {
             return Err(PackingError::ItemsStillActive(self.active_count));
         }
         debug_assert_eq!(self.open_count, 0);
+        // No item is active, so nothing reads the live books again:
+        // free them before the outcome's allocations join them.
+        self.store = BinStore::default();
+        self.active = ActiveSet::Dense(Vec::new());
+        self.scan = ScanMode::Tree;
+        self.tree = FitTree::for_policy(self.policy);
+        self.tree_slots = Vec::new();
         // Ranks → instance ids once, before the logs and the sort
         // read the assignments.
         let mut assignments = std::mem::take(&mut self.assignments);

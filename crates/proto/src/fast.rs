@@ -11,13 +11,16 @@
 //! those bytes.
 //!
 //! The finish response ([`write_outcomes_response_traced`]) has a
-//! writer here for its size rather than its rate: it carries every bin
-//! and assignment of a tenant's history, and its `Value` tree takes
-//! about ten bytes of heap per byte of JSON. On the repo benchmark's
-//! serve-batch lifetime (17,307 bins, a 3.8 MiB frame) the generic
-//! encode peaked at ~42 MiB and took ~89 ms; the writer's only
-//! allocation is the frame buffer, and it took ~8 ms. No strict parser
-//! reads these frames: a client decodes one per tenant, generically.
+//! writer and a parser here for its size rather than its rate: it
+//! carries every bin and assignment of a tenant's history, and its
+//! `Value` tree takes about ten bytes of heap per byte of JSON. On the
+//! repo benchmark's serve-batch lifetime (17,307 bins, a 3.8 MiB frame)
+//! the generic encode peaked at ~42 MiB and took ~89 ms; the writer's
+//! only allocation is the frame buffer, and it took ~8 ms. The same
+//! writer also runs in pieces, so the daemon streams the frame through
+//! a bounded buffer ([`crate::write_response_frame`]), and
+//! [`parse_response_traced`] reads the frame into the outcomes without
+//! a tree.
 //!
 //! Any deviation from canonical form — whitespace, reordered keys,
 //! leading zeros, a non-positive denominator, an integer that
@@ -40,7 +43,9 @@
 
 use crate::frame::{Request, Response};
 use crate::{BinId, Event, ItemId, PackingOutcome};
-use dbp_numeric::Rational;
+use dbp_core::BinRecord;
+use dbp_numeric::{Interval, Rational};
+use std::convert::Infallible;
 
 /// Appends the canonical `{"v":1,"arrive":{...}}` /
 /// `{"v":1,"depart":{...}}` single-event request frame — byte-identical
@@ -120,13 +125,30 @@ pub fn write_bins_response_traced(buf: &mut Vec<u8>, bins: &[BinId], trace: Opti
 /// The frame grows with the tenant's history (every bin's usage period
 /// and items, every assignment), so this writer, unlike the generic
 /// codec, builds no `Value` tree: the frame buffer is all it allocates.
-/// The strict parser does not read these frames; clients decode them
-/// with the generic codec.
+/// [`parse_response_traced`] reads these frames back.
 pub fn write_outcomes_response_traced(
     buf: &mut Vec<u8>,
     outcomes: &[PackingOutcome],
     trace: Option<u64>,
 ) {
+    let keep = &mut |_: &mut Vec<u8>| Ok::<(), Infallible>(());
+    let Ok(()) = write_outcomes_response_with(buf, outcomes, trace, keep);
+}
+
+/// [`write_outcomes_response_traced`] in pieces: the same bytes, appended
+/// to `buf`, with `spill` handed `buf` after every piece (the frame's
+/// head, each outcome's head, each bin's head, item and tail, each
+/// assignment, each outcome's tail) so that it may move the bytes on and
+/// clear `buf`. No piece but an outcome's head, which holds the
+/// algorithm name, exceeds 256 bytes. The in-memory writer's `spill`
+/// keeps everything; the streamed frame ([`crate::write_response_frame`])
+/// passes it on in bounded chunks.
+pub(crate) fn write_outcomes_response_with<E>(
+    buf: &mut Vec<u8>,
+    outcomes: &[PackingOutcome],
+    trace: Option<u64>,
+    spill: &mut impl FnMut(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<(), E> {
     buf.extend_from_slice(b"{\"v\":1,");
     push_trace(buf, trace);
     buf.extend_from_slice(b"\"outcomes\":[");
@@ -134,16 +156,23 @@ pub fn write_outcomes_response_traced(
         if i > 0 {
             buf.push(b',');
         }
-        push_outcome(buf, outcome);
+        push_outcome(buf, outcome, spill)?;
     }
     buf.extend_from_slice(b"]}");
+    spill(buf)
 }
 
-// One `PackingOutcome` in its derived field order.
-fn push_outcome(buf: &mut Vec<u8>, outcome: &PackingOutcome) {
+// One `PackingOutcome` in its derived field order, spilled piece by
+// piece.
+fn push_outcome<E>(
+    buf: &mut Vec<u8>,
+    outcome: &PackingOutcome,
+    spill: &mut impl FnMut(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<(), E> {
     buf.extend_from_slice(b"{\"algorithm\":");
     push_str(buf, outcome.algorithm());
     buf.extend_from_slice(b",\"bins\":[");
+    spill(buf)?;
     for (i, bin) in outcome.bins().iter().enumerate() {
         if i > 0 {
             buf.push(b',');
@@ -155,17 +184,20 @@ fn push_outcome(buf: &mut Vec<u8>, outcome: &PackingOutcome) {
         buf.extend_from_slice(b",\"hi\":");
         push_rational(buf, bin.usage.hi());
         buf.extend_from_slice(b"},\"items\":[");
+        spill(buf)?;
         for (j, item) in bin.items.iter().enumerate() {
             if j > 0 {
                 buf.push(b',');
             }
             push_u64(buf, u64::from(item.0));
+            spill(buf)?;
         }
         buf.extend_from_slice(b"],\"level_integral\":");
         push_rational(buf, bin.level_integral);
         buf.extend_from_slice(b",\"peak_level\":");
         push_rational(buf, bin.peak_level);
         buf.push(b'}');
+        spill(buf)?;
     }
     buf.extend_from_slice(b"],\"assignments\":[");
     for (i, (item, bin)) in outcome.assignments().iter().enumerate() {
@@ -177,12 +209,14 @@ fn push_outcome(buf: &mut Vec<u8>, outcome: &PackingOutcome) {
         buf.push(b',');
         push_u64(buf, u64::from(bin.0));
         buf.push(b']');
+        spill(buf)?;
     }
     buf.extend_from_slice(b"],\"total_usage\":");
     push_rational(buf, outcome.total_usage());
     buf.extend_from_slice(b",\"max_open_bins\":");
     push_u64(buf, outcome.max_open_bins() as u64);
     buf.push(b'}');
+    spill(buf)
 }
 
 // A JSON string escaped exactly as the vendored `serde_json` writes
@@ -344,14 +378,19 @@ pub fn read_event_line(bytes: &[u8]) -> Option<(Event, usize)> {
     Some((ev, c.pos))
 }
 
-/// Parses a canonical placement response (`Bin` or `Bins`) and its
-/// echoed `trace` id; `None` means "fall back to the generic parser",
-/// which [`crate::decode_response`] does.
+/// Parses a canonical response — `bin`, `bins` or the finish
+/// response's `outcomes` — and its echoed `trace` id; `None` means
+/// "fall back to the generic parser", which [`crate::decode_response`]
+/// does. An outcomes frame whose algorithm name holds an escape (a
+/// backslash) is one the generic parser reads.
 pub fn parse_response_traced(payload: &[u8]) -> Option<(Response, Option<u64>)> {
     let mut c = Cursor::new(payload);
     c.lit(b"{\"v\":1,")?;
     let trace = parse_trace(&mut c)?;
-    c.lit(b"\"bin")?;
+    if c.lit(b"\"bin").is_none() {
+        let outcomes = parse_outcomes(&mut c)?;
+        return Some((Response::Outcomes(outcomes), trace));
+    }
     if c.eat(b'\"') {
         c.lit(b":")?;
         let bin = BinId(c.int_u32()?);
@@ -374,6 +413,104 @@ pub fn parse_response_traced(payload: &[u8]) -> Option<(Response, Option<u64>)> 
         c.end()?;
         Some((Response::Bins(bins), trace))
     }
+}
+
+// The rest of an outcomes frame after its trace: the bytes
+// [`write_outcomes_response_traced`] writes, and nothing else. Out of
+// line, so the `bin`/`bins` path stays as small as it was.
+#[cold]
+#[inline(never)]
+fn parse_outcomes(c: &mut Cursor<'_>) -> Option<Vec<PackingOutcome>> {
+    c.lit(b"\"outcomes\":[")?;
+    let outcomes = parse_list(c, parse_outcome)?;
+    c.lit(b"}")?;
+    c.end()?;
+    Some(outcomes)
+}
+
+fn parse_outcome(c: &mut Cursor<'_>) -> Option<PackingOutcome> {
+    c.lit(b"{\"algorithm\":")?;
+    let algorithm = c.plain_str()?;
+    c.lit(b",\"bins\":[")?;
+    let bins = parse_list(c, parse_bin)?;
+    c.lit(b",\"assignments\":[")?;
+    let assignments = parse_list(c, |c| {
+        c.lit(b"[")?;
+        let item = ItemId(c.int_u32()?);
+        c.lit(b",")?;
+        let bin = BinId(c.int_u32()?);
+        c.lit(b"]")?;
+        Some((item, bin))
+    })?;
+    c.lit(b",\"total_usage\":")?;
+    let total_usage = parse_rational(c)?;
+    c.lit(b",\"max_open_bins\":")?;
+    let max_open_bins = usize::try_from(c.int_u64()?).ok()?;
+    c.lit(b"}")?;
+    Some(PackingOutcome::from_parts(
+        algorithm.to_string(),
+        bins,
+        assignments,
+        total_usage,
+        max_open_bins,
+    ))
+}
+
+fn parse_bin(c: &mut Cursor<'_>) -> Option<BinRecord> {
+    c.lit(b"{\"id\":")?;
+    let id = BinId(c.int_u32()?);
+    c.lit(b",\"usage\":{\"lo\":")?;
+    let lo = parse_rational(c)?;
+    c.lit(b",\"hi\":")?;
+    let hi = parse_rational(c)?;
+    // `Interval::new` refuses reversed periods, which no engine
+    // writes; the generic codec owns them.
+    if !in_order(lo, hi)? {
+        return None;
+    }
+    c.lit(b"},\"items\":[")?;
+    let items = parse_list(c, |c| c.int_u32().map(ItemId))?;
+    c.lit(b",\"level_integral\":")?;
+    let level_integral = parse_rational(c)?;
+    c.lit(b",\"peak_level\":")?;
+    let peak_level = parse_rational(c)?;
+    c.lit(b"}")?;
+    Some(BinRecord {
+        id,
+        usage: Interval::new(lo, hi),
+        items,
+        level_integral,
+        peak_level,
+    })
+}
+
+// `lo <= hi`, or `None` where the cross products overflow: there
+// `Rational`'s own comparison may panic, and the generic codec, which
+// compares nothing, owns the frame. Where this answers, that comparison
+// takes one of its exact branches, so `Interval::new` cannot panic.
+fn in_order(lo: Rational, hi: Rational) -> Option<bool> {
+    if lo.denom() == hi.denom() {
+        return Some(lo.numer() <= hi.numer());
+    }
+    Some(lo.numer().checked_mul(hi.denom())? <= hi.numer().checked_mul(lo.denom())?)
+}
+
+// The elements of a list whose `[` is already read, through its `]`.
+fn parse_list<T>(
+    c: &mut Cursor<'_>,
+    mut element: impl FnMut(&mut Cursor<'_>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let mut list = Vec::new();
+    if !c.eat(b']') {
+        loop {
+            list.push(element(c)?);
+            if c.eat(b']') {
+                break;
+            }
+            c.lit(b",")?;
+        }
+    }
+    Some(list)
 }
 
 // Canonical traced frames put `"trace":N,` right after `"v":1,`; any
@@ -460,6 +597,21 @@ impl<'a> Cursor<'a> {
 
     fn end(&self) -> Option<()> {
         (self.pos == self.bytes.len()).then_some(())
+    }
+
+    // A string with nothing escaped, from its opening quote through its
+    // closing one: UTF-8 with no backslash and no control character,
+    // which the writer would have escaped.
+    fn plain_str(&mut self) -> Option<&'a str> {
+        self.lit(b"\"")?;
+        let start = self.pos;
+        let len = self.bytes[start..].iter().position(|&b| b == b'"')?;
+        let raw = &self.bytes[start..start + len];
+        if raw.iter().any(|&b| b == b'\\' || b < 0x20) {
+            return None;
+        }
+        self.pos = start + len + 1;
+        std::str::from_utf8(raw).ok()
     }
 
     // Consumes one decimal digit and returns its value; `None` (and

@@ -26,9 +26,12 @@
 //! decoding tries the strict parser first and falls back, encoding
 //! takes the fast writers for the frames that have one. Both paths
 //! speak the same bytes, so the choice never shows on the wire.
+//! [`write_response_frame`] frames a response with [`encode_response`]'s
+//! bytes, streaming the history-sized outcomes frame in bounded chunks.
 
 use crate::fast;
 use crate::frame::{Request, Response};
+use crate::PackingOutcome;
 use serde::{Error, Value};
 use std::io::{self, BufRead, Read, Write};
 
@@ -41,30 +44,97 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// never ends the line meets it.
 const MAX_LENGTH_LINE: u64 = 1024;
 
+/// The most bytes of one streamed frame held in memory at once: the
+/// outcomes frame [`write_response_frame`] writes passes through a
+/// buffer of this size, the size of the daemon's socket `BufWriter`.
+pub const FRAME_CHUNK_BYTES: usize = 64 << 10;
+
+/// Room a streamed chunk leaves for the next piece the outcomes writer
+/// appends before it may spill: more than any piece but an outcome's
+/// head, which holds the algorithm name.
+const PIECE_BYTES: usize = 1 << 10;
+
 /// Writes `payload` (one serialized JSON document, no newlines added
-/// by the caller) as a length-prefixed frame. Does not flush.
+/// by the caller) as a length-prefixed frame. Does not flush, and
+/// allocates nothing.
 pub fn write_frame_bytes(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut len_line = itoa(payload.len());
-    len_line.push('\n');
-    w.write_all(len_line.as_bytes())?;
+    write_length_line(w, payload.len())?;
     w.write_all(payload)?;
     w.write_all(b"\n")
 }
 
-// Formats a usize without going through `format!` — this sits on the
-// per-event hot path of the server and loadgen.
-fn itoa(mut n: usize) -> String {
-    if n == 0 {
-        return "0".to_string();
-    }
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    while n > 0 {
+// `len` in decimal and a newline, formatted on the stack — this sits on
+// the per-event hot path of the server and loadgen.
+fn write_length_line(w: &mut impl Write, mut len: usize) -> io::Result<()> {
+    let mut line = [0u8; 21];
+    let mut i = line.len() - 1;
+    line[i] = b'\n';
+    loop {
         i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
+        line[i] = b'0' + (len % 10) as u8;
+        len /= 10;
+        if len == 0 {
+            break;
+        }
     }
-    String::from_utf8_lossy(&buf[i..]).into_owned()
+    w.write_all(&line[i..])
+}
+
+/// Writes `response` as one frame, echoing `trace`: the bytes
+/// [`write_frame_bytes`] writes for [`encode_response`]'s payload. Does
+/// not flush. `scratch` is the caller's buffer, reused across calls.
+///
+/// Every response but `outcomes` is encoded into `scratch` whole. The
+/// outcomes frame grows with a tenant's history, so it is encoded
+/// twice by the same canonical writer, through `scratch` in chunks of
+/// at most [`FRAME_CHUNK_BYTES`]: once to count its bytes for the
+/// length line, and once to write them.
+pub fn write_response_frame(
+    w: &mut impl Write,
+    scratch: &mut Vec<u8>,
+    response: &Response,
+    trace: Option<u64>,
+) -> io::Result<()> {
+    scratch.clear();
+    let Response::Outcomes(outcomes) = response else {
+        encode_response(scratch, response, trace);
+        return write_frame_bytes(w, scratch);
+    };
+    scratch.reserve(FRAME_CHUNK_BYTES);
+    let mut len = 0;
+    stream_outcomes(scratch, outcomes, trace, |chunk| {
+        len += chunk.len();
+        Ok(())
+    })?;
+    write_length_line(w, len)?;
+    let mut sent = 0;
+    stream_outcomes(scratch, outcomes, trace, |chunk| {
+        sent += chunk.len();
+        w.write_all(chunk)
+    })?;
+    debug_assert_eq!(sent, len, "the two passes wrote different bytes");
+    w.write_all(b"\n")
+}
+
+// One pass of the outcomes writer, handing `send` each chunk once
+// `scratch` fills up to a piece short of [`FRAME_CHUNK_BYTES`], and
+// the rest at the end. Leaves `scratch` empty.
+fn stream_outcomes(
+    scratch: &mut Vec<u8>,
+    outcomes: &[PackingOutcome],
+    trace: Option<u64>,
+    mut send: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    fast::write_outcomes_response_with(scratch, outcomes, trace, &mut |chunk: &mut Vec<u8>| {
+        if chunk.len() >= FRAME_CHUNK_BYTES - PIECE_BYTES {
+            send(chunk)?;
+            chunk.clear();
+        }
+        Ok::<(), io::Error>(())
+    })?;
+    send(scratch)?;
+    scratch.clear();
+    Ok(())
 }
 
 /// Outcome of [`read_frame_raw`]: either end-of-stream or "one frame's
@@ -135,9 +205,9 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<u64>), String> 
 }
 
 /// Decodes one response payload and its echoed `trace` id: canonical
-/// `bin` and `bins` frames through the strict [`fast`] parser, anything
-/// else through the generic codec. `Err` says why the frame is
-/// malformed.
+/// `bin`, `bins` and `outcomes` frames through the strict [`fast`]
+/// parser, anything else through the generic codec. `Err` says why the
+/// frame is malformed.
 pub fn decode_response(payload: &[u8]) -> Result<(Response, Option<u64>), String> {
     match fast::parse_response_traced(payload) {
         Some(traced) => Ok(traced),
@@ -169,7 +239,8 @@ pub fn encode_request(out: &mut Vec<u8>, request: &Request, trace: Option<u64>) 
 /// given: `bin`, `bins` and `outcomes` frames through the canonical
 /// [`fast`] writers, the cold frames through the generic codec. The
 /// outcomes frame grows with a tenant's history, and its `Value` tree
-/// would take several times the frame's size in heap.
+/// would take several times the frame's size in heap;
+/// [`write_response_frame`] sends it without holding it whole.
 pub fn encode_response(out: &mut Vec<u8>, response: &Response, trace: Option<u64>) {
     match response {
         Response::Bin(bin) => fast::write_bin_response_traced(out, *bin, trace),

@@ -27,6 +27,8 @@
 //!   canonical writers and strict parser (placement frames, plus the
 //!   finish response's outcomes) and the generic codec, which reads
 //!   every non-canonical frame, so the format is unchanged.
+//!   [`write_response_frame`] writes a whole response frame, streaming
+//!   the finish response in chunks of [`FRAME_CHUNK_BYTES`].
 //! * [`crc32`] — the std-only CRC-32 that seals the server's engine
 //!   state checkpoints.
 //!
@@ -47,7 +49,7 @@ pub use crc::crc32;
 pub use frame::{ErrorKind, Hello, Request, Response, WireError};
 pub use framing::{
     decode_request, decode_response, encode_request, encode_response, read_frame_raw,
-    write_frame_bytes, RawFrame, MAX_FRAME_BYTES,
+    write_frame_bytes, write_response_frame, RawFrame, FRAME_CHUNK_BYTES, MAX_FRAME_BYTES,
 };
 pub use line::{checkpoint_from_json, checkpoint_to_json, event_to_line, parse_event_line};
 

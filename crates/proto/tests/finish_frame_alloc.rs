@@ -1,18 +1,24 @@
-//! Heap bound of the finish frame's fast writer.
+//! Heap bounds of the finish frame at both ends of the socket, and of
+//! framing.
 //!
 //! A finish frame carries a tenant's whole history, so its encoder's
-//! heap is the daemon's peak whenever a long-lived tenant finishes.
-//! This binary installs a counting global allocator and checks, with
-//! counts rather than timings, that
+//! heap is the daemon's peak whenever a long-lived tenant finishes, and
+//! its decoder's heap the client's. This binary installs a counting
+//! global allocator and checks, with counts rather than timings, that
 //! [`fast::write_outcomes_response_traced`] allocates no more than its
-//! own output buffer, while the generic `Value` codec allocates several
-//! times the frame. It holds a single test, and counts only the
+//! own output buffer, that [`write_response_frame`] streams the frame
+//! through one bounded chunk, and that [`decode_response`] reads it
+//! within a small multiple of the frame, while the generic `Value`
+//! codec takes several times the frame either way. It counts only the
 //! measuring thread's allocations, so the counts repeat exactly.
 
 use dbp_core::session::Session;
 use dbp_core::{FirstFit, ItemId};
 use dbp_numeric::rat;
-use dbp_proto::{fast, Response, TickGrid};
+use dbp_proto::{
+    decode_response, fast, write_frame_bytes, write_response_frame, Response, TickGrid,
+    FRAME_CHUNK_BYTES,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -172,4 +178,63 @@ fn finish_frame_writer_allocates_only_its_buffer() {
         "generic codec: {heap:?} for a {}-byte frame",
         frame.len()
     );
+
+    // Streamed, as the daemon answers `finish`: both passes run through
+    // one chunk, however long the frame, and send the framed bytes.
+    assert!(
+        frame.len() >= 8 * FRAME_CHUNK_BYTES,
+        "a {}-byte frame is too short to stream in chunks",
+        frame.len()
+    );
+    let mut framed = Vec::new();
+    write_frame_bytes(&mut framed, &frame).unwrap();
+    let mut streamed = Vec::new();
+    write_response_frame(&mut streamed, &mut Vec::new(), &response, trace).unwrap();
+    assert!(streamed == framed, "the streamed frame differs");
+    let (sent, heap) = measure(|| {
+        let mut sink = std::io::sink();
+        write_response_frame(&mut sink, &mut Vec::new(), &response, trace)
+    });
+    sent.unwrap();
+    assert!(
+        heap.peak <= 2 * FRAME_CHUNK_BYTES,
+        "streamed frame: {heap:?} for a {}-byte frame",
+        frame.len()
+    );
+
+    // Decoded, as `Client::finish` reads it: the strict parser builds
+    // the outcomes alone, the generic codec a `Value` tree first.
+    let (decoded, heap) = measure(|| decode_response(&frame));
+    assert_eq!(decoded, Ok((response.clone(), trace)));
+    assert!(
+        heap.peak <= 3 * frame.len(),
+        "strict parser: {heap:?} for a {}-byte frame",
+        frame.len()
+    );
+    let (decoded, heap) = measure(|| {
+        let value = serde_json::parse(std::str::from_utf8(&frame).unwrap()).unwrap();
+        Response::from_traced_value(&value)
+    });
+    assert_eq!(decoded, Ok((response, trace)));
+    assert!(
+        heap.peak >= 10 * frame.len(),
+        "generic decode: {heap:?} for a {}-byte frame",
+        frame.len()
+    );
+}
+
+/// Framing writes the length line from the stack: a payload framed
+/// into a buffer with room for it allocates nothing.
+#[test]
+fn framing_into_a_sized_buffer_allocates_nothing() {
+    for payload in [&b""[..], b"{}", &[b'7'; 100_000]] {
+        let mut buf = Vec::with_capacity(payload.len() + 32);
+        let (written, heap) = measure(|| write_frame_bytes(&mut buf, payload));
+        written.unwrap();
+        assert_eq!(heap.calls, 0, "{}-byte payload: {heap:?}", payload.len());
+        assert_eq!(
+            buf,
+            [format!("{}\n", payload.len()).as_bytes(), payload, b"\n"].concat()
+        );
+    }
 }

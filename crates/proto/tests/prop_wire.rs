@@ -366,8 +366,9 @@ proptest! {
 
     /// Traced responses echo ids through both codecs the same way.
     /// Finish frames (0–4 outcomes: the codec takes any count, though
-    /// a daemon sends one) have a fast writer but no strict parser: the
-    /// generic codec reads them.
+    /// a daemon sends one) are written and read by the fast codec too;
+    /// the strict parser may leave only a frame with an escaped
+    /// algorithm name to the generic codec.
     #[test]
     fn traced_responses_round_trip(
         bins in prop::collection::vec(0u32..=u32::MAX, 0..16),
@@ -408,11 +409,10 @@ proptest! {
                 _ => unreachable!(),
             };
             prop_assert_eq!(std::str::from_utf8(&buf).unwrap(), text.as_str());
-            let expected = match resp {
-                Response::Outcomes(_) => None,
-                placement => Some((placement, trace)),
-            };
-            prop_assert_eq!(fast::parse_response_traced(&buf), expected);
+            let parsed = fast::parse_response_traced(&buf);
+            if parsed.is_some() || !buf.contains(&b'\\') {
+                prop_assert_eq!(parsed, Some((resp, trace)));
+            }
         }
     }
 
@@ -737,5 +737,59 @@ fn hostile_bytes_never_split_the_fast_and_generic_parsers() {
     assert!(
         accepted * 100 >= cases as usize,
         "only {accepted} of {cases} mutants reached a fast parser"
+    );
+}
+
+/// A finish frame of 0–2 `outcome_strategy` outcomes, traced or not.
+fn outcomes_frame_strategy() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(outcome_strategy(), 0..=2),
+        prop_oneof![Just(None), (0u64..=u64::MAX).prop_map(Some)],
+    )
+        .prop_map(|(outcomes, trace)| {
+            let mut buf = Vec::new();
+            dbp_proto::fast::write_outcomes_response_traced(&mut buf, &outcomes, trace);
+            buf
+        })
+}
+
+/// Finish frames and their mutants (0–3 flips, inserts, deletes,
+/// truncations or splices onto another finish frame): whatever the
+/// strict parser reads, the generic codec reads as the same outcomes
+/// and trace id; otherwise it defers. It reads every untouched frame
+/// whose algorithm names need no escape.
+#[test]
+fn outcomes_frames_and_their_mutants_never_split_the_parsers() {
+    use proptest::test_runner::TestRng;
+
+    let cases = ProptestConfig::with_cases(2048).effective_cases();
+    let mut rng = TestRng::for_test("prop_wire::outcomes_frames");
+    let frames = outcomes_frame_strategy();
+    let mutations = prop::collection::vec(mutation_strategy(), 0..=3);
+    let mut accepted = 0;
+    for case in 0..cases {
+        let frame = frames.generate(&mut rng);
+        let other = frames.generate(&mut rng);
+        let ops = mutations.generate(&mut rng);
+        let mutant = mutate(frame.clone(), &other, &ops);
+        let read = check_against_generic(&mutant).unwrap_or_else(|e| {
+            panic!(
+                "case {case}: {e}\n  frame  {}\n  ops    {ops:?}\n  mutant {}",
+                String::from_utf8_lossy(&frame),
+                String::from_utf8_lossy(&mutant)
+            )
+        });
+        assert!(
+            read == 1 || !ops.is_empty() || frame.contains(&b'\\'),
+            "case {case}: deferred on a canonical frame: {}",
+            String::from_utf8_lossy(&frame)
+        );
+        accepted += read;
+    }
+    // Not vacuous: a quarter of the frames are untouched, and most of
+    // those need no escape.
+    assert!(
+        accepted * 10 >= cases as usize,
+        "only {accepted} of {cases} finish frames were read strictly"
     );
 }

@@ -35,12 +35,17 @@
 //!   checkpoints, then `Tenant::recover_all` timed on its directory
 //!   with the checkpoint and with the checkpoint moved aside (a full
 //!   replay), interleaved, best of [`RESTART_ROUNDS`] each;
-//! * the finish-frame encode (`finish_frame_fast_ms`,
+//! * the finish frame at both ends of the socket, one wave tenant's
+//!   outcome built in process, interleaved, best of [`FINISH_ROUNDS`]
+//!   each: encoded by the canonical fast writer into memory and by the
+//!   generic `Value` codec (`finish_frame_fast_ms`,
 //!   `finish_frame_generic_ms` and their ratio
-//!   `finish_fast_vs_generic_ratio`, a same-run gate): one wave
-//!   tenant's outcome, built in process, encoded by the canonical fast
-//!   writer the daemon answers `finish` with and by the generic `Value`
-//!   codec, interleaved, best of [`FINISH_ROUNDS`] each.
+//!   `finish_fast_vs_generic_ratio`, a same-run gate), streamed in
+//!   both passes into a sink as the daemon sends it
+//!   (`finish_frame_streamed_ms`), and decoded by the strict parser
+//!   `Client::finish` takes and by the generic codec
+//!   (`finish_decode_fast_ms`, `finish_decode_generic_ms` and their
+//!   ratio `finish_decode_fast_vs_generic_ratio`, ungated).
 //!
 //! The workload is the serving analogue of the bench suite's wave
 //! pattern: at each integer step, the items that arrived two steps ago
@@ -52,7 +57,7 @@ use dbp_core::session::Session;
 use dbp_core::FirstFit;
 use dbp_numeric::rat;
 use dbp_obs::Histogram;
-use dbp_proto::{fast, Backend, Event, Hello, ItemId, Response, TickGrid};
+use dbp_proto::{fast, write_response_frame, Backend, Event, Hello, ItemId, Response, TickGrid};
 use dbp_server::checkpoint::checkpoint_path;
 use dbp_server::journal::{journal_path, Journal, JournalHeader};
 use dbp_server::span::PHASE_NAMES;
@@ -66,8 +71,8 @@ use std::time::Instant;
 /// medians of five alternating pairs read 0.94–1.12.
 const PAIRS: usize = 5;
 
-/// Rounds of the finish-frame encode comparison, each timing both
-/// encoders once.
+/// Rounds of the finish-frame comparison, each timing every encoder
+/// and decoder once.
 const FINISH_ROUNDS: usize = 5;
 
 /// Events the checkpointed-restart arm journals: about 22 MiB of
@@ -326,14 +331,25 @@ fn checkpoint_restart_ms() -> (f64, f64) {
     (from_checkpoint, replay)
 }
 
+/// One wave tenant's finish frame, in milliseconds: see [`finish_frame_ms`].
+struct FinishTimes {
+    fast: f64,
+    generic: f64,
+    streamed: f64,
+    decode_fast: f64,
+    decode_generic: f64,
+    frame_len: usize,
+}
+
 /// Times one wave tenant's finish frame, the response a `finish`
 /// request gets: the tenant's stream runs through an in-process session
-/// (its last waves departing two steps after the stream ends), and
-/// the outcome is encoded by the canonical fast writer the daemon uses
-/// and by the generic `Value` codec, each into a fresh buffer,
-/// interleaved, best of [`FINISH_ROUNDS`]. Returns milliseconds as
-/// `(fast, generic)` and the frame's length.
-fn finish_frame_ms(args: &Args) -> (f64, f64, usize) {
+/// (its last waves departing two steps after the stream ends), and the
+/// outcome is encoded by the canonical fast writer into a fresh buffer
+/// and by the generic `Value` codec, streamed into a sink by
+/// `write_response_frame` as the daemon sends it, and decoded by the
+/// strict parser (what `Client::finish` runs) and by the generic codec,
+/// interleaved, best of [`FINISH_ROUNDS`] each.
+fn finish_frame_ms(args: &Args) -> FinishTimes {
     let mut session = Session::builder(FirstFit::new())
         .grid(TickGrid::new(1, 128))
         .without_checkpoints()
@@ -363,20 +379,43 @@ fn finish_frame_ms(args: &Args) -> (f64, f64, usize) {
     let Response::Outcomes(outcomes) = &response else {
         unreachable!("built as outcomes")
     };
-    let (mut fast_best, mut generic_best) = (f64::INFINITY, f64::INFINITY);
+    let best = |slot: &mut f64, started: Instant| *slot = slot.min(started.elapsed().as_secs_f64());
+    let mut t = [f64::INFINITY; 5];
     let mut frame_len = 0;
     for _ in 0..FINISH_ROUNDS {
         let started = Instant::now();
         let mut frame = Vec::new();
         fast::write_outcomes_response_traced(&mut frame, outcomes, None);
-        fast_best = fast_best.min(started.elapsed().as_secs_f64());
+        best(&mut t[0], started);
         let started = Instant::now();
         let generic = serde_json::value_to_string(&response.to_traced_value(None));
-        generic_best = generic_best.min(started.elapsed().as_secs_f64());
+        best(&mut t[1], started);
         assert_eq!(frame, generic.as_bytes(), "finish frame encoders disagree");
         frame_len = frame.len();
+
+        let started = Instant::now();
+        write_response_frame(&mut std::io::sink(), &mut Vec::new(), &response, None)
+            .expect("a sink takes every byte");
+        best(&mut t[2], started);
+
+        let started = Instant::now();
+        let strict = fast::parse_response_traced(&frame).expect("the strict parser reads it");
+        best(&mut t[3], started);
+        let started = Instant::now();
+        let value = serde_json::parse(&generic).expect("the frame is JSON");
+        let decoded = Response::from_traced_value(&value).expect("the generic codec reads it");
+        best(&mut t[4], started);
+        assert_eq!(strict, decoded, "finish frame decoders disagree");
     }
-    (fast_best * 1e3, generic_best * 1e3, frame_len)
+    let [fast, generic, streamed, decode_fast, decode_generic] = t.map(|s| s * 1e3);
+    FinishTimes {
+        fast,
+        generic,
+        streamed,
+        decode_fast,
+        decode_generic,
+        frame_len,
+    }
 }
 
 fn quantile_or_zero(h: &Histogram, q: f64) -> f64 {
@@ -531,11 +570,19 @@ fn main() {
          {restart_ms:.1} ms, full replay {replay_ms:.1} ms, ratio {restart_ratio:.2}"
     );
 
-    let (finish_fast_ms, finish_generic_ms, finish_frame_len) = finish_frame_ms(&args);
-    let finish_ratio = finish_generic_ms / finish_fast_ms;
+    let finish = finish_frame_ms(&args);
+    let finish_ratio = finish.generic / finish.fast;
+    let decode_ratio = finish.decode_generic / finish.decode_fast;
     eprintln!(
-        "loadgen: one wave tenant's finish frame ({finish_frame_len} bytes): fast writer \
-         {finish_fast_ms:.2} ms, generic codec {finish_generic_ms:.2} ms, ratio {finish_ratio:.1}"
+        "loadgen: one wave tenant's finish frame ({} bytes): fast writer {:.2} ms, generic \
+         codec {:.2} ms, ratio {finish_ratio:.1}; streamed {:.2} ms; decoded strictly {:.2} \
+         ms, generically {:.2} ms, ratio {decode_ratio:.1}",
+        finish.frame_len,
+        finish.fast,
+        finish.generic,
+        finish.streamed,
+        finish.decode_fast,
+        finish.decode_generic,
     );
 
     if let Some(out) = &args.out {
@@ -565,7 +612,10 @@ fn main() {
              \"checkpoint_restart_ms\": {:.2},\n    \"checkpoint_replay_ms\": {:.2},\n    \
              \"checkpoint_restart_vs_replay_ratio\": {:.3},\n    \
              \"finish_frame_fast_ms\": {:.3},\n    \"finish_frame_generic_ms\": {:.3},\n    \
-             \"finish_fast_vs_generic_ratio\": {:.2}\n  }}\n}}\n",
+             \"finish_fast_vs_generic_ratio\": {:.2},\n    \
+             \"finish_frame_streamed_ms\": {:.3},\n    \"finish_decode_fast_ms\": {:.3},\n    \
+             \"finish_decode_generic_ms\": {:.3},\n    \
+             \"finish_decode_fast_vs_generic_ratio\": {:.2}\n  }}\n}}\n",
             args.threads,
             args.tenants,
             args.events_per_tenant,
@@ -593,9 +643,13 @@ fn main() {
             restart_ms,
             replay_ms,
             restart_ratio,
-            finish_fast_ms,
-            finish_generic_ms,
+            finish.fast,
+            finish.generic,
             finish_ratio,
+            finish.streamed,
+            finish.decode_fast,
+            finish.decode_generic,
+            decode_ratio,
         );
         let mut file = std::fs::File::create(out).expect("create output file");
         file.write_all(json.as_bytes()).expect("write snapshot");

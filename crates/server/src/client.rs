@@ -293,7 +293,9 @@ impl Client {
     }
 
     /// Finishes the tenant and returns its packing outcome, the one
-    /// element of the `outcomes` list (mirrors `Session::finish`).
+    /// element of the `outcomes` list (mirrors `Session::finish`). The
+    /// answer carries the tenant's whole history; the strict parser
+    /// reads it without a `Value` tree.
     pub fn finish(mut self) -> Result<Vec<PackingOutcome>, ClientError> {
         match self.exchange(&Request::Finish)? {
             Response::Outcomes(outcomes) => Ok(outcomes),

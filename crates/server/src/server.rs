@@ -19,8 +19,8 @@ use crate::tenant::Tenant;
 use crate::ServerError;
 use dbp_obs::{MetricsRegistry, MetricsServer};
 use dbp_proto::{
-    decode_request, encode_response, read_frame_raw, write_frame_bytes, ErrorKind, Event, RawFrame,
-    Request, Response, WireError,
+    decode_request, encode_response, read_frame_raw, write_frame_bytes, write_response_frame,
+    ErrorKind, Event, RawFrame, Request, Response, WireError, FRAME_CHUNK_BYTES,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -422,7 +422,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     .spawn(move || {
                         if stream.set_nodelay(true).is_ok() {
                             let reader = BufReader::with_capacity(1 << 16, &stream);
-                            let writer = BufWriter::with_capacity(1 << 16, &stream);
+                            let writer = BufWriter::with_capacity(FRAME_CHUNK_BYTES, &stream);
                             let _ = serve_connection(reader, writer, &conn_shared, conn);
                         }
                         conn_shared.conns.lock().unwrap().remove(&conn);
@@ -453,17 +453,16 @@ fn sever(shared: &Shared) {
     }
 }
 
-// Encode + frame + flush, for responses outside the timed placement
-// path. `out` is reused across frames.
+// Frame + flush, for responses outside the timed placement path.
+// `out` is reused across frames; a finish answer streams through it in
+// chunks, so the daemon never holds the whole history-sized frame.
 fn send(
     w: &mut impl Write,
     out: &mut Vec<u8>,
     response: &Response,
     trace: Option<u64>,
 ) -> io::Result<()> {
-    out.clear();
-    encode_response(out, response, trace);
-    write_frame_bytes(w, out)?;
+    write_response_frame(w, out, response, trace)?;
     w.flush()
 }
 

@@ -27,8 +27,9 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 /// One tenant's session: `sizes.len()` items in eighths, the hello's
-/// `shards` (2 gets the hello refused, so the tenant never attaches),
-/// and whether its frames carry `trace` ids.
+/// `shards` (2, drawn in one script in eight, gets the hello refused,
+/// so the tenant never attaches), and whether its frames carry `trace`
+/// ids.
 #[derive(Debug, Clone)]
 struct Script {
     sizes: Vec<i128>,
@@ -39,7 +40,7 @@ struct Script {
 fn script_strategy() -> impl Strategy<Value = Script> {
     (
         prop::collection::vec(1i128..=8, 1..=5),
-        1u32..=2,
+        (0u8..8).prop_map(|k| if k == 0 { 2 } else { 1 }),
         (0u8..=1).prop_map(|b| b == 1),
     )
         .prop_map(|(sizes, shards, traced)| Script {
@@ -293,10 +294,10 @@ fn hostile_connections_answer_in_frames_and_leave_other_tenants_alone() {
         std::panic::resume_unwind(panic);
     }
     let (placing, refusing) = received.unwrap();
-    // Not vacuous: many cases still place events, and many are refused
-    // somewhere along the way.
+    // Not vacuous: most cases reach the placement, metrics, snapshot
+    // and finish paths, and many are refused somewhere along the way.
     assert!(
-        placing * 4 >= cases as usize,
+        placing * 2 >= cases as usize,
         "only {placing} of {cases} cases placed an event"
     );
     assert!(

@@ -100,6 +100,94 @@ fn socket_outcomes_match_in_process_sessions() {
     }
 }
 
+/// A finish answer spanning several of the daemon's write chunks
+/// arrives, over a socket and through `serve_connection` alike, as
+/// exactly the frame `encode_response` and `write_frame_bytes` make of
+/// the in-process outcome, traced and untraced; and `Client::finish`
+/// reads it back.
+#[test]
+fn a_finish_frame_of_many_chunks_arrives_byte_for_byte() {
+    use dbp_proto::{
+        encode_request, encode_response, read_frame_raw, write_frame_bytes, Hello, RawFrame,
+        Request, Response, FRAME_CHUNK_BYTES,
+    };
+
+    let events = wave_stream(150, 100);
+    let batches: Vec<&[Event]> = events.chunks(1024).collect();
+    let outcome = session_outcome("firstfit", &events);
+    let server = DbpServer::start(ServerConfig::default()).unwrap();
+    for trace in [None, Some(7)] {
+        let mut finish = Vec::new();
+        encode_response(
+            &mut finish,
+            &Response::Outcomes(vec![outcome.clone()]),
+            trace,
+        );
+        assert!(
+            finish.len() >= 4 * FRAME_CHUNK_BYTES,
+            "a {}-byte frame spans fewer than 4 chunks",
+            finish.len()
+        );
+        let mut expected = Vec::new();
+        write_frame_bytes(&mut expected, &finish).unwrap();
+
+        let input = |tenant: &str| {
+            let mut hello = Hello::new(tenant, "firstfit");
+            hello.grid = Some(TickGrid::new(1, 32));
+            hello.journal = false;
+            let mut requests = vec![Request::Hello(hello)];
+            requests.extend(batches.iter().map(|batch| Request::Batch(batch.to_vec())));
+            requests.push(Request::Finish);
+            let mut bytes = Vec::new();
+            for request in &requests {
+                let mut payload = Vec::new();
+                encode_request(&mut payload, request, trace);
+                write_frame_bytes(&mut bytes, &payload).unwrap();
+            }
+            bytes
+        };
+        // The hello's and the batches' answers, then the finish frame.
+        let finish_frame = |output: &[u8]| {
+            let mut rest = output;
+            let mut scratch = Vec::new();
+            for _ in 0..=batches.len() {
+                let frame = read_frame_raw(&mut rest, &mut scratch).unwrap();
+                assert!(matches!(frame, RawFrame::Payload));
+            }
+            rest.to_vec()
+        };
+
+        let mut output = Vec::new();
+        server
+            .serve_connection(&input(&format!("in-process-{trace:?}"))[..], &mut output)
+            .unwrap();
+        assert!(
+            finish_frame(&output) == expected,
+            "in process, trace {trace:?}"
+        );
+
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .write_all(&input(&format!("socket-{trace:?}")))
+            .unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut output = Vec::new();
+        stream.read_to_end(&mut output).unwrap();
+        assert!(finish_frame(&output) == expected, "socket, trace {trace:?}");
+    }
+
+    let mut client = Client::builder("firstfit")
+        .tenant("client")
+        .grid(TickGrid::new(1, 32))
+        .without_journal()
+        .traced()
+        .connect(server.local_addr())
+        .unwrap();
+    client.ingest(&events).unwrap();
+    assert_eq!(client.finish().unwrap(), vec![outcome]);
+    server.stop();
+}
+
 #[test]
 fn crash_recovery_resumes_bit_identically() {
     let dir = test_dir("recovery");
